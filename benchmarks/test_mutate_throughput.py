@@ -38,7 +38,7 @@ def run_bench(scale: str) -> dict:
     return mutate_bench(
         graphs, shapes=SHAPES, edits=200, rebuild_limit=8,
         method="GBC", backend="fast", seed=5, serve_spec=spec,
-        config=SchedulerConfig(batch_window=0.002, backend="fast"))
+        config=SchedulerConfig(backend="fast"))
 
 
 def _render(artifact: dict) -> str:

@@ -41,8 +41,7 @@ SPEC = WorkloadSpec(
     method="GBC",
     seed=17,
 )
-CONFIG = SchedulerConfig(batch_window=0.002, max_batch=64, workers=4,
-                         backend="fast")
+CONFIG = SchedulerConfig(max_batch=64, workers=4, backend="fast")
 
 
 def make_graphs():

@@ -1,4 +1,4 @@
-"""Serving demo: concurrent clients, micro-batched counting, telemetry.
+"""Serving demo: concurrent clients, batched counting, telemetry.
 
 Run with::
 
@@ -6,7 +6,8 @@ Run with::
 
 Spins up the serving subsystem over two generated graphs — a bounded
 :class:`~repro.service.SessionPool` of prepared per-graph state behind a
-micro-batching :class:`~repro.service.Scheduler` — then fires 200 mixed
+:class:`~repro.service.Scheduler`, whose free workers batch whatever
+queued for the same graph while they were busy — then fires 200 mixed
 (p, q) queries at it from 8 client threads and prints the telemetry
 snapshot.  Every served count is verified against a direct single-query
 call: batching and pooling change throughput, never answers.
@@ -51,8 +52,7 @@ def main() -> None:
             with lock:
                 served.append((name, p, q, result.count))
 
-    with Scheduler(pool, batch_window=0.002, workers=2,
-                   backend="fast") as scheduler:
+    with Scheduler(pool, workers=2, backend="fast") as scheduler:
         threads = [threading.Thread(target=client, args=(i, scheduler))
                    for i in range(CLIENTS)]
         for t in threads:

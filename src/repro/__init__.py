@@ -48,7 +48,7 @@ Packages:
 * :mod:`repro.dynamic` — streaming graphs: exact incremental (p, q)
   maintenance under edge mutations, with epoch-pinned snapshots.
 * :mod:`repro.service` — the concurrent serving subsystem (bounded
-  session pool, micro-batching scheduler with futures/deadlines/
+  session pool, work-conserving scheduler with futures/deadlines/
   backpressure, telemetry, workload generator, serve-bench harness).
 * :mod:`repro.obs` — cross-layer observability: zero-overhead-when-off
   span tracing, the measured-cost ledger that calibrates the Planner,

@@ -173,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--backend", default="fast",
                     choices=list(BACKEND_NAMES),
                     help="kernel engine batches execute on (default fast)")
-    sb.add_argument("--window-ms", type=float, default=2.0,
-                    help="micro-batching window in ms (default 2)")
     sb.add_argument("--max-batch", type=int, default=64,
                     help="per-batch request cap (default 64)")
     sb.add_argument("--max-pending", type=int, default=1024,
@@ -272,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     mb.add_argument("--mutate-fraction", type=float, default=0.15,
                     help="fraction of serving draws that become edge "
                          "toggles (default 0.15)")
-    mb.add_argument("--window-ms", type=float, default=2.0,
-                    help="micro-batching window in ms (default 2)")
     mb.add_argument("--output", default="benchmarks/artifacts/"
                                         "BENCH_mutate.json",
                     help="artifact path (default benchmarks/artifacts/"
@@ -516,7 +512,6 @@ def _cmd_serve_bench(args) -> int:
         accuracy=args.accuracy,
         seed=args.seed)
     config = SchedulerConfig(
-        batch_window=args.window_ms / 1e3,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         workers=args.sched_workers,
@@ -641,8 +636,7 @@ def _cmd_serve_mutate_bench(args) -> int:
             num_queries=args.queries, clients=args.clients,
             method=args.method, seed=args.seed,
             mutate_fraction=args.mutate_fraction)
-    config = SchedulerConfig(batch_window=args.window_ms / 1e3,
-                             backend=args.backend, method=args.method)
+    config = SchedulerConfig(backend=args.backend, method=args.method)
     artifact = mutate_bench(graphs, shapes=shapes, edits=args.edits,
                             rebuild_limit=args.rebuild_limit,
                             method=args.method, backend=args.backend,

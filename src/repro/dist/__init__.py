@@ -1,7 +1,7 @@
 """repro.dist — the multi-process serving tier (scale-out seam).
 
 One :class:`~repro.dist.router.DistRouter` front-end (the same
-micro-batching :class:`~repro.service.scheduler.Scheduler` surface:
+batching :class:`~repro.service.scheduler.Scheduler` surface:
 futures, admission control, deadlines) over N long-lived worker
 processes, each owning a shard of the session pool:
 

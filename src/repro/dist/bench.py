@@ -59,9 +59,8 @@ def make_grid_graphs(size: str) -> dict:
 def _run_one(graphs: dict, topology: int, spec: WorkloadSpec, *,
              replication: int, backend: str, method: str,
              verify: bool) -> dict:
-    config = SchedulerConfig(batch_window=0.002, max_batch=64,
-                             workers=max(2, topology), backend=backend,
-                             method=method)
+    config = SchedulerConfig(max_batch=64, workers=max(2, topology),
+                             backend=backend, method=method)
     router = DistRouter(graphs, workers=topology,
                         replication=replication, hot=("hot",),
                         config=config)

@@ -1,10 +1,10 @@
 """The distributed serving router: one front-end, N worker processes.
 
-:class:`DistRouter` subclasses the micro-batching
+:class:`DistRouter` subclasses the batching
 :class:`~repro.service.scheduler.Scheduler`, so clients keep the exact
 same surface — ``submit()`` futures, admission control
 (:class:`~repro.errors.QueueFullError`), per-request deadlines,
-graceful ``close()`` — while ``_execute`` ships each micro-batch as
+graceful ``close()`` — while ``_execute`` ships each batch as
 one envelope to a worker process instead of counting in-process.
 
 Placement is decided once, at construction, by :func:`plan_routes` — a
@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from dataclasses import replace
 
 from repro.core.counts import CountResult
 from repro.errors import ServiceError
@@ -143,8 +144,8 @@ class DistRouter(Scheduler):
     is fixed at construction (workers fork here, inheriting their
     shard's arrays).  Scheduler tunables arrive exactly as on
     :class:`~repro.service.scheduler.Scheduler` (``config=`` or
-    keyword overrides) and govern the *router's* admission, batching
-    window and deadline bookkeeping; each worker runs its own inner
+    keyword overrides) and govern the *router's* admission, batch
+    size and deadline bookkeeping; each worker runs its own inner
     scheduler configured from the same tunables.
 
     >>> from repro import random_bipartite
@@ -210,17 +211,14 @@ class DistRouter(Scheduler):
                 for w in route.owners:
                     placements[w][name] = self._graphs[name]
 
-        worker_kwargs = dict(batch_window=0.0, max_batch=cfg.max_batch,
-                             max_pending=cfg.max_pending, workers=2,
-                             backend=cfg.backend,
-                             backend_workers=cfg.backend_workers,
-                             method=cfg.method, accuracy=cfg.accuracy)
+        # every worker's inner scheduler shares the router's tunables
+        worker_cfg = replace(cfg, workers=2)
         # fork the workers BEFORE the base class starts router threads
         import multiprocessing as mp
         ctx = mp.get_context("fork")
         self._handles = [
             WorkerHandle(ctx, w, placements[w], partition_roots[w],
-                         worker_kwargs)
+                         worker_cfg)
             for w in range(workers)]
         log.info("dist: %d workers up (pids %s), %d graphs routed",
                  workers, [h.pid for h in self._handles],
@@ -228,16 +226,11 @@ class DistRouter(Scheduler):
 
         # the router's own pool stays empty in dist mode — sessions
         # live in the workers; the base class only uses it on the
-        # in-process path
-        router_cfg = cfg if cfg.workers >= workers else \
-            SchedulerConfig(batch_window=cfg.batch_window,
-                            max_batch=cfg.max_batch,
-                            max_pending=cfg.max_pending,
-                            workers=max(cfg.workers, workers),
-                            backend=cfg.backend,
-                            backend_workers=cfg.backend_workers,
-                            method=cfg.method, accuracy=cfg.accuracy)
-        super().__init__(SessionPool(max_sessions=1), config=router_cfg,
+        # in-process path.  One router thread per worker process at
+        # least, so every worker can have an envelope in flight.
+        super().__init__(SessionPool(max_sessions=1),
+                         config=replace(cfg, workers=max(cfg.workers,
+                                                         workers)),
                          telemetry=telemetry, ident="router")
 
     # -- introspection -------------------------------------------------

@@ -130,13 +130,15 @@ def _serve_batch(scheduler, graph: str, items: list) -> list:
 
 
 def worker_main(conn, worker_id: int, graphs: dict,
-                partition_roots: dict, scheduler_kwargs: dict
+                partition_roots: dict, config
                 ) -> None:  # pragma: no cover - runs in fork child
     """Entry point of one serving worker (inside the forked child).
 
     ``graphs`` maps name -> BipartiteGraph for this worker's shard;
     ``partition_roots`` maps partitioned-graph name -> this worker's
-    root list.  Both arrive through fork inheritance.
+    root list.  Both arrive through fork inheritance; ``config`` is the
+    :class:`~repro.service.scheduler.SchedulerConfig` of the worker's
+    inner scheduler.
     """
     from repro.service.pool import SessionPool
     from repro.service.scheduler import Scheduler
@@ -145,8 +147,7 @@ def worker_main(conn, worker_id: int, graphs: dict,
     pool = SessionPool(max_sessions=max(len(graphs), 1), ledger=ledger)
     for name, graph in graphs.items():
         pool.register(name, graph)
-    scheduler = Scheduler(pool, ident=f"w{worker_id}",
-                          **scheduler_kwargs)
+    scheduler = Scheduler(pool, config=config, ident=f"w{worker_id}")
     partials = {name: _PartialCounter(graphs[name], roots)
                 for name, roots in partition_roots.items()}
     try:
@@ -207,13 +208,13 @@ class WorkerHandle:
     """
 
     def __init__(self, ctx, worker_id: int, graphs: dict,
-                 partition_roots: dict, scheduler_kwargs: dict) -> None:
+                 partition_roots: dict, config) -> None:
         self.worker_id = int(worker_id)
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=worker_main,
             args=(child_conn, self.worker_id, graphs, partition_roots,
-                  scheduler_kwargs),
+                  config),
             name=f"repro-dist-w{worker_id}", daemon=True)
         self.process.start()
         child_conn.close()

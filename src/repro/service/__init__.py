@@ -5,10 +5,10 @@ graphs, one process.  Four parts, composed top-down:
 
 * :class:`~repro.service.scheduler.Scheduler` — accepts concurrent
   ``(graph, method, p, q)`` requests (thread-safe :meth:`submit`
-  returning futures, plus an asyncio front-end), coalesces same-graph
-  arrivals within a micro-batching window, and applies admission
-  control (bounded queue -> :class:`~repro.errors.QueueFullError`) and
-  per-request deadlines.
+  returning futures, plus an asyncio front-end), hands each free worker
+  the oldest queued request together with the same-graph requests
+  queued behind it, and applies admission control (bounded queue ->
+  :class:`~repro.errors.QueueFullError`) and per-request deadlines.
 * :class:`~repro.service.pool.SessionPool` — the bounded LRU pool of
   prepared :class:`~repro.query.GraphSession` state behind the
   scheduler, with entry/memory budgets and transparent rebuild after
@@ -26,7 +26,7 @@ graphs, one process.  Four parts, composed top-down:
 >>> from repro.service import Scheduler, SessionPool
 >>> pool = SessionPool(max_sessions=2)
 >>> pool.register("demo", random_bipartite(30, 20, 200, seed=7))
->>> with Scheduler(pool, batch_window=0.0) as sched:
+>>> with Scheduler(pool) as sched:
 ...     sched.count("demo", 2, 3).count
 528
 """

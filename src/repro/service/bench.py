@@ -8,7 +8,7 @@ Measures the same declarative workload two ways:
   repo before the service layer existed;
 * **served** — the same stream through a
   :class:`~repro.service.scheduler.Scheduler` over a
-  :class:`~repro.service.pool.SessionPool`, with micro-batching and
+  :class:`~repro.service.pool.SessionPool`, with batching and
   shared prepared state.
 
 Every distinct ``(graph, p, q)`` the service answered is then re-counted
@@ -162,7 +162,6 @@ def serve_bench(graphs: dict[str, BipartiteGraph],
         "host": {"usable_cpus": default_workers()},
         "spec": spec.as_dict(),
         "scheduler": {
-            "batch_window": config.batch_window,
             "max_batch": config.max_batch,
             "max_pending": config.max_pending,
             "workers": config.workers,

@@ -1,13 +1,16 @@
-"""Micro-batching scheduler: many concurrent clients, one count per batch.
+"""Work-conserving scheduler: many concurrent clients, one count per batch.
 
 Clients — threads or asyncio tasks — submit individual ``(graph, method,
-p, q)`` requests and get a future back.  The scheduler coalesces
-requests that target the same ``(graph, method)`` within a small
-time/size window into one shared-session evaluation (the same
-amortisation :func:`repro.query.batch_count` gives a hand-written batch),
-executes batches on a small pool of worker threads, and resolves each
-request's future with the exact :class:`~repro.core.counts.CountResult`
-a direct call would have produced.
+p, q)`` requests and get a future back.  A free worker thread takes the
+oldest queued request at once, together with every request queued
+behind it for the same ``(graph, method, accuracy)`` (up to
+``max_batch``), and evaluates them on one shared session (the same
+amortisation :func:`repro.query.batch_count` gives a hand-written
+batch).  Batches therefore form only from requests that queued while
+every worker was busy; an idle scheduler never holds a request back.
+Each request's future resolves with the exact
+:class:`~repro.core.counts.CountResult` a direct call would have
+produced.
 
 Operationally it behaves like a bounded service, not a script:
 
@@ -36,7 +39,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.counts import BicliqueQuery, CountResult
 from repro.errors import (DeadlineExceededError, QueueFullError,
@@ -56,10 +59,7 @@ log = get_logger(__name__)
 class SchedulerConfig:
     """Tunables of one :class:`Scheduler` (see ``docs/SERVING.md``)."""
 
-    #: seconds a batch stays open for co-arriving requests; 0 disables
-    #: time-based coalescing (batches still form under queue pressure)
-    batch_window: float = 0.002
-    #: hard per-batch size cap; a full batch dispatches immediately
+    #: most requests one batch takes; the rest stay queued in age order
     max_batch: int = 64
     #: admission bound: queued-but-unstarted requests across all graphs
     max_pending: int = 1024
@@ -81,9 +81,6 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         ensure_known(self.method, allow_auto=True)
         ensure_accuracy(self.accuracy)
-        if self.batch_window < 0:
-            raise ServiceError(
-                f"batch_window must be >= 0, got {self.batch_window}")
         if self.max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_pending < 1:
@@ -104,14 +101,8 @@ class _Request:
     rid: int = 0                # per-scheduler request id (trace linkage)
 
 
-@dataclass
-class _Bucket:
-    opened_at: float
-    items: list[_Request] = field(default_factory=list)
-
-
 class Scheduler:
-    """Accepts concurrent count requests and serves them in micro-batches.
+    """Accepts concurrent count requests and serves them in batches.
 
     ``pool`` supplies (and bounds) the per-graph prepared state; the
     scheduler owns only queues and worker threads, so closing it never
@@ -140,10 +131,10 @@ class Scheduler:
         self._tk = {} if ident is None else {"worker": ident}
         self._cond = threading.Condition()
         self._rids = itertools.count(1)
-        self._buckets: dict[tuple[str, str, str], _Bucket] = {}
+        #: queued requests per (graph, method, accuracy), oldest first
+        self._buckets: dict[tuple[str, str, str], list[_Request]] = {}
         self._pending = 0
         self._closed = False
-        self._drain = True
         self._workers = [
             threading.Thread(target=self._worker_loop,
                              name=f"repro-serve-{i}", daemon=True)
@@ -229,17 +220,14 @@ class Scheduler:
                     f"{self._pending} requests already pending "
                     f"(max_pending={self.config.max_pending})")
             req.rid = next(self._rids)
-            bucket = self._buckets.get((graph, req.method, req.accuracy))
-            if bucket is None:
-                bucket = _Bucket(opened_at=now)
-                self._buckets[(graph, req.method, req.accuracy)] = bucket
-            bucket.items.append(req)
+            self._buckets.setdefault((graph, req.method, req.accuracy),
+                                     []).append(req)
             self._pending += 1
             self.telemetry.record_submit(self._pending)
             _trace.event("serve.queued", rid=req.rid, graph=graph,
                          method=req.method, p=query.p, q=query.q,
                          **self._tk)
-            self._cond.notify_all()
+            self._cond.notify()
         return req.future
 
     async def submit_async(self, graph: str, p: int | BicliqueQuery,
@@ -291,20 +279,25 @@ class Scheduler:
 
         With ``drain=True`` (default) queued batches still execute;
         with ``drain=False`` every queued request fails fast with
-        :class:`~repro.errors.ServiceClosedError`.  Idempotent.
+        :class:`~repro.errors.ServiceClosedError` and counts as
+        ``failed`` in telemetry.  Idempotent.
         """
         with self._cond:
             self._closed = True
-            self._drain = drain
             if not drain:
-                for bucket in self._buckets.values():
-                    for req in bucket.items:
+                dropped = 0
+                for items in self._buckets.values():
+                    for req in items:
                         if req.future.set_running_or_notify_cancel():
                             req.future.set_exception(
                                 ServiceClosedError("scheduler closed "
                                                    "before execution"))
-                self._pending -= sum(len(b.items)
-                                     for b in self._buckets.values())
+                            dropped += 1
+                if dropped:
+                    self.telemetry.record_failed(dropped)
+                    log.warning("closed without drain: failed %d queued "
+                                "request(s)", dropped)
+                self._pending = 0
                 self._buckets.clear()
             self._cond.notify_all()
         for t in self._workers:
@@ -326,35 +319,22 @@ class Scheduler:
             self._execute(graph, requests)
 
     def _next_batch(self) -> tuple[str, list[_Request]] | None:
-        """Block until a bucket is ready (full, aged past the window, or
-        draining at close), pop and return it; None means shut down."""
-        cfg = self.config
+        """Block until a request is queued, then pop the bucket holding
+        the oldest one, up to ``max_batch`` requests; None means shut
+        down (after the queue drains, unless closed without drain)."""
         with self._cond:
-            while True:
-                if self._closed and not self._buckets:
+            while not self._buckets:
+                if self._closed:
                     return None
-                now = time.monotonic()
-                best_key, best_ready = None, None
-                for key, bucket in self._buckets.items():
-                    ready_at = bucket.opened_at + cfg.batch_window
-                    if len(bucket.items) >= cfg.max_batch or self._closed:
-                        ready_at = now
-                    if best_ready is None or ready_at < best_ready:
-                        best_key, best_ready = key, ready_at
-                if best_key is None:
-                    self._cond.wait()
-                    continue
-                if best_ready <= now:
-                    bucket = self._buckets.pop(best_key)
-                    # oversize buckets dispatch max_batch and stay open
-                    take = bucket.items[:cfg.max_batch]
-                    rest = bucket.items[cfg.max_batch:]
-                    if rest:
-                        self._buckets[best_key] = _Bucket(
-                            opened_at=bucket.opened_at, items=rest)
-                    self._pending -= len(take)
-                    return best_key[0], take
-                self._cond.wait(timeout=best_ready - now)
+                self._cond.wait()
+            key = min(self._buckets, key=lambda k: self._buckets[k][0].rid)
+            items = self._buckets.pop(key)
+            take, rest = (items[:self.config.max_batch],
+                          items[self.config.max_batch:])
+            if rest:
+                self._buckets[key] = rest
+            self._pending -= len(take)
+            return key[0], take
 
     def _claim_live(self, graph: str,
                     requests: list[_Request]) -> list[_Request]:

@@ -90,9 +90,9 @@ class Telemetry:
             self.completed += 1
             self._record_latency(latency_seconds * 1e3)
 
-    def record_failed(self) -> None:
+    def record_failed(self, n: int = 1) -> None:
         with self._lock:
-            self.failed += 1
+            self.failed += n
 
     def record_mutations(self, n: int = 1) -> None:
         with self._lock:

@@ -9,6 +9,7 @@ re-interpretations of the Scheduler failure paths.
 """
 
 import logging
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.errors import (DeadlineExceededError, QueueFullError,
                           ServiceError)
 from repro.graph.generators import power_law_bipartite, random_bipartite
 from repro.parallel.procpool import fork_available
+from tests.occupy import occupy_workers
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="no fork on this platform")
@@ -131,14 +133,18 @@ def test_partitioned_graphs_serve_exact_only():
 def test_deadline_and_backpressure_cross_process():
     graphs = {"g": power_law_bipartite(60, 50, 280, seed=5)}
     router = DistRouter(graphs, workers=2, backend="fast",
-                        batch_window=0.05, max_pending=2)
+                        max_pending=2)
     try:
+        # busy router threads keep the requests queued at the router
+        with occupy_workers(router, "g"):
+            late = router.submit("g", 2, 2, deadline=1e-3)
+            futures = []
+            with pytest.raises(QueueFullError):
+                for _ in range(50):
+                    futures.append(router.submit("g", 2, 2))
+            time.sleep(0.02)            # the deadline lapses in the queue
         with pytest.raises(DeadlineExceededError):
-            router.count("g", 2, 2, deadline=1e-6)
-        futures = []
-        with pytest.raises(QueueFullError):
-            for _ in range(50):
-                futures.append(router.submit("g", 2, 2))
+            late.result(timeout=30)
         for fut in futures:
             assert fut.result(timeout=30).count > 0
     finally:

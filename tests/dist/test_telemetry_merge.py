@@ -113,8 +113,7 @@ def test_serve_events_carry_worker_ident():
     pool = SessionPool()
     pool.register("g", random_bipartite(30, 25, 140, seed=4))
     with tracing() as rec:
-        with Scheduler(pool, batch_window=0.0, backend="fast",
-                       ident="w7") as sched:
+        with Scheduler(pool, backend="fast", ident="w7") as sched:
             sched.count("g", 2, 2)
     tagged = [r for r in rec.records
               if str(r.get("name", "")).startswith("serve.")]

@@ -36,8 +36,7 @@ def make_pool(**kwargs) -> SessionPool:
 class TestFourSeams:
     def test_one_serve_run_touches_every_seam(self):
         with tracing() as rec:
-            with Scheduler(make_pool(), batch_window=0.0,
-                           method="auto") as sched:
+            with Scheduler(make_pool(), method="auto") as sched:
                 futures = [sched.submit(name, p, q)
                            for name in ("a", "b")
                            for p, q in ((2, 2), (2, 3))]
@@ -63,8 +62,7 @@ class TestFourSeams:
         # GBC routes every frontier through the KernelBackend batch
         # entry points, so its kernel.batch span carries call counters
         with tracing() as rec:
-            with Scheduler(make_pool(), batch_window=0.0,
-                           method="GBC") as sched:
+            with Scheduler(make_pool(), method="GBC") as sched:
                 sched.count("a", 3, 3)
         (span_rec,) = [r for r in rec.records
                        if r["name"] == "kernel.batch"]
@@ -74,10 +72,10 @@ class TestFourSeams:
         assert any(k.startswith("calls.") for k in attrs)
 
     def test_served_counts_identical_with_and_without_tracing(self):
-        with Scheduler(make_pool(), batch_window=0.0) as sched:
+        with Scheduler(make_pool()) as sched:
             baseline = sched.count("a", 2, 2).count
         with tracing():
-            with Scheduler(make_pool(), batch_window=0.0) as sched:
+            with Scheduler(make_pool()) as sched:
                 traced = sched.count("a", 2, 2).count
         direct = gbc_count(GRAPHS["a"], BicliqueQuery(2, 2),
                            backend="fast").count
@@ -88,7 +86,7 @@ class TestPoolLedger:
     def test_pooled_sessions_share_the_pool_ledger(self):
         ledger = CostLedger()
         pool = make_pool(ledger=ledger)
-        with Scheduler(pool, batch_window=0.0, method="auto") as sched:
+        with Scheduler(pool, method="auto") as sched:
             sched.count("a", 2, 2)
             sched.count("b", 2, 3)
         assert len(ledger) >= 2

@@ -149,7 +149,7 @@ class TestReadersNeverSeeMidEditState:
         dyn = make_dynamic()
         pool = SessionPool()
         pool.register("dyn", dyn)
-        with Scheduler(pool, batch_window=0.002, workers=2) as sched:
+        with Scheduler(pool, workers=2) as sched:
             expected, observations, _, errors = run_stress(sched, dyn)
         assert not errors
         assert len(expected) == NUM_EDITS + 1   # every epoch recorded
@@ -177,7 +177,7 @@ class TestReadersNeverSeeMidEditState:
             pool.evict("dyn")
             pool.evict("static")
 
-        with Scheduler(pool, batch_window=0.002, workers=2) as sched:
+        with Scheduler(pool, workers=2) as sched:
             expected, observations, static_obs, errors = run_stress(
                 sched, dyn, edits=40,
                 reader_graphs=("dyn", "static"), chaos=chaos)
@@ -270,7 +270,7 @@ class TestWritePathValidation:
     def test_mutating_a_static_entry_raises(self):
         pool = SessionPool()
         pool.register("static", random_bipartite(10, 10, 30, seed=1))
-        with Scheduler(pool, batch_window=0.0) as sched:
+        with Scheduler(pool) as sched:
             with pytest.raises(ServiceError, match="not dynamic"):
                 sched.mutate("static", [EdgeMutation.toggle(0, 0)])
 
@@ -278,7 +278,7 @@ class TestWritePathValidation:
         dyn = make_dynamic(seed=2)
         pool = SessionPool()
         pool.register("dyn", dyn)
-        with Scheduler(pool, batch_window=0.0) as sched:
+        with Scheduler(pool) as sched:
             epoch = sched.mutate("dyn", [EdgeMutation.toggle(0, 0),
                                          EdgeMutation.toggle(0, 0)])
             assert epoch == 2

@@ -1,5 +1,8 @@
 """Workload specs: determinism, declarativity, open/closed-loop drives."""
 
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.gbc import gbc_count
@@ -10,6 +13,7 @@ from repro.service.pool import SessionPool
 from repro.service.scheduler import Scheduler
 from repro.service.workload import (WorkloadSpec, generate_requests,
                                     run_workload)
+from tests.occupy import occupy_workers, wait_offered
 
 GRAPHS = {
     "hot": random_bipartite(30, 20, 120, seed=2),
@@ -71,7 +75,7 @@ class TestRunWorkload:
     def test_closed_loop_serves_exact_budget(self):
         spec = WorkloadSpec(graphs=("hot", "cold"), num_queries=40,
                             clients=4, seed=7)
-        with make_scheduler(batch_window=0.002) as sched:
+        with make_scheduler() as sched:
             result = run_workload(sched, spec)
         assert result.issued == 40
         assert result.completed == 40
@@ -86,7 +90,7 @@ class TestRunWorkload:
     def test_closed_loop_duration_mode_stops(self):
         spec = WorkloadSpec(graphs=("hot",), duration_seconds=0.3,
                             clients=2, seed=1)
-        with make_scheduler(batch_window=0.0) as sched:
+        with make_scheduler() as sched:
             result = run_workload(sched, spec)
         assert result.completed > 0
         assert result.wall_seconds < 5.0
@@ -94,7 +98,7 @@ class TestRunWorkload:
     def test_open_loop_issues_at_rate(self):
         spec = WorkloadSpec(graphs=("hot", "cold"), num_queries=30,
                             mode="open", rate_qps=500.0, seed=2)
-        with make_scheduler(batch_window=0.002) as sched:
+        with make_scheduler() as sched:
             result = run_workload(sched, spec)
         assert result.issued == 30
         assert result.completed + result.rejected \
@@ -104,20 +108,28 @@ class TestRunWorkload:
     def test_open_loop_overload_reports_backpressure(self):
         spec = WorkloadSpec(graphs=("hot",), num_queries=40, mode="open",
                             rate_qps=100_000.0, seed=3)
-        # one worker + a long window + a tiny queue: must reject some
-        with make_scheduler(batch_window=0.2, workers=1,
-                            max_pending=4) as sched:
-            result = run_workload(sched, spec)
+        # one busy worker + a tiny queue: must reject some
+        with make_scheduler(workers=1, max_pending=4) as sched, \
+                ThreadPoolExecutor(1) as drive:
+            with occupy_workers(sched, "cold") as parked:
+                running = drive.submit(run_workload, sched, spec)
+                wait_offered(sched, len(parked) + 40)
+            result = running.result(timeout=60)
         assert result.rejected > 0
         assert result.completed + result.rejected \
             + result.expired + result.failed == 40
 
     def test_deadlines_flow_through(self):
-        spec = WorkloadSpec(graphs=("hot",), num_queries=8, clients=4,
+        # one client per request, so all 8 queue at once
+        spec = WorkloadSpec(graphs=("hot",), num_queries=8, clients=8,
                             deadline=1e-4, seed=4)
-        # window far beyond the deadline: every request expires
-        with make_scheduler(batch_window=0.3) as sched:
-            result = run_workload(sched, spec)
+        # workers busy far beyond the deadline: every request expires
+        with make_scheduler() as sched, ThreadPoolExecutor(1) as drive:
+            with occupy_workers(sched, "cold") as parked:
+                running = drive.submit(run_workload, sched, spec)
+                wait_offered(sched, len(parked) + 8)
+                time.sleep(0.01)
+            result = running.result(timeout=60)
         assert result.expired == 8
         assert result.completed == 0
 
@@ -131,7 +143,7 @@ class TestRunWorkload:
 
         pool.register("broken", broken_loader)
         spec = WorkloadSpec(graphs=("broken",), num_queries=6, clients=2)
-        with Scheduler(pool, batch_window=0.0) as sched:
+        with Scheduler(pool) as sched:
             result = run_workload(sched, spec)
         assert result.issued == 6
         assert result.failed == 6
@@ -158,7 +170,7 @@ class TestRunWorkload:
         import json
 
         spec = WorkloadSpec(graphs=("hot",), num_queries=5, clients=1)
-        with make_scheduler(batch_window=0.0) as sched:
+        with make_scheduler() as sched:
             result = run_workload(sched, spec)
         data = json.loads(json.dumps(result.as_dict()))
         assert data["completed"] == 5
