@@ -3,8 +3,8 @@
 The sharded engine's promise: counts bit-identical to a serial ``fast``
 run, with wall-clock dropping as workers are added.  Measured on the
 same 2k x 2k / 20k-edge power-law workload as the backend-speedup
-benchmark, at (p, q) = (3, 3), over 1/2/4 worker processes with the
-weighted-greedy static placement (the ``par`` default).
+benchmark, at (p, q) = (3, 3), over 1/2/4 worker processes, one
+weighted-greedy (LPT) shard each.
 
 The >= 1.5x-at-4-workers assertion needs hardware that can actually run
 four processes at once; on smaller machines the benchmark still runs,

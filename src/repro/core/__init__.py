@@ -15,7 +15,6 @@ from repro.core.enumerate import enumerate_bicliques
 from repro.core.estimate import (DEFAULT_SAMPLES, Z95, EstimateResult,
                                  approx_count, estimate_count)
 from repro.core.gbc import GBCOptions, gbc_count, gbc_variant
-from repro.core.incremental import DynamicButterflyCounter
 from repro.core.localcounts import LocalCountResult, local_biclique_counts
 from repro.core.gbl import gbl_count
 from repro.core.pipeline import REORDER_METHODS, PipelineResult, run_pipeline
@@ -37,5 +36,4 @@ __all__ = [
     "DEFAULT_SAMPLES", "Z95",
     "local_biclique_counts", "LocalCountResult",
     "profile_search", "SearchTreeProfile", "LevelStats",
-    "DynamicButterflyCounter",
 ]

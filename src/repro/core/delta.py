@@ -17,8 +17,7 @@ the edges between them involve u or v, so the quantity is identical
 whether (u, v) itself is present.  Hence one function serves both
 directions: insertion adds it to the running count, deletion subtracts
 it.  For (p, q) = (2, 2) the induced (1, 1) count is exactly the
-wedge-closure sum :class:`~repro.core.incremental.DynamicButterflyCounter`
-has always computed.
+classic butterfly wedge-closure sum of streaming butterfly counting.
 
 The induced count runs over Python-int bitmasks of B (arbitrary width,
 ``int.bit_count`` popcounts), with combinatorial short-circuits for the

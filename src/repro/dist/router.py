@@ -45,7 +45,7 @@ from repro.graph.twohop import build_two_hop_index
 from repro.obs import trace as _trace
 from repro.obs.ledger import CostLedger
 from repro.obs.log import get_logger
-from repro.parallel.procpool import fork_available
+from repro.parallel.sharding import fork_available
 from repro.partition.bcpar import bcpar_partition
 from repro.partition.runner import recommended_budget_words
 from repro.service.pool import SessionPool

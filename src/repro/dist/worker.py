@@ -83,11 +83,13 @@ def unpack_result(payload: dict) -> CountResult:
 
 
 class _PartialCounter:
-    """Per-worker exact counting over its shard of a graph's roots."""
+    """Per-worker exact counting over its shard of a graph's roots, on
+    the worker's configured kernel backend."""
 
-    def __init__(self, graph, roots) -> None:
+    def __init__(self, graph, roots, backend) -> None:
         self.graph = graph
         self.roots = sorted(int(r) for r in roots)
+        self.backend = backend
         self._indexes: dict[int, object] = {}
         self._counts: dict[tuple[int, int], int] = {}
 
@@ -101,7 +103,7 @@ class _PartialCounter:
             index = build_root_index(self.graph, key[1])
             self._indexes[key[1]] = index
         total = count_roots(self.graph, BicliqueQuery(*key), self.roots,
-                            index=index)
+                            index=index, backend=self.backend)
         self._counts[key] = total
         return total
 
@@ -148,7 +150,7 @@ def worker_main(conn, worker_id: int, graphs: dict,
     for name, graph in graphs.items():
         pool.register(name, graph)
     scheduler = Scheduler(pool, config=config, ident=f"w{worker_id}")
-    partials = {name: _PartialCounter(graphs[name], roots)
+    partials = {name: _PartialCounter(graphs[name], roots, config.backend)
                 for name, roots in partition_roots.items()}
     try:
         while True:

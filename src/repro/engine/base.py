@@ -54,7 +54,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gpu.device import DeviceSpec
     from repro.htb.htb import BitmapSet
 
-__all__ = ["KernelBackend", "BACKEND_NAMES", "get_backend", "resolve_backend"]
+__all__ = ["KernelBackend", "BACKEND_NAMES", "get_backend", "resolve_backend",
+           "resolve_backend_name"]
 
 BACKEND_NAMES = ("sim", "fast", "par", "native")
 
@@ -340,6 +341,34 @@ def get_backend(name: str, spec: "DeviceSpec | None" = None,
                      f"expected one of {BACKEND_NAMES}")
 
 
+def resolve_backend_name(backend: "KernelBackend | str | None",
+                         workers: int | None = None) -> str | None:
+    """The registry name ``backend=``/``workers=`` select (``None``
+    leaves the choice to the caller's default), without building an
+    engine.
+
+    A non-``None`` ``workers`` requests sharded multi-process execution:
+    it upgrades ``None``, ``"fast"`` and ``"par"`` (names or engine
+    instances) to ``"par"``.  Every other engine counts in one process —
+    the simulated engine's accounting is defined serially — so combining
+    it with ``workers`` raises :class:`~repro.errors.QueryError`.
+    """
+    if isinstance(backend, KernelBackend):
+        name = backend.name
+    elif backend is None or backend in BACKEND_NAMES:
+        name = backend
+    else:
+        raise QueryError(f"backend must be a KernelBackend, a name in "
+                         f"{BACKEND_NAMES}, or None; got {backend!r}")
+    if workers is None:
+        return name
+    if name in (None, "fast", "par"):
+        return "par"
+    raise QueryError(
+        f"workers={workers!r} requires the parallel engine (backend=None, "
+        f"'fast' or 'par'); {name!r} counts serially")
+
+
 def resolve_backend(backend: "KernelBackend | str | None",
                     spec: "DeviceSpec | None" = None,
                     workers: int | None = None) -> KernelBackend:
@@ -348,26 +377,18 @@ def resolve_backend(backend: "KernelBackend | str | None",
     ``None`` resolves to the simulated engine (the historical default of
     every algorithm), a string goes through :func:`get_backend`, and an
     instance is returned as-is — its own device spec wins over ``spec``.
-
-    A non-``None`` ``workers`` requests sharded multi-process execution:
-    it upgrades ``None``, ``"fast"``, ``"par"`` (or instances of their
-    engines) to a :class:`~repro.engine.parallel.ParallelBackend` with
-    that worker count.  The simulated engine's accounting is inherently
-    serial, so combining it with ``workers`` is an error.
+    A non-``None`` ``workers`` selects a
+    :class:`~repro.engine.parallel.ParallelBackend` with that worker
+    count, under the rule of :func:`resolve_backend_name`.
     """
     if workers is not None:
-        from repro.engine.fast import FastBackend
         from repro.engine.parallel import ParallelBackend
 
-        if isinstance(backend, ParallelBackend):
-            return backend if backend.workers == int(workers) \
-                else backend.with_workers(int(workers))
-        if backend is None or backend in ("fast", "par") \
-                or isinstance(backend, FastBackend):
-            return ParallelBackend(workers)
-        raise QueryError(
-            f"workers={workers!r} requires the parallel engine "
-            f"(backend=None, 'fast' or 'par'); got {backend!r}")
+        resolve_backend_name(backend, workers)  # raises for serial engines
+        if isinstance(backend, ParallelBackend) \
+                and backend.workers == int(workers):
+            return backend
+        return ParallelBackend(workers)
     if backend is None:
         backend = "sim"
     if isinstance(backend, str):

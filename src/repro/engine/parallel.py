@@ -3,17 +3,16 @@
 :class:`ParallelBackend` is the third registry engine (``"par"``): it
 shards the root set across ``workers`` forked processes, each executing
 the uninstrumented :class:`~repro.engine.fast.FastBackend` kernels, and
-merges the per-shard results deterministically.  Static placement uses
-the pre-runtime splitters of :mod:`repro.balance` (``contiguous`` or the
-weighted-greedy LPT policy); the ``dynamic`` dispatch mode feeds small
-chunks to a shared queue, mirroring the GCL work-stealing semantics of
-:mod:`repro.gpu.workqueue` at process granularity.
+merges the per-shard results deterministically.  Each worker gets one
+shard, placed by the weighted-greedy LPT splitter of :mod:`repro.balance`
+over the per-root weights the counters supply (see
+:mod:`repro.parallel.sharding`).
 
 Counts are bit-identical to a serial ``fast`` run regardless of worker
-count, placement, or scheduling order: every root's search tree is
-evaluated exactly as the serial engine would, and the merge is either a
-scatter by original root index or an exact integer sum / maximum.  Like
-the fast engine, ``par`` is uninstrumented — device metrics stay zero.
+count or scheduling order: every root's search tree is evaluated
+exactly as the serial engine would, and the merge is either a scatter
+by original root index or an exact integer sum / maximum.  Like the
+fast engine, ``par`` is uninstrumented — device metrics stay zero.
 
 As a :class:`KernelBackend` its four primitives simply delegate to an
 inner fast engine, so code paths without a sharded driver (enumeration,
@@ -28,13 +27,9 @@ import numpy as np
 
 from repro.engine.base import KernelBackend
 from repro.engine.fast import FastBackend
+from repro.errors import QueryError
 from repro.gpu.metrics import KernelMetrics
-from repro.parallel.sharding import (
-    DISPATCH_MODES,
-    PLACEMENTS,
-    default_workers,
-    run_sharded,
-)
+from repro.parallel.sharding import default_workers, run_sharded
 
 __all__ = ["ParallelBackend"]
 
@@ -46,35 +41,14 @@ class ParallelBackend(KernelBackend):
     instrumented = False
     parallel = True
 
-    def __init__(self, workers: int | None = None, *,
-                 placement: str = "weighted",
-                 dispatch: str = "static",
-                 chunk_size: int | None = None) -> None:
-        from repro.errors import QueryError
-
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = default_workers() if workers is None else int(workers)
         if self.workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
-        if placement not in PLACEMENTS:
-            raise QueryError(f"placement must be one of {PLACEMENTS}, "
-                             f"got {placement!r}")
-        if dispatch not in DISPATCH_MODES:
-            raise QueryError(f"dispatch must be one of {DISPATCH_MODES}, "
-                             f"got {dispatch!r}")
-        self.placement = placement
-        self.dispatch = dispatch
-        self.chunk_size = chunk_size
         self._inner = FastBackend()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"ParallelBackend(workers={self.workers}, "
-                f"placement={self.placement!r}, dispatch={self.dispatch!r})")
-
-    def with_workers(self, workers: int) -> "ParallelBackend":
-        """This engine's configuration with a different worker count."""
-        return ParallelBackend(workers, placement=self.placement,
-                               dispatch=self.dispatch,
-                               chunk_size=self.chunk_size)
+        return f"ParallelBackend(workers={self.workers})"
 
     # -- shard orchestration -------------------------------------------
     def map_shards(self, fn: Callable[[Sequence[int]], Any],
@@ -89,9 +63,7 @@ class ParallelBackend(KernelBackend):
         over their prepared inputs (forked workers inherit them).
         """
         return run_sharded(fn, num_items, workers=self.workers,
-                           placement=self.placement, weights=weights,
-                           dispatch=self.dispatch,
-                           chunk_size=self.chunk_size)
+                           weights=weights)
 
     # -- kernel primitives: delegate to the fast engine ----------------
     def merge(self, a: np.ndarray, b: np.ndarray,

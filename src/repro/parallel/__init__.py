@@ -1,19 +1,19 @@
 """Shard orchestration: multi-process execution of per-root work.
 
-:mod:`repro.parallel.sharding` plans shards with the Table IV pre-runtime
-splitters and executes them over a forked worker pool;
+:mod:`repro.parallel.sharding` cuts the root set into one shard per
+worker with the Table IV pre-runtime splitters and runs the shards in
+a pool forked for the call;
 :class:`repro.engine.parallel.ParallelBackend` packages that machinery as
 the ``"par"`` kernel backend every counting entry point accepts.
 """
 
 from repro.parallel.sharding import (
-    DISPATCH_MODES,
-    PLACEMENTS,
     ShardPlan,
     default_workers,
+    fork_available,
     plan_shards,
     run_sharded,
 )
 
 __all__ = ["ShardPlan", "plan_shards", "run_sharded", "default_workers",
-           "PLACEMENTS", "DISPATCH_MODES"]
+           "fork_available"]

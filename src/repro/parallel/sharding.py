@@ -2,36 +2,23 @@
 
 The unit of parallel work in every counter is one root vertex's search
 tree (the same unit the simulated device assigns to a thread block and
-BCPar assigns to a partition).  This module turns a list of such units
-into *shards* and runs a caller-supplied chunk function over them in
-worker processes:
-
-* **static** dispatch — one shard per worker, placed with the Table IV
-  pre-runtime splitters (:func:`contiguous_split` for the naive split,
-  :func:`weighted_greedy_split` for the paper's edge-oriented LPT
-  policy).
-* **dynamic** dispatch — the root list is cut into many small chunks
-  which idle workers pull from a shared queue, heaviest chunks first:
-  the process-pool analogue of the GCL work-stealing loop in
-  :mod:`repro.gpu.workqueue` (an idle block takes the next unprocessed
-  root of the most loaded victim).
-
-Execution prefers the **persistent pool** (:mod:`repro.parallel.procpool`):
-workers forked once per process and re-fed over pipes, so repeated
-sharded calls within a session skip pool spin-up; closures are shipped
-by value with a both-sides LRU cache for their heavy state.  Chunk
-functions the pool cannot ship fall back to a legacy fork-per-call
-``multiprocessing.Pool`` whose children inherit the parent's
-graph/index/HTB structures through the fork.  Where ``fork`` is
-unavailable (or inside a daemonic worker) execution falls back to
-in-process loops — same results, no speedup.
+BCPar assigns to a partition).  This module cuts a list of such units
+into at most one *shard* per worker with the Table IV pre-runtime
+splitters — :func:`weighted_greedy_split`, the paper's edge-oriented LPT
+policy, when the caller supplies per-item weights, and
+:func:`contiguous_split` otherwise — and runs a caller-supplied chunk
+function over the shards in a ``multiprocessing.Pool`` forked for the
+call.  The children inherit the chunk function, closures over the
+graph/index/HTB structures included, through the fork, so only shard
+ids and results cross the process boundary.  Where ``fork`` is
+unavailable (or inside a daemonic worker) the shards run in the calling
+process — same results, no speedup.
 
 Determinism contract: shard contents depend only on ``(num_items,
-workers, placement, weights, dispatch, chunk_size)``, never on
-scheduling order, and :func:`run_sharded` returns results keyed by the
-original item indices — so any merge that is per-item (scatter by index)
-or commutative-associative over exact values (integer sums, maxima)
-reproduces the serial result bit for bit.
+workers, weights)``, never on scheduling order, and :func:`run_sharded`
+returns results keyed by the original item indices — so any merge that
+is per-item (scatter by index) or commutative-associative over exact
+values (integer sums, maxima) reproduces the serial result bit for bit.
 """
 
 from __future__ import annotations
@@ -45,18 +32,9 @@ import numpy as np
 
 from repro.balance.preruntime import contiguous_split, weighted_greedy_split
 from repro.errors import QueryError
-from repro.parallel import procpool
 
 __all__ = ["ShardPlan", "plan_shards", "run_sharded", "default_workers",
-           "PLACEMENTS", "DISPATCH_MODES"]
-
-PLACEMENTS = ("contiguous", "weighted")
-DISPATCH_MODES = ("static", "dynamic")
-
-#: chunks per worker in dynamic mode — small enough to amortise task
-#: overhead, large enough that stragglers can be back-filled (mirrors the
-#: stealing granularity of one GCL entry per block)
-_DYNAMIC_CHUNKS_PER_WORKER = 4
+           "fork_available"]
 
 
 def default_workers() -> int:
@@ -67,13 +45,20 @@ def default_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
+def fork_available() -> bool:
+    """Whether this process may fork worker children: POSIX ``fork``
+    exists and the process is not itself a daemonic child (which may
+    not spawn children)."""
+    if "fork" not in mp.get_all_start_methods():
+        return False  # pragma: no cover - non-POSIX platforms
+    return not mp.current_process().daemon
+
+
 @dataclass(frozen=True)
 class ShardPlan:
-    """A deterministic assignment of item indices to dispatch units."""
+    """A deterministic assignment of item indices to worker shards."""
 
     shards: tuple[tuple[int, ...], ...]
-    placement: str
-    dispatch: str
     workers: int
 
     @property
@@ -85,65 +70,30 @@ class ShardPlan:
         return sorted(i for shard in self.shards for i in shard)
 
 
-def _validate(workers: int, placement: str, dispatch: str) -> None:
+def plan_shards(num_items: int, workers: int,
+                weights: np.ndarray | None = None) -> ShardPlan:
+    """Cut ``num_items`` work units into at most ``workers`` shards.
+
+    With ``weights`` (one per item) the weighted greedy LPT splitter
+    balances the shards' total weight; without, the items are cut into
+    contiguous ranges.
+    """
     if workers < 1:
         raise QueryError(f"workers must be >= 1, got {workers}")
-    if placement not in PLACEMENTS:
-        raise QueryError(f"placement must be one of {PLACEMENTS}, "
-                         f"got {placement!r}")
-    if dispatch not in DISPATCH_MODES:
-        raise QueryError(f"dispatch must be one of {DISPATCH_MODES}, "
-                         f"got {dispatch!r}")
-
-
-def plan_shards(num_items: int, workers: int, *,
-                placement: str = "weighted",
-                weights: np.ndarray | None = None,
-                dispatch: str = "static",
-                chunk_size: int | None = None) -> ShardPlan:
-    """Cut ``num_items`` work units into dispatchable shards.
-
-    Static mode produces at most ``workers`` shards via the pre-runtime
-    splitters (``weighted`` degrades to ``contiguous`` when no weights
-    are supplied).  Dynamic mode produces contiguous chunks of
-    ``chunk_size`` items (default: enough for a few chunks per worker),
-    ordered heaviest-first when weights are known so the pool starts the
-    long poles early — LPT at chunk granularity.
-    """
-    _validate(workers, placement, dispatch)
     if num_items <= 0:
-        return ShardPlan((), placement, dispatch, workers)
-    if weights is not None:
+        return ShardPlan((), workers)
+    if weights is None:
+        groups = contiguous_split(num_items, workers)
+    else:
         weights = np.asarray(weights, dtype=np.float64)
         if len(weights) != num_items:
             raise QueryError(f"got {len(weights)} weights for "
                              f"{num_items} items")
-
-    if dispatch == "static":
-        if placement == "weighted" and weights is not None:
-            groups = weighted_greedy_split(weights, workers)
-        else:
-            groups = contiguous_split(num_items, workers)
-    else:
-        if chunk_size is None:
-            chunk_size = -(-num_items // (workers * _DYNAMIC_CHUNKS_PER_WORKER))
-        chunk_size = max(1, int(chunk_size))
-        groups = [list(range(lo, min(lo + chunk_size, num_items)))
-                  for lo in range(0, num_items, chunk_size)]
-        if weights is not None:
-            # stable heaviest-first dispatch order; ties keep chunk order
-            totals = [-float(weights[g].sum()) for g in
-                      (np.asarray(g, dtype=np.int64) for g in groups)]
-            groups = [g for _, g in
-                      sorted(zip(totals, groups), key=lambda t: (t[0],
-                                                                 t[1][0]))]
+        groups = weighted_greedy_split(weights, workers)
     shards = tuple(tuple(int(i) for i in g) for g in groups if g)
-    return ShardPlan(shards, placement, dispatch, workers)
+    return ShardPlan(shards, workers)
 
 
-# ---------------------------------------------------------------------------
-# fork-based execution
-#
 # ``Pool.map`` pickles its callable, which rules out the closures the
 # algorithms naturally build over their graph/index structures.  Instead
 # the (fn, shards) pair rides into each worker as the pool initializer's
@@ -159,70 +109,32 @@ def _init_worker(state) -> None:
     _FORK_STATE = state
 
 
-def _run_shard(shard_id: int) -> tuple[int, Any]:
+def _run_shard(shard_id: int) -> Any:
     fn, shards = _FORK_STATE
-    return shard_id, fn(shards[shard_id])
-
-
-def _fork_available() -> bool:
-    if "fork" not in mp.get_all_start_methods():
-        return False  # pragma: no cover - non-POSIX platforms
-    # daemonic pool workers may not spawn their own children
-    return not mp.current_process().daemon
+    return fn(shards[shard_id])
 
 
 def run_sharded(fn: Callable[[Sequence[int]], Any],
                 num_items: int, *,
                 workers: int | None = None,
-                placement: str = "weighted",
-                weights: np.ndarray | None = None,
-                dispatch: str = "static",
-                chunk_size: int | None = None
+                weights: np.ndarray | None = None
                 ) -> list[tuple[tuple[int, ...], Any]]:
     """Run ``fn(item_indices)`` over shards, in worker processes.
 
-    Returns ``[(item_indices, result), ...]`` in shard-id order — a
+    Returns ``[(item_indices, result), ...]`` in shard order — a
     deterministic order independent of which worker finished first.
     ``fn`` may be any callable (closures included); it executes in a
-    forked child and its return value must be picklable.  With one
-    worker, a single shard, or no ``fork`` support, everything runs in
-    the calling process.
+    forked child and its return value must be picklable.  An exception
+    ``fn`` raises propagates to the caller.  With one worker, a single
+    shard, or no ``fork`` support, everything runs in the calling
+    process.
     """
     workers = default_workers() if workers is None else int(workers)
-    plan = plan_shards(num_items, workers, placement=placement,
-                       weights=weights, dispatch=dispatch,
-                       chunk_size=chunk_size)
-    shards = plan.shards
-    if not shards:
-        return []
-    if workers <= 1 or len(shards) == 1 or not _fork_available():
+    shards = plan_shards(num_items, workers, weights).shards
+    if workers <= 1 or len(shards) <= 1 or not fork_available():
         return [(shard, fn(shard)) for shard in shards]
-
-    # first choice: the persistent pool — workers forked once per
-    # process and re-fed across calls, so repeated sharded counts skip
-    # pool spin-up.  Anything it cannot ship falls back to the legacy
-    # fork-per-call pool below; results are identical either way.
-    pool = procpool.get_pool(min(workers, len(shards)))
-    if pool is not None:
-        try:
-            flat = pool.run(fn, shards)
-        except procpool.ShipError:
-            pass
-        else:
-            return [(shards[sid], res) for sid, res in enumerate(flat)]
-
     ctx = mp.get_context("fork")
-    with ctx.Pool(processes=min(workers, len(shards)),
-                  initializer=_init_worker,
+    with ctx.Pool(processes=len(shards), initializer=_init_worker,
                   initargs=((fn, shards),)) as pool:
-        if dispatch == "dynamic":
-            # imap_unordered is the self-scheduling queue: each idle
-            # worker pulls the next pending chunk, like an idle block
-            # advancing a victim's GCL entry
-            results = list(pool.imap_unordered(_run_shard,
-                                               range(len(shards))))
-        else:
-            results = pool.map(_run_shard, range(len(shards)),
-                               chunksize=1)
-    results.sort(key=lambda pair: pair[0])
-    return [(shards[sid], res) for sid, res in results]
+        results = pool.map(_run_shard, range(len(shards)), chunksize=1)
+    return list(zip(shards, results))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from repro.engine.base import KernelBackend, resolve_backend
+from repro.engine.base import resolve_backend, resolve_backend_name
 from repro.errors import PlanError, QueryError
 from repro.graph.stats import graph_fingerprint
 from repro.obs import trace as _trace
@@ -37,26 +37,16 @@ def explicit_plan(graph, query, method: str, *,
     """A plan for an explicitly named method — no probe, no ranking.
 
     ``backend=None`` keeps the historical default of every entry point
-    (the instrumented simulated engine); ``workers=`` implies the
-    parallel engine exactly as :func:`repro.engine.base.resolve_backend`
-    does.  ``samples``/``seed`` pin the approx tier's estimator budget
-    and stream on the plan (exact methods ignore them).  Raises
+    (the instrumented simulated engine); ``workers=`` selects the
+    engine :func:`repro.engine.base.resolve_backend_name` names, so the
+    plan records the engine that will actually run.  ``samples``/
+    ``seed`` pin the approx tier's estimator budget and stream on the
+    plan (exact methods ignore them).  Raises
     :class:`~repro.errors.UnknownMethodError` for names not in the
     registry.
     """
     mspec = get_method(method)
-    if isinstance(backend, KernelBackend):
-        backend_name = backend.name
-    elif backend is None:
-        backend_name = None
-    else:
-        backend_name = str(backend)
-    # mirror resolve_backend: workers= upgrades the serial engines to
-    # "par", so the plan records the engine that will actually run
-    if workers is not None and backend_name in (None, "fast", "par"):
-        backend_name = "par"
-    elif backend_name is None:
-        backend_name = "sim"
+    backend_name = resolve_backend_name(backend, workers) or "sim"
     return CountPlan(
         method=method, p=query.p, q=query.q,
         backend=backend_name, workers=workers, layer=layer,

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.engine.base import BACKEND_NAMES, KernelBackend
-from repro.errors import DeadlineExceededError, PlanError, QueryError
+from repro.engine.base import resolve_backend_name
+from repro.errors import DeadlineExceededError, PlanError
 from repro.graph.bipartite import LAYER_U, LAYER_V
 from repro.graph.priority import select_layer, wedge_mass
 from repro.graph.stats import cached_stats, graph_fingerprint
@@ -110,29 +110,6 @@ def _cache_get(cache: OrderedDict, key: tuple, build):
     else:
         cache.move_to_end(key)
     return got
-
-
-def _backend_name(backend, workers: int | None) -> str | None:
-    """Normalise a backend argument to a registry name (or None).
-
-    Mirrors :func:`repro.engine.base.resolve_backend`: ``workers=``
-    upgrades ``None``/``"fast"``/``"par"`` (and their engine instances)
-    to the sharded parallel engine, so plans are priced and labelled as
-    what will actually run.  ``sim`` + workers passes through so the
-    caller's serial-accounting error fires.
-    """
-    if isinstance(backend, KernelBackend):
-        name = backend.name
-    elif backend is None:
-        name = None
-    elif backend in BACKEND_NAMES:
-        name = backend
-    else:
-        raise QueryError(f"backend must be a KernelBackend, a name in "
-                         f"{BACKEND_NAMES}, or None; got {backend!r}")
-    if workers is not None and name in (None, "fast", "par"):
-        return "par"
-    return name
 
 
 class Planner:
@@ -304,10 +281,7 @@ class Planner:
         ensure_accuracy(accuracy)
         if deadline is not None and deadline <= 0:
             raise PlanError(f"deadline must be > 0 seconds, got {deadline}")
-        pinned = _backend_name(backend, workers)
-        if pinned == "sim" and workers is not None:
-            raise QueryError("workers= requires the parallel engine; the "
-                             "simulated engine's accounting is serial")
+        pinned = resolve_backend_name(backend, workers)
         engine_names = auto_backends() if pinned is None else (pinned,)
         with _trace.span("plan.rank", p=query.p, q=query.q,
                          accuracy=accuracy) as sp:
@@ -515,7 +489,7 @@ class Planner:
         mspec = get_method(method)
         if mspec.cost is None:
             return 0.0
-        engine_name = _backend_name(backend, workers) or "fast"
+        engine_name = resolve_backend_name(backend, workers) or "fast"
         signals = self.signals(query, backend=engine_name,
                                workers=workers, layer=layer)
         predicted = float(mspec.cost(signals))

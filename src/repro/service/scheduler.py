@@ -65,10 +65,9 @@ class SchedulerConfig:
     max_pending: int = 1024
     #: worker threads executing batches (one batch each, concurrently)
     workers: int = 2
-    #: kernel backend every batch runs on ("sim" / "fast" / "par")
+    #: kernel backend every batch runs on ("sim" / "fast" / "par" /
+    #: "native"); "par" shards over one process per usable CPU
     backend: str = "fast"
-    #: worker processes for the "par" backend (None = backend default)
-    backend_workers: int | None = None
     #: default counting method for requests that do not name one;
     #: ``"auto"`` lets the pooled session's planner pick per shape
     method: str = "GBC"
@@ -413,7 +412,6 @@ class Scheduler:
                 try:
                     result = session.count(req.query, req.method,
                                            backend=cfg.backend,
-                                           workers=cfg.backend_workers,
                                            accuracy=req.accuracy,
                                            deadline=deadline_left)
                 except Exception as exc:

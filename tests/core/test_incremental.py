@@ -1,144 +1,92 @@
-"""Tests for dynamic butterfly maintenance."""
+"""Dynamic butterfly maintenance: a DynamicGraphSession tracking (2, 2).
+
+At (2, 2) the delta rule of :mod:`repro.core.delta` is the classic
+wedge-closure sum, so these are the butterfly-stream checks run through
+the one incremental implementation; randomized toggle, round-trip and
+teardown streams over every shape live in
+``tests/property/test_property_incremental.py``.
+"""
+
+from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.incremental import DynamicButterflyCounter
+from repro.core.butterfly import butterfly_count
+from repro.dynamic import DynamicGraphSession
 from repro.errors import GraphValidationError
 from repro.graph.builders import complete_bipartite
 from repro.graph.generators import random_bipartite
 
 
+def tracked(graph=None, num_u=0, num_v=0):
+    """A dynamic session over ``graph`` (or an empty one) tracking (2, 2)."""
+    if graph is None:
+        dyn = DynamicGraphSession.empty(num_u, num_v)
+        dyn.track(2, 2)
+        return dyn
+    return DynamicGraphSession.from_graph(graph, track=[(2, 2)])
+
+
 class TestDynamicButterflies:
     def test_from_graph_matches_static(self, small_random):
-        counter = DynamicButterflyCounter.from_graph(small_random)
-        assert counter.butterflies == counter.recount()
+        dyn = tracked(small_random)
+        assert dyn.count(2, 2) == butterfly_count(small_random).count
 
     def test_insert_matches_recount(self):
         rng = np.random.default_rng(3)
-        counter = DynamicButterflyCounter.empty(12, 12)
+        dyn = tracked(num_u=12, num_v=12)
         for _ in range(60):
             u = int(rng.integers(0, 12))
             v = int(rng.integers(0, 12))
-            if not counter.has_edge(u, v):
-                counter.insert(u, v)
-                assert counter.butterflies == counter.recount()
+            if not dyn.has_edge(u, v):
+                dyn.insert(u, v)
+                assert dyn.count(2, 2) == dyn.recount(2, 2)
 
     def test_delete_matches_recount(self):
         g = random_bipartite(10, 10, 50, seed=4)
-        counter = DynamicButterflyCounter.from_graph(g)
+        dyn = tracked(g)
         rng = np.random.default_rng(5)
         edges = list(g.edges())
         rng.shuffle(edges)
         for u, v in edges[:25]:
-            counter.delete(u, int(v))
-            assert counter.butterflies == counter.recount()
+            dyn.delete(u, int(v))
+            assert dyn.count(2, 2) == dyn.recount(2, 2)
 
     def test_insert_delete_roundtrip(self):
         g = random_bipartite(8, 8, 30, seed=6)
-        counter = DynamicButterflyCounter.from_graph(g)
-        before = counter.butterflies
-        created = counter.insert(0, 7) if not counter.has_edge(0, 7) else 0
-        if counter.has_edge(0, 7):
-            destroyed = counter.delete(0, 7)
-            assert destroyed == created or before == counter.butterflies
-        assert counter.butterflies == counter.recount()
+        dyn = tracked(g)
+        before = dyn.count(2, 2)
+        if dyn.has_edge(0, 7):
+            dyn.delete(0, 7)
+            dyn.insert(0, 7)
+        else:
+            dyn.insert(0, 7)
+            dyn.delete(0, 7)
+        assert dyn.count(2, 2) == before == dyn.recount(2, 2)
 
     def test_complete_graph_formula(self):
-        from math import comb
-        counter = DynamicButterflyCounter.from_graph(complete_bipartite(4, 4))
-        assert counter.butterflies == comb(4, 2) ** 2
+        dyn = tracked(complete_bipartite(4, 4))
+        assert dyn.count(2, 2) == comb(4, 2) ** 2
 
     def test_duplicate_insert_rejected(self):
-        counter = DynamicButterflyCounter.empty(2, 2)
-        counter.insert(0, 0)
+        dyn = tracked(num_u=2, num_v=2)
+        dyn.insert(0, 0)
         with pytest.raises(GraphValidationError):
-            counter.insert(0, 0)
+            dyn.insert(0, 0)
 
     def test_missing_delete_rejected(self):
-        counter = DynamicButterflyCounter.empty(2, 2)
+        dyn = tracked(num_u=2, num_v=2)
         with pytest.raises(GraphValidationError):
-            counter.delete(0, 0)
+            dyn.delete(0, 0)
 
     def test_out_of_range(self):
-        counter = DynamicButterflyCounter.empty(2, 2)
+        dyn = tracked(num_u=2, num_v=2)
         with pytest.raises(GraphValidationError):
-            counter.insert(5, 0)
+            dyn.insert(5, 0)
 
     def test_update_counter(self):
-        counter = DynamicButterflyCounter.empty(3, 3)
-        counter.insert(0, 0)
-        counter.insert(1, 1)
-        assert counter.updates_applied == 2
-
-
-@st.composite
-def update_sequences(draw):
-    """Layer sizes plus an arbitrary stream of (u, v) update targets."""
-    num_u = draw(st.integers(2, 6))
-    num_v = draw(st.integers(2, 6))
-    ops = draw(st.lists(
-        st.tuples(st.integers(0, num_u - 1), st.integers(0, num_v - 1)),
-        min_size=1, max_size=40))
-    return num_u, num_v, ops
-
-
-class TestDynamicButterflyProperties:
-    """Randomized update sequences against recount-from-scratch — the
-    streaming-maintenance invariant ([37]/[40]) the counter exists for."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(update_sequences())
-    def test_toggle_sequence_matches_recount(self, seq):
-        """Interleaved inserts and deletes (toggle each touched pair)
-        keep the maintained count equal to an exact recount at every
-        step."""
-        num_u, num_v, ops = seq
-        counter = DynamicButterflyCounter.empty(num_u, num_v)
-        for u, v in ops:
-            if counter.has_edge(u, v):
-                destroyed = counter.delete(u, v)
-                assert destroyed >= 0
-            else:
-                created = counter.insert(u, v)
-                assert created >= 0
-            assert counter.butterflies == counter.recount()
-
-    @settings(max_examples=25, deadline=None)
-    @given(update_sequences())
-    def test_delete_then_reinsert_roundtrip(self, seq):
-        """Deleting any present edge and reinserting it restores the
-        count, and both updates report the same delta."""
-        num_u, num_v, ops = seq
-        counter = DynamicButterflyCounter.empty(num_u, num_v)
-        for u, v in ops:
-            if not counter.has_edge(u, v):
-                counter.insert(u, v)
-        edges = [(u, v) for u in range(num_u) for v in counter.adj_u[u]]
-        for u, v in edges:
-            before = counter.butterflies
-            destroyed = counter.delete(u, v)
-            recreated = counter.insert(u, v)
-            assert destroyed == recreated
-            assert counter.butterflies == before
-        assert counter.butterflies == counter.recount()
-
-    @settings(max_examples=25, deadline=None)
-    @given(update_sequences(), st.integers(0, 2 ** 31 - 1))
-    def test_teardown_to_empty(self, seq, seed):
-        """Deleting every edge in random order ends at zero butterflies,
-        matching recount at each step."""
-        num_u, num_v, ops = seq
-        counter = DynamicButterflyCounter.empty(num_u, num_v)
-        for u, v in ops:
-            if not counter.has_edge(u, v):
-                counter.insert(u, v)
-        edges = [(u, v) for u in range(num_u) for v in counter.adj_u[u]]
-        rng = np.random.default_rng(seed)
-        rng.shuffle(edges)
-        for u, v in edges:
-            counter.delete(u, v)
-            assert counter.butterflies == counter.recount()
-        assert counter.butterflies == 0
+        dyn = tracked(num_u=3, num_v=3)
+        dyn.insert(0, 0)
+        dyn.insert(1, 1)
+        assert dyn.epoch == 2

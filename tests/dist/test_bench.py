@@ -9,7 +9,7 @@ import pytest
 from repro.dist.bench import GRID_SIZES, dist_bench, make_grid_graphs
 from repro.obs.leaderboard import extract_cells
 from repro.obs.schema import SchemaError, validate_artifact
-from repro.parallel.procpool import fork_available
+from repro.parallel.sharding import fork_available
 
 
 def test_grid_graphs_are_deterministic():

@@ -19,7 +19,7 @@ from repro.dist.router import DistRouter
 from repro.errors import (DeadlineExceededError, QueueFullError,
                           ServiceError)
 from repro.graph.generators import power_law_bipartite, random_bipartite
-from repro.parallel.procpool import fork_available
+from repro.parallel.sharding import fork_available
 from tests.occupy import occupy_workers
 
 needs_fork = pytest.mark.skipif(not fork_available(),
@@ -72,6 +72,27 @@ def test_partitioned_result_is_tagged():
         assert res.extras["partitions"] == float(len(owners))
         assert res.count == gbc_count(graphs["big"], BicliqueQuery(2, 2),
                                       backend="fast").count
+
+
+def test_partial_counter_counts_on_the_worker_backend(monkeypatch):
+    """A partitioned worker counts its roots on the router's backend,
+    not on count_roots' default (the instrumented sim engine)."""
+    import repro.dist.worker as worker_mod
+
+    seen = []
+    real = worker_mod.count_roots
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("backend"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(worker_mod, "count_roots", spy)
+    graph = make_graphs()["big"]
+    counter = worker_mod._PartialCounter(graph, range(graph.num_u),
+                                         "native")
+    assert counter.count(2, 3) == gbc_count(graph, BicliqueQuery(2, 3),
+                                            backend="fast").count
+    assert seen == ["native"]
 
 
 def test_workers_1_falls_back_in_process(caplog):

@@ -2,8 +2,8 @@
 
 The hard guarantee under test: ``ParallelBackend`` merges per-shard
 results so that counts are bit-identical to a serial ``fast`` run for
-*any* worker count, placement, or dispatch mode — and metric aggregation
-is stable (all-zero, like the fast engine it wraps).
+*any* worker count — and metric aggregation is stable (all-zero, like
+the fast engine it wraps).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.balance.preruntime import weighted_greedy_split
 from repro.core.basic import basic_count
 from repro.core.bcl import bcl_count, bcl_per_root_profile
 from repro.core.bclp import bclp_count
@@ -20,6 +21,7 @@ from repro.core.gbl import gbl_count
 from repro.engine import (
     FastBackend,
     KernelBackend,
+    NativeBackend,
     ParallelBackend,
     get_backend,
     resolve_backend,
@@ -28,6 +30,8 @@ from repro.errors import QueryError
 from repro.gpu.metrics import KernelMetrics
 from repro.parallel import plan_shards, run_sharded
 from repro.graph.generators import power_law_bipartite, random_bipartite
+from repro.plan import Planner, explicit_plan
+from repro.query import GraphSession
 
 ALGORITHMS = [basic_count, bcl_count, bclp_count, gbl_count, gbc_count]
 
@@ -51,15 +55,28 @@ class TestRegistry:
         with pytest.raises(QueryError):
             resolve_backend("sim", workers=2)
 
+    def test_workers_reject_a_native_instance_like_the_name(self):
+        """NativeBackend subclasses FastBackend, but workers= must not
+        quietly swap it for the sharded fast kernels: every layer raises,
+        as it does for the name "native"."""
+        graph = random_bipartite(20, 20, 90, seed=5)
+        query = BicliqueQuery(2, 2)
+        for backend in ("native", NativeBackend()):
+            with pytest.raises(QueryError):
+                resolve_backend(backend, workers=2)
+            with pytest.raises(QueryError):
+                explicit_plan(graph, query, "GBC", backend=backend,
+                              workers=2)
+            with pytest.raises(QueryError):
+                Planner(graph).rank(query, backend=backend, workers=2)
+            with pytest.raises(QueryError):
+                GraphSession(graph).count(query, "GBC", backend=backend,
+                                          workers=2)
+
     def test_resolve_keeps_configured_instance(self):
-        engine = ParallelBackend(2, placement="contiguous",
-                                 dispatch="dynamic", chunk_size=3)
+        engine = ParallelBackend(2)
         assert resolve_backend(engine, workers=2) is engine
-        rebuilt = resolve_backend(engine, workers=4)
-        assert rebuilt.workers == 4
-        assert rebuilt.placement == "contiguous"
-        assert rebuilt.dispatch == "dynamic"
-        assert rebuilt.chunk_size == 3
+        assert resolve_backend(engine, workers=4).workers == 4
 
     def test_without_workers_nothing_changes(self):
         assert resolve_backend(None).name == "sim"
@@ -68,36 +85,34 @@ class TestRegistry:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(QueryError):
             ParallelBackend(0)
-        with pytest.raises(QueryError):
-            ParallelBackend(2, placement="random")
-        with pytest.raises(QueryError):
-            ParallelBackend(2, dispatch="chaotic")
 
 
 class TestShardPlanning:
-    @pytest.mark.parametrize("placement", ["contiguous", "weighted"])
-    @pytest.mark.parametrize("dispatch", ["static", "dynamic"])
-    def test_shards_partition_the_items(self, placement, dispatch):
+    # both policies are static (at most one shard per worker, fixed
+    # before the fork): contiguous ranges without weights, LPT with them
+    @pytest.mark.parametrize("weighted", [
+        pytest.param(False, id="static-contiguous"),
+        pytest.param(True, id="static-weighted")])
+    def test_shards_partition_the_items(self, weighted):
         rng = np.random.default_rng(0)
         for n, workers in [(1, 1), (5, 2), (37, 4), (100, 8)]:
-            plan = plan_shards(n, workers, placement=placement,
-                               weights=rng.random(n), dispatch=dispatch)
-            assert plan.covered() == list(range(n))
+            weights = rng.random(n)
+            if weighted:
+                plan = plan_shards(n, workers, weights)
+                assert plan.covered() == list(range(n))
+                # one LPT shard per worker (empty ones dropped)
+                assert plan.shards == tuple(
+                    tuple(g) for g in weighted_greedy_split(weights, workers)
+                    if g)
+            else:
+                plan = plan_shards(n, workers)
+                assert [i for s in plan.shards for i in s] \
+                    == list(range(n))
+            assert plan.num_shards <= workers
 
     def test_static_respects_worker_cap(self):
-        plan = plan_shards(50, 4, placement="contiguous")
+        plan = plan_shards(50, 4)
         assert plan.num_shards <= 4
-
-    def test_dynamic_chunk_size(self):
-        plan = plan_shards(20, 2, dispatch="dynamic", chunk_size=3)
-        assert all(len(s) <= 3 for s in plan.shards)
-        assert plan.covered() == list(range(20))
-
-    def test_dynamic_orders_heaviest_first(self):
-        weights = np.asarray([1.0] * 10 + [100.0] * 2)
-        plan = plan_shards(12, 2, dispatch="dynamic", chunk_size=2,
-                           weights=weights)
-        assert set(plan.shards[0]) == {10, 11}
 
     def test_empty_plan(self):
         assert plan_shards(0, 4).num_shards == 0
@@ -112,19 +127,29 @@ class TestShardPlanning:
 
 class TestRunSharded:
     def test_results_keyed_by_indices(self):
-        got = run_sharded(lambda idxs: [i * i for i in idxs], 10, workers=3,
-                          placement="contiguous")
+        got = run_sharded(lambda idxs: [i * i for i in idxs], 10, workers=3)
         squares = {}
         for idxs, res in got:
             squares.update(zip(idxs, res))
         assert squares == {i: i * i for i in range(10)}
 
-    @pytest.mark.parametrize("dispatch", ["static", "dynamic"])
-    def test_closures_cross_the_fork(self, dispatch):
+    # contiguous shards without weights, LPT shards with them
+    @pytest.mark.parametrize("weights", [
+        pytest.param(None, id="static"),
+        pytest.param(np.ones(100), id="weighted")])
+    def test_closures_cross_the_fork(self, weights):
         payload = np.arange(100, dtype=np.int64)  # inherited, not pickled
         got = run_sharded(lambda idxs: int(payload[list(idxs)].sum()), 100,
-                          workers=4, dispatch=dispatch)
+                          workers=4, weights=weights)
         assert sum(res for _, res in got) == int(payload.sum())
+
+    def test_fn_exception_propagates_verbatim(self):
+        def boom(idxs):
+            raise ValueError(f"bad shard {tuple(idxs)}")
+
+        with pytest.raises(ValueError, match="bad shard"):
+            run_sharded(boom, 4, workers=2)
+        assert sum(res for _, res in run_sharded(len, 4, workers=2)) == 4
 
     def test_worker_count_never_changes_the_merge(self):
         expect = sum(i * 3 for i in range(57))
@@ -146,15 +171,6 @@ class TestAlgorithmEquivalence:
         assert fn(graph, query).count == expect
         for workers in (1, 2, 4):
             assert fn(graph, query, workers=workers).count == expect
-
-    @pytest.mark.parametrize("placement", ["contiguous", "weighted"])
-    @pytest.mark.parametrize("dispatch", ["static", "dynamic"])
-    def test_counts_match_across_modes(self, placement, dispatch):
-        graph = random_bipartite(35, 30, 240, seed=3)
-        query = BicliqueQuery(2, 3)
-        expect = bcl_count(graph, query, backend="fast").count
-        engine = ParallelBackend(2, placement=placement, dispatch=dispatch)
-        assert bcl_count(graph, query, backend=engine).count == expect
 
     def test_result_records_par_backend(self):
         graph = random_bipartite(20, 20, 90, seed=5)

@@ -44,9 +44,10 @@ class TestConfig:
         with pytest.raises(ServiceError):
             SchedulerConfig(**bad)
 
-    def test_batch_window_is_an_unknown_tunable(self):
-        with pytest.raises(TypeError, match="batch_window"):
-            SchedulerConfig(batch_window=0.002)
+    @pytest.mark.parametrize("name", ["batch_window", "backend_workers"])
+    def test_batch_window_is_an_unknown_tunable(self, name):
+        with pytest.raises(TypeError, match=name):
+            SchedulerConfig(**{name: 2})
 
     def test_config_and_overrides_conflict(self):
         pool = make_pool()
