@@ -12,49 +12,17 @@ skewed workloads) intact.
 from __future__ import annotations
 
 import time
-from math import comb
 
 import numpy as np
 
+from repro.core.bcl import count_root
 from repro.core.counts import BicliqueQuery, CountResult
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
-from repro.graph.twohop import TwoHopIndex, build_two_hop_index
+from repro.graph.twohop import build_two_hop_index
 from repro.plan.registry import CostSignals, MethodSpec, register_method
 
 __all__ = ["basic_count"]
-
-
-def _root_total(graph: BipartiteGraph, index: TwoHopIndex, root: int,
-                p: int, q: int, engine: KernelBackend) -> int:
-    """Bicliques of the search tree rooted at ``root`` (id-order model)."""
-    cr0 = graph.neighbors(LAYER_U, root)
-    if len(cr0) < q:
-        return 0
-    if p == 1:
-        return comb(len(cr0), q)
-    cl0 = index.of(root)
-    if len(cl0) < p - 1:
-        return 0
-    total = 0
-
-    def rec(depth: int, cl: np.ndarray, cr: np.ndarray) -> None:
-        nonlocal total
-        for u in cl:
-            u = int(u)
-            new_cr = engine.merge(cr, graph.neighbors(LAYER_U, u))
-            if len(new_cr) < q:
-                continue
-            if depth + 1 == p:
-                total += comb(len(new_cr), q)
-                continue
-            new_cl = engine.merge(cl, index.of(u))
-            if len(new_cl) < p - depth - 1:
-                continue
-            rec(depth + 1, new_cl, new_cr)
-
-    rec(1, cl0, cr0)
-    return total
 
 
 def basic_count(graph: BipartiteGraph, query: BicliqueQuery,
@@ -79,16 +47,13 @@ def basic_count(graph: BipartiteGraph, query: BicliqueQuery,
         index = build_two_hop_index(graph, LAYER_U, q, min_priority_rank=ids)
 
     def count_chunk(roots) -> int:
-        return sum(_root_total(graph, index, int(r), p, q, engine)
+        return sum(count_root(graph, index, int(r), p, q, engine)
                    for r in roots)
 
-    if engine.parallel:
-        weights = np.diff(index.offsets).astype(np.float64)
-        total = sum(part for _, part in
-                    engine.map_shards(count_chunk, graph.num_u,
-                                      weights=weights))
-    else:
-        total = count_chunk(range(graph.num_u))
+    weights = np.diff(index.offsets).astype(np.float64)
+    total = sum(part for _, part in
+                engine.map_shards(count_chunk, graph.num_u,
+                                  weights=weights))
 
     return CountResult(
         algorithm="Basic",

@@ -24,14 +24,15 @@ from math import comb
 
 import numpy as np
 
-from repro.core.counts import BicliqueQuery, CountResult, anchored_view
+from repro.core.counts import BicliqueQuery, CountResult
+from repro.core.device_common import DeviceInputs, prepare_device_inputs
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
-from repro.graph.priority import priority_order, rank_from_order
-from repro.graph.twohop import TwoHopIndex, build_two_hop_index
+from repro.graph.csr import row_lengths
+from repro.graph.twohop import TwoHopIndex
 from repro.plan.registry import CostSignals, MethodSpec, register_method
 
-__all__ = ["bcl_count", "bcl_per_root_profile", "BCLProfile"]
+__all__ = ["bcl_count", "bcl_per_root_profile", "BCLProfile", "count_root"]
 
 
 @dataclass
@@ -59,11 +60,18 @@ class BCLProfile:
         return (self.seconds_two_hop + self.seconds_one_hop) / self.seconds_total
 
 
-def _enumerate_root(graph: BipartiteGraph, index: TwoHopIndex,
-                    root: int, p: int, q: int,
-                    profile: BCLProfile, engine: KernelBackend,
-                    instrument: bool) -> int:
-    """Count all bicliques whose highest-priority U-vertex is ``root``."""
+def count_root(graph: BipartiteGraph, index: TwoHopIndex,
+               root: int, p: int, q: int, engine: KernelBackend,
+               profile: BCLProfile | None = None,
+               instrument: bool = False) -> int:
+    """Count all bicliques whose highest-priority U-vertex is ``root``.
+
+    The one scalar per-root search of the package: BCL, Basic (over its
+    id-order index), the estimator, the planner probe and
+    :func:`repro.partition.runner.count_roots` all call it.  With
+    ``instrument`` the merges are timed and their comparisons counted
+    into ``profile`` (the Fig. 1(b) breakdown).
+    """
     cr0 = graph.neighbors(LAYER_U, root)
     if len(cr0) < q:
         return 0
@@ -109,86 +117,57 @@ def _enumerate_root(graph: BipartiteGraph, index: TwoHopIndex,
     return total
 
 
-def _prepare(graph: BipartiteGraph, query: BicliqueQuery,
-             layer: str | None, profile: BCLProfile, session=None):
-    """Anchor, rank, and build the rank-filtered 2-hop index (timed as
-    2-hop search work, which is what it is).  A
-    :class:`repro.query.GraphSession` serves order and index from its
-    caches instead — identical structures, built at most once."""
-    g, p, q, anchored = anchored_view(graph, query, layer)
-    t0 = time.perf_counter()
-    if session is not None:
-        session.check_owns(graph)
-        g = session.anchored(anchored)
-        order = session.priority_order(anchored, q)
-        index = session.two_hop_index(anchored, q)
-    else:
-        order = priority_order(g, LAYER_U, q)
-        rank = rank_from_order(order)
-        index = build_two_hop_index(g, LAYER_U, q, min_priority_rank=rank)
-    profile.seconds_two_hop += time.perf_counter() - t0
-    return g, p, q, anchored, order, index
-
-
-def _enumerate_chunk(g: BipartiteGraph, index: TwoHopIndex,
-                     roots: list[int], p: int, q: int,
+def _enumerate_chunk(inputs: DeviceInputs, positions,
                      engine: KernelBackend, instrument: bool) -> BCLProfile:
-    """Enumerate a chunk of roots into a fresh partial profile."""
+    """Enumerate the roots at ``positions`` of ``inputs.roots`` into a
+    fresh partial profile."""
     part = BCLProfile()
-    for root in roots:
+    for pos in positions:
+        root = int(inputs.roots[pos])
         r0 = time.perf_counter()
-        got = _enumerate_root(g, index, root, p, q, part, engine, instrument)
+        got = count_root(inputs.graph, inputs.index, root, inputs.p,
+                         inputs.q, engine, part, instrument)
         part.per_root_seconds.append(time.perf_counter() - r0)
         part.per_root_counts.append(got)
-        part.root_ids.append(root)
     return part
 
 
-def _run_roots(g: BipartiteGraph, index: TwoHopIndex, order,
-               p: int, q: int, engine: KernelBackend, instrument: bool,
-               profile: BCLProfile) -> int:
-    """Enumerate every promising root into ``profile``; returns the count.
+def _run_bcl(graph: BipartiteGraph, query: BicliqueQuery,
+             layer: str | None, engine: KernelBackend, instrument: bool,
+             session=None) -> tuple[BCLProfile, str]:
+    """Prepare the root set, enumerate it, and return the profile and
+    anchored layer.
 
-    On a parallel engine the promising roots are sharded over worker
-    processes (weights: second-level sizes, the paper's edge-oriented
-    proxy) and the partial profiles are scattered back into priority
-    order, so per-root data and the total are independent of worker
-    count and scheduling.
+    Preparation is timed as 2-hop search work, which is what it is.
+    The promising roots run through ``engine.map_shards`` (one shard on
+    a serial engine, one LPT shard per worker on ``par``; weights:
+    second-level sizes, the paper's edge-oriented proxy), and the
+    partial profiles are scattered back into priority order, so
+    per-root data and the total are independent of worker count.
     """
-    selected = [int(root) for root in order
-                if not (p > 1 and index.size(int(root)) < p - 1)]
-
-    if engine.parallel and selected:
-        weights = np.asarray([index.size(r) for r in selected],
-                             dtype=np.float64)
-        n = len(selected)
-        secs, cnts = [0.0] * n, [0] * n
-        for idxs, part in engine.map_shards(
-                lambda idxs: _enumerate_chunk(
-                    g, index, [selected[i] for i in idxs], p, q,
-                    engine, instrument),
-                n, weights=weights):
-            profile.seconds_one_hop += part.seconds_one_hop
-            profile.seconds_two_hop += part.seconds_two_hop
-            profile.comparisons_one_hop += part.comparisons_one_hop
-            profile.comparisons_two_hop += part.comparisons_two_hop
-            for pos, i in enumerate(idxs):
-                secs[i] = part.per_root_seconds[pos]
-                cnts[i] = part.per_root_counts[pos]
-        profile.per_root_seconds.extend(secs)
-        profile.per_root_counts.extend(cnts)
-        profile.root_ids.extend(selected)
-        return sum(cnts)
-
-    part = _enumerate_chunk(g, index, selected, p, q, engine, instrument)
-    profile.seconds_one_hop += part.seconds_one_hop
-    profile.seconds_two_hop += part.seconds_two_hop
-    profile.comparisons_one_hop += part.comparisons_one_hop
-    profile.comparisons_two_hop += part.comparisons_two_hop
-    profile.per_root_seconds.extend(part.per_root_seconds)
-    profile.per_root_counts.extend(part.per_root_counts)
-    profile.root_ids.extend(part.root_ids)
-    return sum(part.per_root_counts)
+    profile = BCLProfile()
+    start = time.perf_counter()
+    inputs = prepare_device_inputs(graph, query, layer, session=session)
+    profile.seconds_two_hop += time.perf_counter() - start
+    n = len(inputs.roots)
+    secs, cnts = [0.0] * n, [0] * n
+    weights = row_lengths(inputs.index.offsets,
+                          inputs.roots).astype(np.float64)
+    for idxs, part in engine.map_shards(
+            lambda idxs: _enumerate_chunk(inputs, idxs, engine, instrument),
+            n, weights=weights):
+        profile.seconds_one_hop += part.seconds_one_hop
+        profile.seconds_two_hop += part.seconds_two_hop
+        profile.comparisons_one_hop += part.comparisons_one_hop
+        profile.comparisons_two_hop += part.comparisons_two_hop
+        for pos, i in enumerate(idxs):
+            secs[i] = part.per_root_seconds[pos]
+            cnts[i] = part.per_root_counts[pos]
+    profile.per_root_seconds = secs
+    profile.per_root_counts = cnts
+    profile.root_ids = inputs.roots.tolist()
+    profile.seconds_total = time.perf_counter() - start
+    return profile, inputs.anchored_layer
 
 
 def bcl_count(graph: BipartiteGraph, query: BicliqueQuery,
@@ -211,12 +190,8 @@ def bcl_count(graph: BipartiteGraph, query: BicliqueQuery,
     engine = resolve_backend(backend, workers=workers)
     if instrument is None:
         instrument = engine.instrumented
-    profile = BCLProfile()
-    start = time.perf_counter()
-    g, p, q, anchored, order, index = _prepare(graph, query, layer, profile,
-                                               session)
-    total = _run_roots(g, index, order, p, q, engine, instrument, profile)
-    profile.seconds_total = time.perf_counter() - start
+    profile, anchored = _run_bcl(graph, query, layer, engine, instrument,
+                                 session)
     breakdown = {
         "comp_s_seconds": profile.seconds_two_hop,
         "comp_h_seconds": profile.seconds_one_hop,
@@ -230,7 +205,7 @@ def bcl_count(graph: BipartiteGraph, query: BicliqueQuery,
     return CountResult(
         algorithm="BCL",
         query=query,
-        count=total,
+        count=sum(profile.per_root_counts),
         wall_seconds=profile.seconds_total,
         anchored_layer=anchored,
         breakdown=breakdown,
@@ -255,13 +230,7 @@ def bcl_per_root_profile(graph: BipartiteGraph, query: BicliqueQuery,
     engine = resolve_backend(backend, workers=workers)
     if instrument is None:
         instrument = engine.instrumented
-    profile = BCLProfile()
-    start = time.perf_counter()
-    g, p, q, _, order, index = _prepare(graph, query, layer, profile,
-                                        session)
-    _run_roots(g, index, order, p, q, engine, instrument, profile)
-    profile.seconds_total = time.perf_counter() - start
-    return profile
+    return _run_bcl(graph, query, layer, engine, instrument, session)[0]
 
 
 def _predicted_seconds(signals: CostSignals) -> float:

@@ -1,11 +1,13 @@
-"""Shared machinery for the simulated-device counters (GBL and GBC).
+"""Root-set preparation, shared by every priority-ordered counter.
 
-Both algorithms follow Algorithm 1's host-side recipe: anchor a layer,
-rank vertices by Definition-2 priority, materialise the rank-filtered
-N2^q index, filter unpromising roots, then hand each root's search tree
-to a thread block.  What differs is the per-root kernel (CSR binary
-search + pure DFS for GBL; HTB + hybrid DFS-BFS for GBC) and the block
-assignment policy — which is exactly the split this module encodes.
+Algorithm 1's host-side recipe — anchor a layer, rank vertices by
+Definition-2 priority, materialise the rank-filtered N2^q index and
+filter unpromising roots — lives here once, in
+:func:`prepare_device_inputs`.  BCL, the estimator and planner probe,
+the partitioned runner, local counts, the search profiler and
+enumeration all start from its :class:`DeviceInputs`; GBL and GBC then
+hand each root's search tree to a simulated thread block, which is
+what the block-assignment and leaf-sum helpers below serve.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from repro.core.counts import BicliqueQuery, anchored_view
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
-from repro.graph.priority import priority_order, rank_from_order
-from repro.graph.twohop import TwoHopIndex, build_two_hop_index
+from repro.graph.priority import priority_order_from_sizes, rank_from_order
+from repro.graph.twohop import TwoHopIndex, build_wedge_index
 
 __all__ = ["DeviceInputs", "prepare_device_inputs", "assign_roots_to_blocks",
            "comb_sum", "resolve_native_pack", "BALANCE_STRATEGIES"]
@@ -71,7 +73,7 @@ def resolve_native_pack(engine, inputs: "DeviceInputs", session=None):
 
 @dataclass
 class DeviceInputs:
-    """Host-side preprocessing products shared by GBL and GBC."""
+    """Host-side preprocessing products of one (graph, query, layer)."""
 
     graph: BipartiteGraph          # anchored view (U is the selected layer)
     p: int
@@ -89,11 +91,14 @@ def prepare_device_inputs(graph: BipartiteGraph, query: BicliqueQuery,
                           session=None) -> DeviceInputs:
     """Anchor, rank, build the 2-hop index and filter unpromising roots.
 
-    With a :class:`repro.query.GraphSession` the order/rank/index come
-    from the session's caches (built at most once per anchored layer and
-    k); only the cheap per-query root filter runs every time.  The
-    structures are identical either way — the session derives them from
-    one shared wedge pass instead of enumerating wedges afresh.
+    Without a session one wedge pass over the anchored layer yields the
+    Definition-2 order, its rank and the rank-filtered N2^q index.  With
+    a :class:`repro.query.GraphSession` the order/rank/index come from
+    the session's caches (built at most once per anchored layer and k),
+    derived the same way from its shared wedge pass, so the structures
+    are identical either way; only the cheap per-query root filter runs
+    every time.  A root is promising when its degree is at least q and,
+    for p > 1, it has at least p - 1 lower-priority N2^q neighbours.
     """
     t0 = time.perf_counter()
     g, p, q, anchored = anchored_view(graph, query, layer)
@@ -105,21 +110,17 @@ def prepare_device_inputs(graph: BipartiteGraph, query: BicliqueQuery,
         index = session.two_hop_index(anchored, q)
         session.stats.prepare_calls += 1
     else:
-        order = priority_order(g, LAYER_U, q)
+        wedges = build_wedge_index(g, LAYER_U)
+        order = priority_order_from_sizes(wedges.n2k_sizes(q))
         rank = rank_from_order(order)
-        index = build_two_hop_index(g, LAYER_U, q, min_priority_rank=rank)
-    promising = []
-    for root in order:
-        root = int(root)
-        if g.degree(LAYER_U, root) < q:
-            continue
-        if p > 1 and index.size(root) < p - 1:
-            continue
-        promising.append(root)
+        index = wedges.two_hop_index(q, min_priority_rank=rank)
+    keep = g.degrees(LAYER_U)[order] >= q
+    if p > 1:
+        keep &= np.diff(index.offsets)[order] >= p - 1
     return DeviceInputs(
         graph=g, p=p, q=q, anchored_layer=anchored,
         order=order, rank=rank, index=index,
-        roots=np.asarray(promising, dtype=np.int64),
+        roots=order[keep].astype(np.int64, copy=False),
         prepare_seconds=time.perf_counter() - t0,
     )
 

@@ -19,11 +19,10 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.counts import BicliqueQuery, anchored_view
+from repro.core.counts import BicliqueQuery
+from repro.core.device_common import prepare_device_inputs
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
-from repro.graph.priority import priority_order, priority_rank
-from repro.graph.twohop import build_two_hop_index
 
 __all__ = ["enumerate_bicliques"]
 
@@ -40,10 +39,9 @@ def enumerate_bicliques(graph: BipartiteGraph,
     V-layer ids, regardless of which layer the search anchors on.
     """
     engine = resolve_backend(backend)
-    g, p, q, anchored = anchored_view(graph, query, layer)
-    rank = priority_rank(g, LAYER_U, q)
-    order = priority_order(g, LAYER_U, q)
-    index = build_two_hop_index(g, LAYER_U, q, min_priority_rank=rank)
+    inputs = prepare_device_inputs(graph, query, layer)
+    g, p, q, index = inputs.graph, inputs.p, inputs.q, inputs.index
+    anchored = inputs.anchored_layer
     produced = 0
 
     def emit(path: list[int], cr: np.ndarray):
@@ -75,17 +73,11 @@ def enumerate_bicliques(graph: BipartiteGraph,
                     yield from rec(path, new_cl, new_cr)
             path.pop()
 
-    for root in order:
+    for root in inputs.roots.tolist():
         if limit is not None and produced >= limit:
             return
-        root = int(root)
         cr0 = g.neighbors(LAYER_U, root)
-        if len(cr0) < q:
-            continue
         if p == 1:
             yield from emit([root], cr0)
-            continue
-        cl0 = index.of(root)
-        if len(cl0) < p - 1:
-            continue
-        yield from rec([root], cl0, cr0)
+        else:
+            yield from rec([root], index.of(root), cr0)

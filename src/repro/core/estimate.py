@@ -38,11 +38,11 @@ from math import sqrt
 
 import numpy as np
 
-from repro.core.bcl import BCLProfile, _enumerate_root
-from repro.core.counts import BicliqueQuery, CountResult, anchored_view
+from repro.core.bcl import BCLProfile, count_root
+from repro.core.counts import BicliqueQuery, CountResult
+from repro.core.device_common import prepare_device_inputs
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
-from repro.graph.priority import priority_rank
 from repro.graph.twohop import build_two_hop_index
 from repro.plan.registry import CostSignals, MethodSpec, register_method
 
@@ -106,45 +106,36 @@ def estimate_count(graph: BipartiteGraph, query: BicliqueQuery,
     # instrumentation is never worth its cost
     engine = resolve_backend(backend)
     start = time.perf_counter()
-    g, p, q, anchored = anchored_view(graph, query, layer)
-    if session is not None:
-        session.check_owns(graph)
-        g = session.anchored(anchored)
-        index = session.two_hop_index(anchored, q)
-    else:
-        rank = priority_rank(g, LAYER_U, q)
-        index = build_two_hop_index(g, LAYER_U, q, min_priority_rank=rank)
-    roots = [u for u in range(g.num_u)
-             if g.degree(LAYER_U, u) >= q
-             and (p == 1 or index.size(u) >= p - 1)]
+    inputs = prepare_device_inputs(graph, query, layer, session=session)
+    g, p, q, index = inputs.graph, inputs.p, inputs.q, inputs.index
+    anchored = inputs.anchored_layer
+    # the sample space is indexed in vertex-id order, which is what
+    # pins every seeded estimate
+    roots = np.sort(inputs.roots)
     population = len(roots)
-    profile = BCLProfile()
     if population == 0:
         return EstimateResult(query, 0.0, 0.0, 0, 0,
                               time.perf_counter() - start, anchored)
 
     if samples >= population:
-        total = sum(_enumerate_root(g, index, r, p, q, profile, engine,
-                                    instrument=False)
-                    for r in roots)
+        total = sum(count_root(g, index, r, p, q, engine)
+                    for r in roots.tolist())
         return EstimateResult(query, float(total), 0.0, population,
                               population, time.perf_counter() - start,
                               anchored)
 
     # importance weights: second-level sizes (0-weight roots can still
     # carry bicliques when p == 1, so floor at 1)
-    weights = np.asarray([max(index.size(r), 1) for r in roots],
-                         dtype=np.float64)
+    weights = np.maximum(np.diff(index.offsets)[roots], 1).astype(np.float64)
     pi = weights / weights.sum()
     rng = np.random.default_rng(seed)
     picks = rng.choice(population, size=samples, replace=True, p=pi)
     contributions = np.empty(samples, dtype=np.float64)
     cache: dict[int, int] = {}
     for j, i in enumerate(picks):
-        root = roots[int(i)]
+        root = int(roots[int(i)])
         if root not in cache:
-            cache[root] = _enumerate_root(g, index, root, p, q, profile,
-                                          engine, instrument=False)
+            cache[root] = count_root(g, index, root, p, q, engine)
         contributions[j] = cache[root] / pi[int(i)]
     estimate = float(contributions.mean())
     std_error = float(contributions.std(ddof=1) / sqrt(samples)) \
@@ -290,12 +281,10 @@ class _IndexProbe:
 _EMPTY_PROBE = _IndexProbe(0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _probe_index(g, index, p: int, q: int, samples: int, rng,
-                 engine) -> _IndexProbe:
-    """Horvitz-Thompson work estimates for one rooted search space."""
-    roots = [u for u in range(g.num_u)
-             if g.degree(LAYER_U, u) >= q
-             and (p == 1 or index.size(u) >= p - 1)]
+def _probe_index(g, index, roots: list[int], p: int, q: int,
+                 samples: int, rng, engine) -> _IndexProbe:
+    """Horvitz-Thompson work estimates for one rooted search space
+    (``roots``: its promising roots, in vertex-id order)."""
     population = len(roots)
     if population == 0:
         return _EMPTY_PROBE
@@ -303,8 +292,8 @@ def _probe_index(g, index, p: int, q: int, samples: int, rng,
     def run(root: int) -> tuple[int, int, int]:
         profile = BCLProfile()
         counting = _CountingEngine(engine)
-        count = _enumerate_root(g, index, root, p, q, profile, counting,
-                                instrument=True)
+        count = count_root(g, index, root, p, q, counting, profile,
+                           instrument=True)
         return (profile.comparisons_one_hop + profile.comparisons_two_hop,
                 counting.calls, count)
 
@@ -363,28 +352,29 @@ def sample_root_profile(graph: BipartiteGraph, query: BicliqueQuery,
     # the simulated engine's merge fills the comparison cells the probe
     # counts; a handful of sampled roots keeps its overhead negligible
     engine = resolve_backend("sim")
-    g, p, q, anchored = anchored_view(graph, query, layer)
+    inputs = prepare_device_inputs(graph, query, layer, session=session)
+    g, index = inputs.graph, inputs.index
     if session is not None:
-        session.check_owns(graph)
-        g = session.anchored(anchored)
-        index = session.two_hop_index(anchored, q)
         basic_index = session.id_order_index(query.q)
     else:
-        rank = priority_rank(g, LAYER_U, q)
-        index = build_two_hop_index(g, LAYER_U, q, min_priority_rank=rank)
         ids = np.arange(graph.num_u, dtype=np.int64)
         basic_index = build_two_hop_index(graph, LAYER_U, query.q,
                                           min_priority_rank=ids)
     rng = np.random.default_rng(seed)
-    probe = _probe_index(g, index, p, q, samples, rng, engine)
-    # Basic never swaps layers: probe it on the original orientation
-    basic = _probe_index(graph, basic_index, query.p, query.q, samples,
-                         rng, engine)
-    sizes = [index.size(u) for u in range(g.num_u)
-             if g.degree(LAYER_U, u) >= q]
-    mean_index_size = float(np.mean(sizes)) if sizes else 0.0
+    probe = _probe_index(g, index, np.sort(inputs.roots).tolist(),
+                         inputs.p, inputs.q, samples, rng, engine)
+    # Basic never swaps layers: probe it on the original orientation,
+    # over the id-order index (no Definition-2 order to prepare)
+    basic_roots = graph.degrees(LAYER_U) >= query.q
+    if query.p > 1:
+        basic_roots &= np.diff(basic_index.offsets) >= query.p - 1
+    basic = _probe_index(graph, basic_index,
+                         np.flatnonzero(basic_roots).tolist(), query.p,
+                         query.q, samples, rng, engine)
+    sizes = np.diff(index.offsets)[g.degrees(LAYER_U) >= inputs.q]
+    mean_index_size = float(np.mean(sizes)) if len(sizes) else 0.0
     return RootProbe(
-        p=query.p, q=query.q, anchored_layer=anchored,
+        p=query.p, q=query.q, anchored_layer=inputs.anchored_layer,
         population=probe.population, basic_population=basic.population,
         samples=min(samples, max(probe.population, basic.population)),
         comparisons=probe.comparisons,

@@ -343,18 +343,8 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
     per_root_cycles = [0.0] * len(inputs.roots)
     agg = KernelMetrics()
     peak_words = 0
-    if engine.parallel:
-        for idxs, part in engine.map_shards(
-                lambda idxs: _gbc_chunk_kernel(inputs, idxs, spec, opts,
-                                               engine, htb1, htb2, pack),
-                len(inputs.roots), weights=weights):
-            part_total, part_cycles, part_agg, part_peak = part
-            total += part_total
-            agg.merge(part_agg)
-            peak_words = max(peak_words, part_peak)
-            for pos, i in enumerate(idxs):
-                per_root_cycles[i] = part_cycles[pos]
-    elif engine.frontier:
+    stealing = opts.balance in ("runtime", "joint")
+    if engine.frontier:
         # level-synchronous traversal (identical counts, one pairwise
         # kernel call per search level across every root); the hybrid
         # batching knobs only shape simulated accounting, which the
@@ -375,18 +365,21 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
                 engine, agg, adj[0], adj[1], idx[0], idx[1],
                 inputs.roots, inputs.p, inputs.q,
                 warps=spec.warps_per_block)
-    else:
-        total, per_root_cycles, agg, peak_words = _gbc_chunk_kernel(
-            inputs, range(len(inputs.roots)), spec, opts, engine,
-            htb1, htb2, pack)
-
-    stealing = opts.balance in ("runtime", "joint")
-    if engine.frontier:
         # no per-root cycle profile exists on the frontier path (the
         # engine is uninstrumented and roots run level-batched, not
         # block-by-block), so there is no schedule to simulate
         sched = simulate_blocks([], spec, stealing=stealing)
     else:
+        for idxs, part in engine.map_shards(
+                lambda idxs: _gbc_chunk_kernel(inputs, idxs, spec, opts,
+                                               engine, htb1, htb2, pack),
+                len(inputs.roots), weights=weights):
+            part_total, part_cycles, part_agg, part_peak = part
+            total += part_total
+            agg.merge(part_agg)
+            peak_words = max(peak_words, part_peak)
+            for pos, i in enumerate(idxs):
+                per_root_cycles[i] = part_cycles[pos]
         assignment = assign_roots_to_blocks(inputs.roots, weights, blocks,
                                             opts.balance)
         costs = [[per_root_cycles[i] for i in blk] for blk in assignment]

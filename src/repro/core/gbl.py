@@ -131,16 +131,7 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
     total = 0
     per_root_cycles = [0.0] * len(inputs.roots)
     agg = KernelMetrics()
-    if engine.parallel:
-        for idxs, (part_total, part_cycles, part_agg) in engine.map_shards(
-                lambda idxs: _gbl_chunk_kernel(inputs, idxs, spec, engine,
-                                               pack),
-                len(inputs.roots), weights=weights):
-            total += part_total
-            agg.merge(part_agg)
-            for pos, i in enumerate(idxs):
-                per_root_cycles[i] = part_cycles[pos]
-    elif engine.frontier:
+    if engine.frontier:
         # level-synchronous traversal: one pairwise kernel call per
         # search level across every root (identical counts, none of the
         # per-node dispatch the recursion pays)
@@ -154,16 +145,19 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
         total, _ = csr_frontier_count(
             engine, agg, adj[0], adj[1], idx[0], idx[1], inputs.roots,
             inputs.p, inputs.q, warps=spec.warps_per_block)
-    else:
-        total, per_root_cycles, agg = _gbl_chunk_kernel(
-            inputs, range(len(inputs.roots)), spec, engine, pack)
-
-    if engine.frontier:
         # no per-root cycle profile exists on the frontier path (the
         # engine is uninstrumented and roots run level-batched, not
         # block-by-block), so there is no schedule to simulate
         sched = simulate_blocks([], spec, stealing=False)
     else:
+        for idxs, (part_total, part_cycles, part_agg) in engine.map_shards(
+                lambda idxs: _gbl_chunk_kernel(inputs, idxs, spec, engine,
+                                               pack),
+                len(inputs.roots), weights=weights):
+            total += part_total
+            agg.merge(part_agg)
+            for pos, i in enumerate(idxs):
+                per_root_cycles[i] = part_cycles[pos]
         assignment = assign_roots_to_blocks(inputs.roots, weights, blocks,
                                             "interleave")
         costs = [[per_root_cycles[i] for i in blk] for blk in assignment]

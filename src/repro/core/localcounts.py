@@ -23,11 +23,10 @@ from math import comb
 
 import numpy as np
 
-from repro.core.counts import BicliqueQuery, anchored_view
+from repro.core.counts import BicliqueQuery
+from repro.core.device_common import prepare_device_inputs
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
-from repro.graph.priority import priority_order, priority_rank
-from repro.graph.twohop import build_two_hop_index
 
 __all__ = ["LocalCountResult", "local_biclique_counts"]
 
@@ -57,10 +56,8 @@ def local_biclique_counts(graph: BipartiteGraph,
     """Exact local (p, q)-biclique counts for every vertex."""
     engine = resolve_backend(backend)
     start = time.perf_counter()
-    g, p, q, anchored = anchored_view(graph, query, layer)
-    rank = priority_rank(g, LAYER_U, q)
-    order = priority_order(g, LAYER_U, q)
-    index = build_two_hop_index(g, LAYER_U, q, min_priority_rank=rank)
+    inputs = prepare_device_inputs(graph, query, layer)
+    g, p, q, index = inputs.graph, inputs.p, inputs.q, inputs.index
 
     counts_anchor = np.zeros(g.num_u, dtype=object)
     counts_other = np.zeros(g.num_v, dtype=object)
@@ -93,20 +90,14 @@ def local_biclique_counts(graph: BipartiteGraph,
                     rec(path, new_cl, new_cr)
             path.pop()
 
-    for root in order:
-        root = int(root)
+    for root in inputs.roots.tolist():
         cr0 = g.neighbors(LAYER_U, root)
-        if len(cr0) < q:
-            continue
         if p == 1:
             leaf([root], cr0)
-            continue
-        cl0 = index.of(root)
-        if len(cl0) < p - 1:
-            continue
-        rec([root], cl0, cr0)
+        else:
+            rec([root], index.of(root), cr0)
 
-    if anchored == LAYER_U:
+    if inputs.anchored_layer == LAYER_U:
         counts_u, counts_v = counts_anchor, counts_other
     else:
         counts_u, counts_v = counts_other, counts_anchor

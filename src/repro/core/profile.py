@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.counts import BicliqueQuery, anchored_view
+from repro.core.counts import BicliqueQuery
+from repro.core.device_common import prepare_device_inputs
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
-from repro.graph.priority import priority_order, priority_rank
-from repro.graph.twohop import build_two_hop_index
 
 __all__ = ["LevelStats", "SearchTreeProfile", "profile_search"]
 
@@ -82,11 +81,9 @@ def profile_search(graph: BipartiteGraph, query: BicliqueQuery,
     """Run the exact search once, collecting per-depth statistics."""
     engine = resolve_backend(backend)
     start = time.perf_counter()
-    g, p, q, _ = anchored_view(graph, query, layer)
-    rank = priority_rank(g, LAYER_U, q)
-    order = priority_order(g, LAYER_U, q)
-    index = build_two_hop_index(g, LAYER_U, q, min_priority_rank=rank)
-    profile = SearchTreeProfile(query=query)
+    inputs = prepare_device_inputs(graph, query, layer)
+    g, p, q, index = inputs.graph, inputs.p, inputs.q, inputs.index
+    profile = SearchTreeProfile(query=query, roots=len(inputs.roots))
 
     def rec(depth: int, cl: np.ndarray, cr: np.ndarray) -> None:
         stats = profile.level(depth)
@@ -110,22 +107,14 @@ def profile_search(graph: BipartiteGraph, query: BicliqueQuery,
                 continue
             rec(depth + 1, new_cl, new_cr)
 
-    for root in order:
-        root = int(root)
+    for root in inputs.roots.tolist():
         cr0 = g.neighbors(LAYER_U, root)
-        if len(cr0) < q:
-            continue
         if p == 1:
-            profile.roots += 1
             profile.level(1).nodes += 1
             profile.level(1).leaves += 1
             profile.level(1).sum_cr += len(cr0)
-            continue
-        cl0 = index.of(root)
-        if len(cl0) < p - 1:
-            continue
-        profile.roots += 1
-        rec(1, cl0, cr0)
+        else:
+            rec(1, index.of(root), cr0)
 
     profile.wall_seconds = time.perf_counter() - start
     return profile

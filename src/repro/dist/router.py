@@ -17,12 +17,16 @@ router over the same graphs computes the same table:
   ``replication`` distinct ring successors, and each batch
   round-robins across the replicas — the pressure valve for zipf-head
   traffic;
-* **partitioned** graphs (named in ``partitioned=``) are split with
-  BCPar (:func:`~repro.partition.bcpar.bcpar_partition`) and every
-  worker owns a shard of the root set; a query fans out to all owners,
-  each counts its roots (:func:`~repro.partition.runner.count_roots`),
-  and the router sums — bit-identical to a whole-graph count because
-  the priority order charges every biclique to exactly one root.
+* **partitioned** graphs (named in ``partitioned=``) have their U
+  roots cut into one shard per worker by
+  :func:`~repro.parallel.sharding.plan_shards` — the §V-C pre-runtime
+  LPT split ``par`` uses, weighted by U degree; a query fans out to all
+  owners, each counts its roots
+  (:func:`~repro.partition.runner.count_roots`), and the router sums —
+  bit-identical to a whole-graph count because the priority order
+  charges every biclique to exactly one root.  Every worker inherits
+  the whole graph through fork, so the split divides counting work,
+  not memory.
 
 When multiprocessing is unavailable (no ``fork``) or ``workers <= 1``
 the router degrades to plain in-process serving over a local
@@ -41,13 +45,10 @@ from repro.core.counts import CountResult
 from repro.errors import ServiceError
 from repro.graph.bipartite import LAYER_U
 from repro.graph.stats import graph_fingerprint
-from repro.graph.twohop import build_two_hop_index
 from repro.obs import trace as _trace
 from repro.obs.ledger import CostLedger
 from repro.obs.log import get_logger
-from repro.parallel.sharding import fork_available
-from repro.partition.bcpar import bcpar_partition
-from repro.partition.runner import recommended_budget_words
+from repro.parallel.sharding import fork_available, plan_shards
 from repro.service.pool import SessionPool
 from repro.service.scheduler import Scheduler, SchedulerConfig
 from repro.service.telemetry import merge_snapshots
@@ -58,11 +59,6 @@ from repro.dist.worker import (WorkerHandle, unpack_error,
 __all__ = ["DistRouter", "RouteEntry", "plan_routes"]
 
 log = get_logger(__name__)
-
-#: the q used to shape BCPar partitions at registration — partition
-#: *placement* may be tuned to any q; partial-count correctness only
-#: needs the root cover, which every shaping produces
-_PARTITION_SHAPE_Q = 2
 
 
 class RouteEntry:
@@ -124,18 +120,6 @@ def plan_routes(fingerprints: dict[str, str], workers: int, *,
     return routes
 
 
-def _partition_root_shards(graph, workers: int) -> list[list[int]]:
-    """BCPar-shaped root shards, one per worker, covering all of U."""
-    index = build_two_hop_index(graph, LAYER_U, _PARTITION_SHAPE_Q)
-    budget = recommended_budget_words(graph, _PARTITION_SHAPE_Q)
-    pset = bcpar_partition(graph, index, budget)
-    shards: list[list[int]] = [[] for _ in range(workers)]
-    # round-robin whole partitions so co-located closures stay together
-    for i, part in enumerate(pset.partitions):
-        shards[i % workers].extend(int(r) for r in part.roots)
-    return shards
-
-
 class DistRouter(Scheduler):
     """Serve pooled graphs across N long-lived worker processes.
 
@@ -195,18 +179,17 @@ class DistRouter(Scheduler):
         partition_roots: list[dict] = [{} for _ in range(workers)]
         for name, route in self._routes.items():
             if route.kind == "partitioned":
-                shards = _partition_root_shards(self._graphs[name],
-                                                workers)
-                owners = []
+                graph = self._graphs[name]
+                shards = plan_shards(graph.num_u, workers,
+                                     weights=graph.degrees(LAYER_U)).shards
                 for w, roots in enumerate(shards):
-                    if roots:
-                        placements[w][name] = self._graphs[name]
-                        partition_roots[w][name] = roots
-                        owners.append(w)
-                # BCPar may cut fewer partitions than workers: only
-                # workers that actually hold roots are fan-out owners
+                    placements[w][name] = graph
+                    partition_roots[w][name] = roots
+                # a graph with fewer U vertices than workers cuts fewer
+                # shards: only workers holding roots are fan-out owners
                 self._routes[name] = RouteEntry(
-                    "partitioned", route.fingerprint, tuple(owners))
+                    "partitioned", route.fingerprint,
+                    tuple(range(len(shards))))
             else:
                 for w in route.owners:
                     placements[w][name] = self._graphs[name]

@@ -5,9 +5,12 @@ the graphs the router placed on it, a private in-process
 :class:`~repro.service.scheduler.Scheduler` (so envelope batches still
 coalesce and honour deadlines inside the worker), a private
 :class:`~repro.obs.ledger.CostLedger` keeping ``method="auto"``
-calibrated per worker, and — for partitioned graphs — cached
+calibrated per worker, and — for partitioned graphs — its shard of the
+graph's U roots (the router's LPT cut on U degrees) with cached
 :func:`~repro.partition.runner.build_root_index` state per query ``q``
-so repeated partial counts over its root shard skip index builds.
+so repeated partial counts over that shard skip index builds.  The
+worker holds the whole partitioned graph (fork inheritance); only the
+counting work is split.
 
 Transport is a single duplex pipe per worker, strictly
 request/response.  Message envelopes (parent → worker)::

@@ -32,6 +32,11 @@ pass, so ``sim``/``fast``/``par`` behave bit-identically to the
 pre-batch call sites; a backend that can amortise per-call dispatch
 (``native``) overrides them.
 
+Every counter runs its root loop through one call,
+:meth:`KernelBackend.map_shards`: all roots as one in-process shard by
+default, one LPT shard per forked worker on ``par`` — no counter forks
+into a serial and a sharded path.
+
 Algorithms accept ``backend=`` as an instance, a registry name (``"sim"``
 / ``"fast"`` / ``"par"`` / ``"native"``), or ``None`` (default:
 simulated, preserving the historical behaviour of every entry point).
@@ -42,7 +47,7 @@ engine with that many processes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -73,10 +78,22 @@ class KernelBackend(ABC):
     #: whether timers and device metrics collected through this backend
     #: are live (False means every sink hook is a no-op)
     instrumented: bool = False
-    #: whether this backend shards per-root work over worker processes —
-    #: the counting drivers route their root loop through ``map_shards``
-    #: when set (see :class:`repro.engine.parallel.ParallelBackend`)
-    parallel: bool = False
+
+    # -- root-set execution --------------------------------------------
+    def map_shards(self, fn: Callable[[Sequence[int]], Any],
+                   num_items: int,
+                   weights: np.ndarray | None = None
+                   ) -> list[tuple[Sequence[int], Any]]:
+        """Run ``fn(item_indices)`` over shards of ``range(num_items)``.
+
+        Returns ``[(item_indices, result), ...]`` in shard order.  Every
+        counter runs its root loop through this one call.  A
+        serial engine runs all items as one in-process shard and ignores
+        ``weights``; :class:`repro.engine.parallel.ParallelBackend`
+        overrides it with one LPT shard per forked worker.
+        """
+        items = range(num_items)
+        return [(items, fn(items))] if num_items > 0 else []
 
     # -- kernel primitives ---------------------------------------------
     @abstractmethod

@@ -3,9 +3,11 @@
 :class:`ParallelBackend` is the third registry engine (``"par"``): it
 shards the root set across ``workers`` forked processes, each executing
 the uninstrumented :class:`~repro.engine.fast.FastBackend` kernels, and
-merges the per-shard results deterministically.  Each worker gets one
-shard, placed by the weighted-greedy LPT splitter of :mod:`repro.balance`
-over the per-root weights the counters supply (see
+merges the per-shard results deterministically.  It does so by
+overriding :meth:`~repro.engine.base.KernelBackend.map_shards`, the call
+every counter already makes on every engine: each worker gets
+one shard, placed by the weighted-greedy LPT splitter of
+:mod:`repro.balance` over the per-root weights the counters supply (see
 :mod:`repro.parallel.sharding`).
 
 Counts are bit-identical to a serial ``fast`` run regardless of worker
@@ -39,7 +41,6 @@ class ParallelBackend(KernelBackend):
 
     name = "par"
     instrumented = False
-    parallel = True
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = default_workers() if workers is None else int(workers)
@@ -58,9 +59,10 @@ class ParallelBackend(KernelBackend):
         """Run ``fn(item_indices)`` over shards of ``range(num_items)``.
 
         Returns ``[(item_indices, result), ...]`` in deterministic shard
-        order; see :func:`repro.parallel.sharding.run_sharded`.  The
-        sharded drivers in :mod:`repro.core` call this with a closure
-        over their prepared inputs (forked workers inherit them).
+        order; see :func:`repro.parallel.sharding.run_sharded`.  This
+        overrides the one-shard default every engine has: the counters
+        call it with a closure over their prepared inputs (forked
+        workers inherit them), whatever the engine.
         """
         return run_sharded(fn, num_items, workers=self.workers,
                            weights=weights)

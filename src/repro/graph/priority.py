@@ -17,19 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph, LAYER_U, LAYER_V
-from repro.graph.twohop import two_hop_multiset
+from repro.graph.twohop import build_wedge_index
 
 __all__ = ["priority_order", "priority_order_from_sizes", "priority_rank",
            "rank_from_order", "select_layer", "wedge_mass"]
-
-
-def _n2k_sizes(graph: BipartiteGraph, layer: str, k: int) -> np.ndarray:
-    n = graph.layer_size(layer)
-    sizes = np.zeros(n, dtype=np.int64)
-    for u in range(n):
-        _, counts = two_hop_multiset(graph, layer, u)
-        sizes[u] = int(np.count_nonzero(counts >= k))
-    return sizes
 
 
 def priority_order(graph: BipartiteGraph, layer: str, k: int) -> np.ndarray:
@@ -37,18 +28,21 @@ def priority_order(graph: BipartiteGraph, layer: str, k: int) -> np.ndarray:
 
     Position 0 holds the highest-priority vertex: the one with the fewest
     qualified 2-hop neighbours (|N2^k|), ties broken by smaller id
-    (Definition 2).
+    (Definition 2).  The sizes come from one wedge pass
+    (:func:`~repro.graph.twohop.build_wedge_index`).
     """
-    return priority_order_from_sizes(_n2k_sizes(graph, layer, k))
+    return priority_order_from_sizes(
+        build_wedge_index(graph, layer).n2k_sizes(k))
 
 
 def priority_order_from_sizes(sizes: np.ndarray) -> np.ndarray:
     """The Definition-2 order given precomputed |N2^k| sizes.
 
-    Shared by :func:`priority_order` (which enumerates wedges itself)
-    and :class:`repro.query.GraphSession` (which reuses one
-    :class:`~repro.graph.twohop.WedgeIndex` across k values) so both
-    paths sort identically: ascending |N2^k|, ties to the smaller id.
+    The one sort behind every Definition-2 order: :func:`priority_order`,
+    :func:`repro.core.device_common.prepare_device_inputs` and
+    :class:`repro.query.GraphSession` all take the sizes from
+    :meth:`~repro.graph.twohop.WedgeIndex.n2k_sizes` and sort here:
+    ascending |N2^k|, ties to the smaller id.
     """
     ids = np.arange(len(sizes), dtype=np.int64)
     return ids[np.lexsort((ids, sizes))]

@@ -24,11 +24,12 @@ from math import comb
 
 import numpy as np
 
+from repro.core.bcl import count_root
 from repro.core.counts import BicliqueQuery
+from repro.core.device_common import prepare_device_inputs
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.gpu.device import DeviceSpec
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
-from repro.graph.priority import priority_rank
 from repro.graph.twohop import TwoHopIndex, build_two_hop_index
 from repro.partition.bcpar import PartitionSet, bcpar_partition
 from repro.partition.metislike import MetisLikeResult, metis_like_partition
@@ -114,7 +115,9 @@ def _enumerate_root(graph: BipartiteGraph, index: TwoHopIndex, root: int,
                     weights: np.ndarray,
                     report: PartitionRunReport,
                     engine: KernelBackend) -> None:
-    """Exact per-root enumeration with residency + span tracking."""
+    """Exact per-root enumeration with residency + span tracking (the
+    §VI walk behind :func:`run_partitioned_count`; plain per-root counts
+    come from :func:`repro.core.bcl.count_root`)."""
     cmp_cell = [0]
     cr0 = graph.neighbors(LAYER_U, root)
     if len(cr0) < q:
@@ -175,17 +178,16 @@ def run_partitioned_count(graph: BipartiteGraph, query: BicliqueQuery,
     figures reflect PCIe transfer time only — counts and transfer words
     stay exact either way.
 
-    With the parallel engine (``backend="par"`` or ``workers=``) the
-    (partition, root) pairs are sharded over worker processes — roots of
-    different partitions may execute concurrently, and every count and
+    The (partition, root) pairs run through ``engine.map_shards``: one
+    shard on a serial engine, one per worker process with the parallel
+    engine (``backend="par"`` or ``workers=``).  Roots of different
+    partitions may then execute concurrently, and every count and
     transfer-word field merges by exact integer sum, so the report is
     identical for any worker count.
     """
     engine = resolve_backend(backend, workers=workers)
     t0 = time.perf_counter()
-    rank = priority_rank(graph, LAYER_U, query.q)
-    index = build_two_hop_index(graph, LAYER_U, query.q,
-                                min_priority_rank=rank)
+    index = prepare_device_inputs(graph, query, LAYER_U).index
     report = PartitionRunReport(method=method, query=query,
                                 num_partitions=len(root_groups))
     for gid in range(len(root_groups)):
@@ -201,15 +203,10 @@ def run_partitioned_count(graph: BipartiteGraph, query: BicliqueQuery,
                             owner, residency[gid], weights, part, engine)
         return part
 
-    if engine.parallel and tasks:
-        task_weights = np.asarray([float(weights[root])
-                                   for _, root in tasks], dtype=np.float64)
-        partials = [part for _, part in
-                    engine.map_shards(enumerate_chunk, len(tasks),
-                                      weights=task_weights)]
-    else:
-        partials = [enumerate_chunk(range(len(tasks)))]
-    for part in partials:
+    task_weights = np.asarray([float(weights[root]) for _, root in tasks],
+                              dtype=np.float64)
+    for _, part in engine.map_shards(enumerate_chunk, len(tasks),
+                                     weights=task_weights):
         report.total_count += part.total_count
         report.intra_count += part.intra_count
         report.inter_count += part.inter_count
@@ -222,12 +219,15 @@ def run_partitioned_count(graph: BipartiteGraph, query: BicliqueQuery,
 def build_root_index(graph: BipartiteGraph, q: int) -> TwoHopIndex:
     """The priority-filtered two-hop index per-root enumeration uses.
 
-    Identical to what :func:`run_partitioned_count` builds internally;
-    exposed so long-lived holders (distributed serving workers counting
-    the same root shard for many queries) can build it once per ``q``.
+    The U-anchored index of
+    :func:`repro.core.device_common.prepare_device_inputs` (it does not
+    depend on p), identical to what :func:`run_partitioned_count` builds
+    internally; exposed so long-lived holders (distributed serving
+    workers counting the same root shard for many queries) can build it
+    once per ``q``.
     """
-    rank = priority_rank(graph, LAYER_U, q)
-    return build_two_hop_index(graph, LAYER_U, q, min_priority_rank=rank)
+    return prepare_device_inputs(graph, BicliqueQuery(1, q),
+                                 LAYER_U).index
 
 
 def count_roots(graph: BipartiteGraph, query: BicliqueQuery,
@@ -244,13 +244,9 @@ def count_roots(graph: BipartiteGraph, query: BicliqueQuery,
     engine = resolve_backend(backend)
     if index is None:
         index = build_root_index(graph, query.q)
-    owner = np.zeros(graph.num_u, dtype=np.int64)
-    weights = np.zeros(graph.num_u, dtype=np.int64)
-    report = PartitionRunReport(method="roots", query=query)
-    for root in roots:
-        _enumerate_root(graph, index, int(root), query.p, query.q,
-                        owner, None, weights, report, engine)
-    return int(report.total_count)
+    return sum(count_root(graph, index, int(root), query.p, query.q,
+                          engine)
+               for root in roots)
 
 
 def _owner_from_groups(n: int, groups: list[list[int]]) -> np.ndarray:

@@ -143,7 +143,7 @@ class SessionStats:
     htb_adj_builds: int = 0    #: HTBs over 1-hop adjacency (per layer)
     htb_two_hop_builds: int = 0  #: HTBs over N2^k lists (per layer, k)
     native_pack_builds: int = 0  #: native-backend CSR packs (per layer, k)
-    prepare_calls: int = 0     #: device-input preparations served
+    prepare_calls: int = 0     #: root-set preparations served
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.bcl import bcl_count, bcl_per_root_profile
 from repro.core.counts import BicliqueQuery
+from repro.core.device_common import prepare_device_inputs
 
 
 class TestBCLResult:
@@ -45,6 +46,16 @@ class TestPerRootProfile:
         profile = bcl_per_root_profile(medium_power_law, BicliqueQuery(2, 2))
         assert len(profile.per_root_seconds) == len(profile.per_root_counts)
         assert len(profile.root_ids) == len(profile.per_root_counts)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 3)])
+    def test_profiles_exactly_the_prepared_roots(self, medium_power_law,
+                                                 shape):
+        """BCL enumerates the shared prepare step's promising roots, in
+        priority order: roots of degree below q are not profiled."""
+        query = BicliqueQuery(*shape)
+        profile = bcl_per_root_profile(medium_power_law, query)
+        roots = prepare_device_inputs(medium_power_law, query).roots
+        assert profile.root_ids == roots.tolist()
 
     def test_fraction_bounds(self, medium_power_law):
         profile = bcl_per_root_profile(medium_power_law, BicliqueQuery(2, 2))

@@ -64,6 +64,7 @@ def test_dist_counts_match_oracle_across_route_kinds():
 @needs_fork
 def test_partitioned_result_is_tagged():
     graphs = make_graphs()
+    shapes = [(2, 2), (3, 3)]
     with DistRouter(graphs, workers=2, partitioned=("big",),
                     backend="fast") as router:
         res = router.count("big", 2, 2)
@@ -72,6 +73,18 @@ def test_partitioned_result_is_tagged():
         assert res.extras["partitions"] == float(len(owners))
         assert res.count == gbc_count(graphs["big"], BicliqueQuery(2, 2),
                                       backend="fast").count
+        # the fan-out reaches every worker, and every shard does work
+        assert owners == [0, 1]
+        partials = []
+        for w in owners:
+            tag, counts = router._handles[w].call(("partial", "big",
+                                                   shapes))
+            assert tag == "partial"
+            assert all(counts[shape] > 0 for shape in shapes), (w, counts)
+            partials.append(counts)
+        for shape in shapes:
+            assert sum(part[shape] for part in partials) == gbc_count(
+                graphs["big"], BicliqueQuery(*shape), backend="fast").count
 
 
 def test_partial_counter_counts_on_the_worker_backend(monkeypatch):

@@ -43,7 +43,20 @@ class TestRegistry:
         assert isinstance(engine, KernelBackend)
         assert engine.name == "par"
         assert engine.workers == 3
-        assert engine.parallel and not engine.instrumented
+        assert not engine.instrumented
+
+    def test_serial_engines_run_one_shard(self):
+        """Every engine has ``map_shards``; a serial one runs all items
+        as one in-process shard, so the counters need no serial/sharded
+        fork (and no ``parallel`` flag to pick one)."""
+        for engine in (get_backend("sim"), FastBackend(), NativeBackend()):
+            shards = engine.map_shards(lambda idxs: [2 * i for i in idxs],
+                                       4, weights=np.ones(4))
+            assert [(list(idxs), got) for idxs, got in shards] == \
+                [([0, 1, 2, 3], [0, 2, 4, 6])]
+            assert engine.map_shards(list, 0) == []
+        assert not hasattr(KernelBackend, "parallel")
+        assert not hasattr(ParallelBackend(2), "parallel")
 
     def test_resolve_workers_selects_parallel(self):
         for backend in (None, "fast", "par", FastBackend()):

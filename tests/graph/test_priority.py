@@ -1,5 +1,7 @@
 """Tests for Definition-2 vertex priority and layer selection."""
 
+import numpy as np
+import pytest
 
 from repro.graph.bipartite import LAYER_U, LAYER_V
 from repro.graph.builders import complete_bipartite, from_adjacency
@@ -26,6 +28,20 @@ class TestPriorityOrder:
         g = complete_bipartite(4, 3)  # all |N2^k| equal
         order = priority_order(g, LAYER_U, 2)
         assert order.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("fixture", ["medium_power_law",
+                                         "small_random"])
+    @pytest.mark.parametrize("layer", [LAYER_U, LAYER_V])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_per_vertex_reference(self, request, fixture, layer, k):
+        """The one-wedge-pass order equals the definition computed vertex
+        by vertex: ascending |N2^k|, ties to the smaller id."""
+        g = request.getfixturevalue(fixture)
+        ids = np.arange(g.layer_size(layer), dtype=np.int64)
+        sizes = np.asarray([len(n2k(g, layer, int(u), k)) for u in ids],
+                           dtype=np.int64)
+        assert np.array_equal(priority_order(g, layer, k),
+                              ids[np.lexsort((ids, sizes))])
 
     def test_rank_inverts_order(self, small_random):
         order = priority_order(small_random, LAYER_U, 2)

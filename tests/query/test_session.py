@@ -123,6 +123,32 @@ class TestStructuresMatchClassicBuilders:
         assert np.array_equal(via_session.index.neighbors,
                               classic.index.neighbors)
 
+    @pytest.mark.parametrize("layer", [LAYER_U, LAYER_V])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_sessionless_prepare_matches_session(self, graph, layer, p, q):
+        """One prepare step, two sources: the sessionless wedge pass and
+        the session caches give the same inputs field by field, and the
+        roots are the per-vertex filter in priority order."""
+        # anchored (p, q) as given, whichever layer is anchored
+        query = BicliqueQuery(p, q) if layer == LAYER_U \
+            else BicliqueQuery(q, p)
+        alone = prepare_device_inputs(graph, query, layer)
+        cached = GraphSession(graph).prepared(query, layer)
+        assert (alone.p, alone.q, alone.anchored_layer) == \
+            (cached.p, cached.q, cached.anchored_layer) == (p, q, layer)
+        for field in ("order", "rank", "roots"):
+            assert np.array_equal(getattr(alone, field),
+                                  getattr(cached, field)), field
+        assert np.array_equal(alone.index.offsets, cached.index.offsets)
+        assert np.array_equal(alone.index.neighbors,
+                              cached.index.neighbors)
+        g, index = alone.graph, alone.index
+        want = [int(u) for u in alone.order
+                if g.degree(LAYER_U, int(u)) >= q
+                and (p == 1 or index.size(int(u)) >= p - 1)]
+        assert alone.roots.tolist() == want and want
+
     def test_all_methods_match_sessionless_runs(self):
         g = random_bipartite(45, 35, 180, seed=5)
         query = BicliqueQuery(2, 2)
