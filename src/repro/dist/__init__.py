@@ -8,10 +8,11 @@ processes, each owning a shard of the session pool:
 * :mod:`~repro.dist.hashring` — consistent hashing on graph content
   fingerprints: deterministic placement, bounded key movement as the
   topology grows or shrinks, replica walks for zipf-hot graphs;
-* :mod:`~repro.dist.worker` — the worker process: its own
-  ``SessionPool`` + inner ``Scheduler`` + ``CostLedger``, fed batched
-  request envelopes over a pipe (fork-spawned once — never a fork per
-  batch), plus per-shard partial counting for partitioned graphs;
+* :mod:`~repro.dist.worker` — the worker process: one thread with
+  its own ``SessionPool`` + ``Telemetry`` + ``CostLedger``, answering
+  batched request envelopes as it reads them from a pipe (fork-spawned
+  once — never a fork per batch), plus per-shard partial counting for
+  partitioned graphs;
 * :mod:`~repro.dist.router` — routing, replication fan-out,
   partition-merge counting (bit-identical to single-process by the
   per-root decomposition), cross-worker telemetry/ledger aggregation,

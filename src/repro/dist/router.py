@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import replace
 
 from repro.core.counts import CountResult
@@ -128,9 +129,10 @@ class DistRouter(Scheduler):
     is fixed at construction (workers fork here, inheriting their
     shard's arrays).  Scheduler tunables arrive exactly as on
     :class:`~repro.service.scheduler.Scheduler` (``config=`` or
-    keyword overrides) and govern the *router's* admission, batch
-    size and deadline bookkeeping; each worker runs its own inner
-    scheduler configured from the same tunables.
+    keyword overrides) and govern the router only: admission, batch
+    size, deadline bookkeeping and its dispatch threads.  Each worker
+    answers an envelope on the thread that reads its pipe, counting
+    on the router's ``backend``.
 
     >>> from repro import random_bipartite
     >>> from repro.dist import DistRouter
@@ -194,14 +196,12 @@ class DistRouter(Scheduler):
                 for w in route.owners:
                     placements[w][name] = self._graphs[name]
 
-        # every worker's inner scheduler shares the router's tunables
-        worker_cfg = replace(cfg, workers=2)
         # fork the workers BEFORE the base class starts router threads
         import multiprocessing as mp
         ctx = mp.get_context("fork")
         self._handles = [
             WorkerHandle(ctx, w, placements[w], partition_roots[w],
-                         worker_cfg)
+                         cfg.backend)
             for w in range(workers)]
         log.info("dist: %d workers up (pids %s), %d graphs routed",
                  workers, [h.pid for h in self._handles],
@@ -311,33 +311,43 @@ class DistRouter(Scheduler):
                      fanout=len(route.owners), shapes=len(shapes),
                      **self._tk)
         t0 = time.monotonic()
+        envelope = ("partial", graph, shapes)
         partials: dict[int, dict] = {}
-        errors: dict[int, Exception] = {}
+        errors: list[Exception] = []
 
-        def ask(w: int) -> None:
-            try:
-                tag, payload = self._handles[w].call(
-                    ("partial", graph, shapes))
-            except Exception as exc:
-                errors[w] = ServiceError(f"worker w{w} failed a "
-                                         f"partial count: {exc}")
-                return
-            if tag == "partial":
-                partials[w] = payload
-            else:
-                errors[w] = unpack_error(payload, w)
+        def lost(w: int, exc: Exception) -> ServiceError:
+            return ServiceError(f"worker w{w} failed a partial count: "
+                                f"{exc}")
 
-        threads = [threading.Thread(target=ask, args=(w,),
-                                    name=f"repro-dist-fan-{w}")
-                   for w in route.owners]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        # owners ascend by worker id, so the locks are taken in one
+        # global order; a routed call holds a single lock, so no cycle
+        with ExitStack() as held:
+            for w in route.owners:
+                held.enter_context(self._handles[w].lock)
+            # the owners count concurrently, each in its own process
+            sent = []
+            for w in route.owners:
+                try:
+                    self._handles[w].send(envelope)
+                except Exception as exc:
+                    errors.append(lost(w, exc))
+                else:
+                    sent.append(w)
+            # every reply is read, even after a failure, so each
+            # surviving pipe stays in request/response step
+            for w in sent:
+                try:
+                    tag, payload = self._handles[w].recv()
+                except Exception as exc:
+                    errors.append(lost(w, exc))
+                    continue
+                if tag == "partial":
+                    partials[w] = payload
+                else:
+                    errors.append(unpack_error(payload, w))
         if errors:
-            exc = next(iter(errors.values()))
             for req in exact:
-                self._fail(req, exc, graph)
+                self._fail(req, errors[0], graph)
             return
         elapsed = time.monotonic() - t0
         totals = {shape: sum(partials[w][shape]

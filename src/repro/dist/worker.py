@@ -1,9 +1,9 @@
 """The distributed serving worker: one forked process, one pool shard.
 
-A worker owns a :class:`~repro.service.pool.SessionPool` holding only
-the graphs the router placed on it, a private in-process
-:class:`~repro.service.scheduler.Scheduler` (so envelope batches still
-coalesce and honour deadlines inside the worker), a private
+A worker is one thread in one process.  It owns a
+:class:`~repro.service.pool.SessionPool` holding only the graphs the
+router placed on it, a :class:`~repro.service.telemetry.Telemetry`
+recording what it served, a private
 :class:`~repro.obs.ledger.CostLedger` keeping ``method="auto"``
 calibrated per worker, and — for partitioned graphs — its shard of the
 graph's U roots (the router's LPT cut on U degrees) with cached
@@ -11,6 +11,12 @@ graph's U roots (the router's LPT cut on U degrees) with cached
 so repeated partial counts over that shard skip index builds.  The
 worker holds the whole partitioned graph (fork inheritance); only the
 counting work is split.
+
+The thread that reads the pipe answers every envelope itself: a
+``"batch"`` runs its items in order on the pooled session
+(:func:`_serve_batch`), each with the deadline budget it has left.
+Batching, admission and queue-side expiry already happened at the
+router, so there is no scheduler and no thread hand-off in here.
 
 Transport is a single duplex pipe per worker, strictly
 request/response.  Message envelopes (parent → worker)::
@@ -34,13 +40,16 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 
 from repro.core.counts import BicliqueQuery, CountResult
 from repro.errors import (DeadlineExceededError, PartitionError,
                           QueryError, QueueFullError, ServiceClosedError,
                           ServiceError, UnknownMethodError)
+from repro.obs import trace as _trace
 from repro.obs.ledger import CostLedger
 from repro.partition.runner import build_root_index, count_roots
+from repro.service.telemetry import Telemetry
 
 __all__ = ["WorkerHandle", "pack_error", "unpack_error", "pack_result",
            "unpack_result"]
@@ -111,49 +120,76 @@ class _PartialCounter:
         return total
 
 
-def _serve_batch(scheduler, graph: str, items: list) -> list:
-    """Run one envelope through the in-worker scheduler; returns one
-    ``(rid, "ok"|"err", payload)`` per item, order unspecified."""
-    out: list[tuple] = []
-    futures: list[tuple] = []
-    for rid, p, q, method, accuracy, deadline in items:
+def _serve_batch(pool, telemetry: Telemetry, backend: str, graph: str,
+                 items: list, ident: str | None = None) -> list:
+    """Answer one ``("batch", graph, items)`` envelope on the calling
+    thread; returns one ``(rid, "ok"|"err", payload)`` per item, in
+    item order.
+
+    Each item's ``deadline`` is the budget the router had left when it
+    shipped the envelope; it is measured from receipt here and passed
+    on as ``max(budget left, 1e-3)`` — the same floor
+    :meth:`~repro.service.scheduler.Scheduler._execute` applies — so an
+    exact plan that no longer fits raises
+    :class:`~repro.errors.DeadlineExceededError` and
+    ``accuracy="auto"`` falls back to sampling.  ``telemetry`` records
+    what an in-process scheduler would have: one submit per item, one
+    batch per envelope, and completion latency from receipt.
+    """
+    received = time.monotonic()
+    for depth in range(1, len(items) + 1):
+        telemetry.record_submit(depth)
+    telemetry.record_batch(len(items))
+    tk = {} if ident is None else {"worker": ident}
+    with _trace.span("serve.batch", graph=graph, size=len(items),
+                     rids=[item[0] for item in items], **tk):
         try:
-            fut = scheduler.submit(graph, p, q, method=method,
-                                   accuracy=accuracy, deadline=deadline)
-        except Exception as exc:
-            out.append((rid, "err", pack_error(exc)))
-        else:
-            futures.append((rid, fut))
-    for rid, fut in futures:
-        try:
-            result = fut.result()
-        except Exception as exc:
-            out.append((rid, "err", pack_error(exc)))
-        else:
+            session = pool.session(graph)
+        except Exception as exc:           # unknown graph, loader bug
+            telemetry.record_failed(len(items))
+            return [(item[0], "err", pack_error(exc)) for item in items]
+        out: list[tuple] = []
+        for rid, p, q, method, accuracy, budget in items:
+            deadline = None if budget is None else max(
+                budget - (time.monotonic() - received), 1e-3)
+            try:
+                result = session.count(BicliqueQuery(p, q), method,
+                                       backend=backend,
+                                       accuracy=accuracy,
+                                       deadline=deadline)
+            except Exception as exc:
+                if isinstance(exc, DeadlineExceededError):
+                    telemetry.record_expired()
+                else:
+                    telemetry.record_failed()
+                out.append((rid, "err", pack_error(exc)))
+                continue
+            if result.algorithm == "approx":
+                telemetry.record_approx()
+            telemetry.record_completed(time.monotonic() - received)
             out.append((rid, "ok", pack_result(result)))
-    return out
+        return out
 
 
 def worker_main(conn, worker_id: int, graphs: dict,
-                partition_roots: dict, config
+                partition_roots: dict, backend: str
                 ) -> None:  # pragma: no cover - runs in fork child
     """Entry point of one serving worker (inside the forked child).
 
     ``graphs`` maps name -> BipartiteGraph for this worker's shard;
     ``partition_roots`` maps partitioned-graph name -> this worker's
-    root list.  Both arrive through fork inheritance; ``config`` is the
-    :class:`~repro.service.scheduler.SchedulerConfig` of the worker's
-    inner scheduler.
+    root list.  Both arrive through fork inheritance; ``backend`` is
+    the kernel backend every count runs on.
     """
     from repro.service.pool import SessionPool
-    from repro.service.scheduler import Scheduler
 
     ledger = CostLedger()
     pool = SessionPool(max_sessions=max(len(graphs), 1), ledger=ledger)
     for name, graph in graphs.items():
         pool.register(name, graph)
-    scheduler = Scheduler(pool, config=config, ident=f"w{worker_id}")
-    partials = {name: _PartialCounter(graphs[name], roots, config.backend)
+    telemetry = Telemetry()
+    ident = f"w{worker_id}"
+    partials = {name: _PartialCounter(graphs[name], roots, backend)
                 for name, roots in partition_roots.items()}
     try:
         while True:
@@ -164,8 +200,8 @@ def worker_main(conn, worker_id: int, graphs: dict,
             kind = msg[0]
             if kind == "batch":
                 _, graph, items = msg
-                conn.send(("batch", _serve_batch(scheduler, graph,
-                                                 items)))
+                conn.send(("batch", _serve_batch(pool, telemetry, backend,
+                                                 graph, items, ident)))
             elif kind == "partial":
                 _, graph, shapes = msg
                 counter = partials.get(graph)
@@ -187,8 +223,7 @@ def worker_main(conn, worker_id: int, graphs: dict,
                     "pid": os.getpid(),
                     "graphs": sorted(graphs),
                     "partitioned": sorted(partials),
-                    "telemetry": scheduler.telemetry.snapshot(
-                        include_samples=True),
+                    "telemetry": telemetry.snapshot(include_samples=True),
                     "ledger": ledger.snapshot(),
                     "pool": pool.snapshot(),
                 }))
@@ -199,32 +234,34 @@ def worker_main(conn, worker_id: int, graphs: dict,
                 conn.send(("err", pack_error(ServiceError(
                     f"unknown envelope kind {kind!r}"))))
     finally:
-        scheduler.close()
         pool.close()
 
 
 class WorkerHandle:
     """Parent-side handle: spawn, exchange envelopes, shut down.
 
-    One envelope is in flight per worker at a time (:meth:`call` holds
-    the handle lock around its send/recv pair); concurrency across the
-    cluster comes from the router's worker threads each talking to a
-    different handle.
+    One envelope is in flight per worker at a time: whoever holds
+    :attr:`lock` owns the pipe from :meth:`send` to the matching
+    :meth:`recv`.  :meth:`call` is that pair for one worker; the
+    router's partitioned fan-out takes several owners' locks (in
+    worker-id order), sends to all, then collects every reply, so the
+    workers count concurrently without a thread per owner.
     """
 
     def __init__(self, ctx, worker_id: int, graphs: dict,
-                 partition_roots: dict, config) -> None:
+                 partition_roots: dict, backend: str) -> None:
         self.worker_id = int(worker_id)
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=worker_main,
             args=(child_conn, self.worker_id, graphs, partition_roots,
-                  config),
+                  backend),
             name=f"repro-dist-w{worker_id}", daemon=True)
         self.process.start()
         child_conn.close()
         self._conn = parent_conn
-        self._lock = threading.Lock()
+        #: held from send() to the matching recv()
+        self.lock = threading.Lock()
         self._closed = False
 
     @property
@@ -234,24 +271,37 @@ class WorkerHandle:
     def alive(self) -> bool:
         return not self._closed and self.process.is_alive()
 
+    def _died(self, exc: BaseException) -> ServiceError:
+        self._closed = True
+        return ServiceError(f"worker w{self.worker_id} died "
+                            f"({type(exc).__name__})")
+
+    def send(self, envelope: tuple) -> None:
+        """Ship one envelope (caller holds :attr:`lock`)."""
+        if self._closed:
+            raise ServiceError(f"worker w{self.worker_id} is closed")
+        try:
+            self._conn.send(envelope)
+        except (EOFError, OSError) as exc:
+            raise self._died(exc) from exc
+
+    def recv(self):
+        """Block for the reply to the last :meth:`send` (caller holds
+        :attr:`lock`)."""
+        try:
+            return self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._died(exc) from exc
+
     def call(self, envelope: tuple):
         """Send one envelope, block for its reply."""
-        with self._lock:
-            if self._closed:
-                raise ServiceError(
-                    f"worker w{self.worker_id} is closed")
-            try:
-                self._conn.send(envelope)
-                return self._conn.recv()
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                self._closed = True
-                raise ServiceError(
-                    f"worker w{self.worker_id} died "
-                    f"({type(exc).__name__})") from exc
+        with self.lock:
+            self.send(envelope)
+            return self.recv()
 
     def close(self, timeout: float = 5.0) -> None:
         """Graceful shutdown; escalates to terminate (idempotent)."""
-        with self._lock:
+        with self.lock:
             if not self._closed:
                 try:
                     self._conn.send(("close",))

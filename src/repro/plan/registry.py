@@ -303,6 +303,8 @@ _CORE_MODULES = ("repro.core.basic", "repro.core.bcl", "repro.core.bclp",
                  # thereby its planner eligibility) at import time, the
                  # same self-registration pattern the counters use
                  "repro.engine.native")
+#: set once every module in _CORE_MODULES has imported
+_core_registered = False
 
 
 def register_method(spec: MethodSpec, replace: bool = False) -> MethodSpec:
@@ -316,11 +318,20 @@ def register_method(spec: MethodSpec, replace: bool = False) -> MethodSpec:
 
 
 def _ensure_registered() -> None:
-    """Import the counter modules so their registrations have run."""
+    """Import the counter modules so their registrations have run.
+
+    Runs the imports once per process: every ``Scheduler.submit``
+    validates its method through here.  The flag is set only after all
+    of them succeed, so a failed import is retried on the next call.
+    """
+    global _core_registered
+    if _core_registered:
+        return
     import importlib
 
     for module in _CORE_MODULES:
         importlib.import_module(module)
+    _core_registered = True
 
 
 def _ordered() -> list[MethodSpec]:

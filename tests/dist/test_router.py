@@ -216,3 +216,50 @@ def test_close_is_idempotent_and_stops_workers():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@needs_fork
+def test_requests_start_no_threads_once_the_router_is_up(monkeypatch):
+    """The router's dispatch thread talks to the worker pipes itself:
+    neither a partitioned fan-out nor a routed batch starts a thread."""
+    import threading
+
+    graphs = make_graphs()
+    expected = oracle(graphs)
+    with DistRouter(graphs, workers=2, hot=("hot",),
+                    partitioned=("big",), backend="fast") as router:
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a request started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_threads)
+        for (name, p, q), want in sorted(expected.items()):
+            assert router.count(name, p, q, timeout=60).count == want
+        monkeypatch.undo()
+
+
+@needs_fork
+def test_dead_worker_fails_the_fanout_and_the_survivor_stays_in_sync():
+    import os
+    import signal
+
+    graphs = {"big": power_law_bipartite(70, 55, 320, seed=7),
+              "warm": random_bipartite(50, 40, 220, seed=6)}
+    router = DistRouter(graphs, workers=2, partitioned=("big",),
+                        backend="fast")
+    try:
+        [survivor] = router.routing_table()["warm"]["owners"]
+        victim = 1 - survivor
+        handle = router._handles[victim]
+        os.kill(handle.pid, signal.SIGKILL)
+        handle.process.join(timeout=30)
+        assert not handle.process.is_alive()
+        with pytest.raises(ServiceError, match=f"worker w{victim}"):
+            router.count("big", 2, 2, timeout=60)
+        # the survivor's partial reply was read, so its next reply
+        # answers this request, not the fan-out's
+        want = gbc_count(graphs["warm"], BicliqueQuery(2, 3),
+                         backend="fast").count
+        assert router.count("warm", 2, 3, timeout=60).count == want
+    finally:
+        router.close(timeout=30)
+    assert not router._handles[survivor].process.is_alive()

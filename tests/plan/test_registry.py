@@ -87,3 +87,59 @@ class TestFailureModes:
             assert ensure_accuracy(tier) == tier
         with pytest.raises(QueryError, match="accuracy"):
             ensure_accuracy("fuzzy")
+
+
+class TestRegistrationImports:
+    """The counter modules are imported once per process, not on every
+    lookup: ``ensure_known`` runs on every ``Scheduler.submit``."""
+
+    def test_second_lookup_imports_nothing(self, monkeypatch):
+        import importlib
+
+        ensure_known("GBC")
+        calls = []
+        real = importlib.import_module
+
+        def counting(name, package=None):
+            calls.append(name)
+            return real(name, package)
+
+        monkeypatch.setattr(importlib, "import_module", counting)
+        assert ensure_known("GBC") == "GBC"
+        assert calls == []
+
+    def test_custom_method_registered_afterwards_resolves(self,
+                                                           monkeypatch):
+        import repro.plan.registry as registry
+
+        ensure_known("GBC")
+        # a private copy, so the canonical listing above stays intact
+        monkeypatch.setattr(registry, "_REGISTRY",
+                            dict(registry._REGISTRY))
+        spec = register_method(MethodSpec(name="custom-late",
+                                          runner=lambda *a, **k: None))
+        assert ensure_known("custom-late") == "custom-late"
+        assert get_method("custom-late") is spec
+        assert "custom-late" in method_names()
+
+    def test_failed_import_is_retried(self, monkeypatch):
+        import importlib
+
+        import repro.plan.registry as registry
+
+        monkeypatch.setattr(registry, "_core_registered", False)
+        real = importlib.import_module
+        planted = []
+
+        def fails_once(name, package=None):
+            if not planted:
+                planted.append(name)
+                raise ImportError(f"planted failure importing {name}")
+            return real(name, package)
+
+        monkeypatch.setattr(importlib, "import_module", fails_once)
+        with pytest.raises(ImportError, match="planted"):
+            ensure_known("GBC")
+        assert not registry._core_registered
+        assert ensure_known("GBC") == "GBC"
+        assert registry._core_registered
