@@ -9,8 +9,7 @@ are smaller but still >1x).
 
 Timings use a warm :class:`~repro.query.GraphSession` so the
 comparison isolates kernel execution: both backends reuse the same
-cached order/index/HTB, and the native CSR pack is built once before
-the first timed run.  Results land in
+cached order/index/HTB.  Results land in
 ``benchmarks/artifacts/BENCH_native.json`` — the artifact the CI
 ``native-bench`` job uploads.
 
@@ -28,7 +27,6 @@ from repro import BicliqueQuery
 from repro.bench.datasets import list_datasets, load_dataset
 from repro.core.gbc import gbc_count
 from repro.core.gbl import gbl_count
-from repro.engine.native import jit_available
 from repro.query import GraphSession
 
 ARTIFACT_PATH = Path(__file__).parent / "artifacts" / "BENCH_native.json"
@@ -79,7 +77,6 @@ def _run(scale: str) -> dict:
         "reps": REPS,
         "min_speedup": MIN_SPEEDUP,
         "target_speedup": TARGET_SPEEDUP,
-        "jit": jit_available(),
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "datasets": [_measure_dataset(key, scale)
                      for key in list_datasets()],
@@ -88,8 +85,7 @@ def _run(scale: str) -> dict:
 
 def _render(artifact: dict) -> str:
     lines = [f"Native backend speedup — (p,q)=({QUERY.p},{QUERY.q}), "
-             f"scale {artifact['scale']}, "
-             f"jit={'on' if artifact['jit'] else 'off'}",
+             f"scale {artifact['scale']}",
              f"{'ds':<4}" + "".join(
                  f" {m + ' fast':>10} {m + ' nat':>10} {'x':>6}"
                  for m, _ in METHODS)]

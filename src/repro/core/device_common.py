@@ -24,7 +24,7 @@ from repro.graph.priority import priority_order_from_sizes, rank_from_order
 from repro.graph.twohop import TwoHopIndex, build_wedge_index
 
 __all__ = ["DeviceInputs", "prepare_device_inputs", "assign_roots_to_blocks",
-           "comb_sum", "resolve_native_pack", "BALANCE_STRATEGIES"]
+           "comb_sum", "BALANCE_STRATEGIES"]
 
 BALANCE_STRATEGIES = ("none", "pre", "runtime", "joint")
 
@@ -49,26 +49,6 @@ def comb_sum(sizes: np.ndarray, k: int) -> int:
         lut = np.asarray(table, dtype=np.int64)
         return int(lut[sizes].sum())
     return sum(table[s] for s in sizes.tolist())
-
-
-def resolve_native_pack(engine, inputs: "DeviceInputs", session=None):
-    """The CSR pack a batch-kernel engine runs over, or ``None``.
-
-    Engines that declare ``wants_pack`` (the native backend) receive a
-    :class:`repro.engine.native.NativePack`: from the session's
-    prepared-state cache when one is supplied (built once per
-    (layer, k), the ``native:<layer>:<k>`` plan requirement), otherwise
-    packed ad hoc from the freshly prepared inputs.  Other engines get
-    ``None`` and the counters index the graph arrays directly.
-    """
-    if not getattr(engine, "wants_pack", False):
-        return None
-    if session is not None:
-        return session.native_pack(inputs.anchored_layer, inputs.q)
-    from repro.engine.native import build_native_pack
-
-    return build_native_pack(inputs.graph, inputs.index,
-                             inputs.anchored_layer, inputs.q)
 
 
 @dataclass

@@ -28,7 +28,6 @@ from repro.core.device_common import (
     assign_roots_to_blocks,
     comb_sum,
     prepare_device_inputs,
-    resolve_native_pack,
 )
 from repro.core.frontier import csr_frontier_count, htb_frontier_count
 from repro.graph.csr import row_lengths
@@ -120,7 +119,6 @@ class _RootKernel:
     engine: KernelBackend
     htb1: HTB | None
     htb2: HTB | None
-    pack: object = None
     metrics: KernelMetrics = field(default_factory=KernelMetrics)
     working: _WorkingSet = field(default_factory=_WorkingSet)
     total: int = 0
@@ -215,14 +213,10 @@ class _RootKernel:
 
     def _rec_csr(self, depth: int, cl: np.ndarray, cr: np.ndarray,
                  p: int, q: int) -> None:
-        if self.pack is not None:
-            adj_off, adj_val = self.pack.adj_offsets, self.pack.adj_values
-            idx_off, idx_val = self.pack.idx_offsets, self.pack.idx_values
-        else:
-            g = self.inputs.graph
-            index = self.inputs.index
-            adj_off, adj_val = g.u_offsets, g.u_neighbors
-            idx_off, idx_val = index.offsets, index.neighbors
+        g = self.inputs.graph
+        index = self.inputs.index
+        adj_off, adj_val = g.u_offsets, g.u_neighbors
+        idx_off, idx_val = index.offsets, index.neighbors
         parent_words = len(cl) + len(cr)
         self.working.push(parent_words)
         batch = self._batch_size(parent_words)
@@ -276,7 +270,7 @@ class _RootKernel:
 
 def _gbc_chunk_kernel(inputs, positions, spec: DeviceSpec, opts: GBCOptions,
                       engine: KernelBackend, htb1: HTB | None,
-                      htb2: HTB | None, pack=None
+                      htb2: HTB | None
                       ) -> tuple[int, list[float], KernelMetrics, int]:
     """Run the per-root kernel over a chunk of root positions."""
     total = 0
@@ -286,7 +280,7 @@ def _gbc_chunk_kernel(inputs, positions, spec: DeviceSpec, opts: GBCOptions,
     for pos in positions:
         kernel = _RootKernel(inputs=inputs, spec=spec, opts=opts,
                              engine=engine, htb1=htb1, htb2=htb2,
-                             pack=pack, metrics=engine.new_metrics())
+                             metrics=engine.new_metrics())
         kernel.run(int(inputs.roots[pos]), inputs.p, inputs.q)
         total += kernel.total
         cycles.append(effective_cycles(kernel.metrics, spec))
@@ -333,10 +327,6 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
             htb2 = htb_from_two_hop(inputs.index)
         htb_seconds = time.perf_counter() - t0
 
-    # the CSR path (NB variant) is the only consumer of the native pack
-    pack = (None if opts.use_htb
-            else resolve_native_pack(engine, inputs, session=session))
-
     weights = row_lengths(inputs.index.offsets,
                           inputs.roots).astype(np.float64)
     total = 0
@@ -355,15 +345,10 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
                 engine, agg, htb1, htb2, inputs.roots, inputs.p,
                 inputs.q, warps=spec.warps_per_block)
         else:
-            if pack is not None:
-                adj = (pack.adj_offsets, pack.adj_values)
-                idx = (pack.idx_offsets, pack.idx_values)
-            else:
-                adj = (inputs.graph.u_offsets, inputs.graph.u_neighbors)
-                idx = (inputs.index.offsets, inputs.index.neighbors)
             total, peak_words = csr_frontier_count(
-                engine, agg, adj[0], adj[1], idx[0], idx[1],
-                inputs.roots, inputs.p, inputs.q,
+                engine, agg, inputs.graph.u_offsets,
+                inputs.graph.u_neighbors, inputs.index.offsets,
+                inputs.index.neighbors, inputs.roots, inputs.p, inputs.q,
                 warps=spec.warps_per_block)
         # no per-root cycle profile exists on the frontier path (the
         # engine is uninstrumented and roots run level-batched, not
@@ -372,7 +357,7 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
     else:
         for idxs, part in engine.map_shards(
                 lambda idxs: _gbc_chunk_kernel(inputs, idxs, spec, opts,
-                                               engine, htb1, htb2, pack),
+                                               engine, htb1, htb2),
                 len(inputs.roots), weights=weights):
             part_total, part_cycles, part_agg, part_peak = part
             total += part_total
@@ -467,7 +452,9 @@ for _variant in ("NH", "NB", "NW"):
         instrumented_metrics=True,
         device_model=True,
         ablation=True,
-        prepared_kinds=("wedges", "order", "two_hop", "htb"),
+        # NB intersects CSR rows, so it never reads the HTBs
+        prepared_kinds=("wedges", "order", "two_hop")
+        + (() if _variant == "NB" else ("htb",)),
         default_options=(lambda v=_variant: gbc_variant(v)),
         order=60 + ("NH", "NB", "NW").index(_variant),
         summary=f"Fig. 9 ablation: GBC without "

@@ -19,7 +19,6 @@ from repro.core.device_common import (
     assign_roots_to_blocks,
     comb_sum,
     prepare_device_inputs,
-    resolve_native_pack,
 )
 from repro.core.frontier import csr_frontier_count
 from repro.graph.csr import row_lengths
@@ -35,8 +34,7 @@ __all__ = ["gbl_count"]
 
 
 def _gbl_root_kernel(inputs, root: int, spec: DeviceSpec,
-                     engine: KernelBackend,
-                     pack=None) -> tuple[int, KernelMetrics]:
+                     engine: KernelBackend) -> tuple[int, KernelMetrics]:
     """DFS search tree of one root with binary-search intersections.
 
     Each recursion level submits its whole frontier (every candidate's
@@ -48,12 +46,8 @@ def _gbl_root_kernel(inputs, root: int, spec: DeviceSpec,
     """
     g = inputs.graph
     index = inputs.index
-    if pack is not None:
-        adj_off, adj_val = pack.adj_offsets, pack.adj_values
-        idx_off, idx_val = pack.idx_offsets, pack.idx_values
-    else:
-        adj_off, adj_val = g.u_offsets, g.u_neighbors
-        idx_off, idx_val = index.offsets, index.neighbors
+    adj_off, adj_val = g.u_offsets, g.u_neighbors
+    idx_off, idx_val = index.offsets, index.neighbors
     p, q = inputs.p, inputs.q
     warps = spec.warps_per_block
     metrics = engine.new_metrics()
@@ -92,7 +86,7 @@ def _gbl_root_kernel(inputs, root: int, spec: DeviceSpec,
 
 
 def _gbl_chunk_kernel(inputs, positions, spec: DeviceSpec,
-                      engine: KernelBackend, pack=None
+                      engine: KernelBackend
                       ) -> tuple[int, list[float], KernelMetrics]:
     """Run the per-root kernel over a chunk of root positions."""
     total = 0
@@ -100,7 +94,7 @@ def _gbl_chunk_kernel(inputs, positions, spec: DeviceSpec,
     agg = KernelMetrics()
     for pos in positions:
         got, metrics = _gbl_root_kernel(inputs, int(inputs.roots[pos]),
-                                        spec, engine, pack)
+                                        spec, engine)
         total += got
         cycles.append(effective_cycles(metrics, spec))
         agg.merge(metrics)
@@ -123,7 +117,6 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
     engine = resolve_backend(backend, spec, workers=workers)
     wall0 = time.perf_counter()
     inputs = prepare_device_inputs(graph, query, layer, session=session)
-    pack = resolve_native_pack(engine, inputs, session=session)
     blocks = num_blocks or spec.blocks_per_launch
 
     weights = row_lengths(inputs.index.offsets,
@@ -131,19 +124,15 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
     total = 0
     per_root_cycles = [0.0] * len(inputs.roots)
     agg = KernelMetrics()
+    peak_words = 0
     if engine.frontier:
         # level-synchronous traversal: one pairwise kernel call per
         # search level across every root (identical counts, none of the
         # per-node dispatch the recursion pays)
-        if pack is not None:
-            adj = (pack.adj_offsets, pack.adj_values)
-            idx = (pack.idx_offsets, pack.idx_values)
-        else:
-            adj = (inputs.graph.u_offsets, inputs.graph.u_neighbors)
-            idx = (inputs.index.offsets, inputs.index.neighbors)
         agg = engine.new_metrics()
-        total, _ = csr_frontier_count(
-            engine, agg, adj[0], adj[1], idx[0], idx[1], inputs.roots,
+        total, peak_words = csr_frontier_count(
+            engine, agg, inputs.graph.u_offsets, inputs.graph.u_neighbors,
+            inputs.index.offsets, inputs.index.neighbors, inputs.roots,
             inputs.p, inputs.q, warps=spec.warps_per_block)
         # no per-root cycle profile exists on the frontier path (the
         # engine is uninstrumented and roots run level-batched, not
@@ -151,8 +140,7 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
         sched = simulate_blocks([], spec, stealing=False)
     else:
         for idxs, (part_total, part_cycles, part_agg) in engine.map_shards(
-                lambda idxs: _gbl_chunk_kernel(inputs, idxs, spec, engine,
-                                               pack),
+                lambda idxs: _gbl_chunk_kernel(inputs, idxs, spec, engine),
                 len(inputs.roots), weights=weights):
             total += part_total
             agg.merge(part_agg)
@@ -173,6 +161,7 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
         makespan_cycles=sched.makespan_cycles,
         device_seconds=spec.seconds(sched.makespan_cycles),
         steals=sched.steals,
+        peak_working_set_bytes=4 * peak_words,
         breakdown={
             "prepare_seconds": inputs.prepare_seconds,
             "imbalance": sched.imbalance,

@@ -1,7 +1,7 @@
 """Unified kernel-backend layer: pluggable execution engines.
 
 Planning/definition (which sets intersect, in which order) lives in
-:mod:`repro.core`; measured execution lives here.  Three engines ship:
+:mod:`repro.core`; measured execution lives here.  Four engines ship:
 
 * ``"sim"`` — :class:`SimulatedDeviceBackend`, the instrumented simulated
   GPU every paper figure is measured with;
@@ -11,8 +11,8 @@ Planning/definition (which sets intersect, in which order) lives in
   forked worker processes with deterministic merging (counts identical
   to a serial fast run for any worker count);
 * ``"native"`` — :class:`~repro.engine.native.NativeBackend`, the
-  batch-kernel engine: whole frontiers of intersections per vectorised
-  (optionally numba-JIT) kernel call, counts bit-identical to ``fast``.
+  batch-kernel engine: every intersection of a search level per
+  vectorised kernel call, counts bit-identical to ``fast``.
 
 Select one via the ``backend=`` argument of any counting entry point, the
 ``--backend``/``--workers`` CLI flags, or construct an engine directly:

@@ -20,17 +20,20 @@ search (which sets intersect, in which order) is separated from its
   sharded over forked worker processes; counts stay bit-identical to a
   serial fast run while the root set executes in parallel.
 * :class:`repro.engine.native.NativeBackend` — the batch-kernel engine:
-  whole frontiers of intersections execute as single vectorised (or
-  numba-JIT-compiled) kernels over the flat CSR/HTB arrays.
+  every intersection of a search level executes as one vectorised
+  kernel over the flat CSR/HTB arrays.
 
-Beyond the four scalar primitives the protocol carries *batch* entry
-points (``merge_many``, ``intersect_many``/``intersect_sizes``,
-``membership_many``, ``bitmap_intersect_many``/
-``bitmap_intersect_counts``).  Their default implementations loop the
-scalar kernels with exactly the per-call arguments the counters used to
-pass, so ``sim``/``fast``/``par`` behave bit-identically to the
-pre-batch call sites; a backend that can amortise per-call dispatch
-(``native``) overrides them.
+Beyond the four scalar primitives the protocol carries two families of
+batch entry points.  The per-node ones (``intersect_many``/
+``intersect_sizes``, ``bitmap_intersect_many``/
+``bitmap_intersect_counts``) serve the per-root recursion of GBL and
+GBC; they loop the scalar kernels with exactly the per-call arguments
+the counters used to pass, so ``sim``/``fast``/``par`` account
+bit-identically to the pre-batch call sites.  The pairwise ones
+(``intersect_pairs``/``intersect_pairs_sizes``, ``bitmap_pairs``/
+``bitmap_pairs_counts``) serve the level-synchronous frontier
+traversal; a backend that can amortise per-call dispatch (``native``)
+overrides them.
 
 Every counter runs its root loop through one call,
 :meth:`KernelBackend.map_shards`: all roots as one in-process shard by
@@ -130,28 +133,13 @@ class KernelBackend(ABC):
                          record_slots: bool = True) -> "BitmapSet":
         """Intersect two truncated bitmaps (the HTB path, Example 7)."""
 
-    # -- batch entry points --------------------------------------------
-    # One call per *frontier* instead of one call per candidate.  The
-    # defaults below loop the scalar primitives with exactly the
+    # -- per-node batch entry points -----------------------------------
+    # One call per recursion node's frontier instead of one call per
+    # candidate.  They loop the scalar primitives with exactly the
     # arguments the historical per-candidate call sites passed (same
     # base_word, same flag plumbing, same call count), so the simulated
     # engine's accounting is bit-identical whether a counter batches or
-    # not.  Engines that can amortise per-call dispatch override them.
-
-    def merge_many(self, a: np.ndarray, lists: "list[np.ndarray]",
-                   comparisons: list[int] | None = None
-                   ) -> list[np.ndarray]:
-        """:meth:`merge` of ``a`` against every list in ``lists``."""
-        if _trace.enabled:
-            _trace.tally_kernel("merge_many", items=len(lists))
-        return [self.merge(a, b, comparisons) for b in lists]
-
-    def membership_many(self, keys: np.ndarray,
-                        lists: "list[np.ndarray]") -> list[np.ndarray]:
-        """:meth:`membership` of ``keys`` against every list."""
-        if _trace.enabled:
-            _trace.tally_kernel("membership_many", items=len(lists))
-        return [self.membership(keys, lst) for lst in lists]
+    # not.
 
     def intersect_many(self, keys: np.ndarray, offsets: np.ndarray,
                        values: np.ndarray, rows: np.ndarray,

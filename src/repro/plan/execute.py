@@ -50,8 +50,7 @@ def explicit_plan(graph, query, method: str, *,
     return CountPlan(
         method=method, p=query.p, q=query.q,
         backend=backend_name, workers=workers, layer=layer,
-        prepared=prepared_keys(mspec, graph, query, layer,
-                               backend=backend_name),
+        prepared=prepared_keys(mspec, graph, query, layer),
         source="explicit",
         reason=f"explicitly requested {method}",
         samples=None if samples is None else int(samples),
@@ -125,8 +124,6 @@ def warm_session(session, plan: CountPlan) -> None:
             session.id_order_index(k)
         elif kind == "htb":
             session.htb_pair(layer, k)
-        elif kind == "native":
-            session.native_pack(layer, k)
         else:
             raise PlanError(f"unknown prepared-state kind in plan "
                             f"requirement {key!r}")

@@ -61,8 +61,7 @@ DEADLINE_SAFETY = 0.5
 
 
 def prepared_keys(mspec: MethodSpec, graph, query,
-                  layer: str | None = None,
-                  backend: str | None = None) -> tuple[str, ...]:
+                  layer: str | None = None) -> tuple[str, ...]:
     """The session-state keys a method needs for one query.
 
     Keys are ``kind:layer[:k]`` strings a
@@ -71,8 +70,8 @@ def prepared_keys(mspec: MethodSpec, graph, query,
     effective two-hop depth ``k`` are resolved exactly as the counter
     will resolve them, so warming a plan's requirements is equivalent to
     letting the counter build lazily — just observable and timeable.
-    Device-model methods running on the ``native`` engine additionally
-    require that engine's repacked CSR arrays (``native:<layer>:<k>``).
+    Every engine reads the same state, so the keys depend on the method
+    and the query only.
     """
     if not mspec.supports_layer:        # Basic: always anchored on U
         anchored, k = LAYER_U, query.q
@@ -85,8 +84,6 @@ def prepared_keys(mspec: MethodSpec, graph, query,
             keys.append(f"wedges:{anchored}")
         else:
             keys.append(f"{kind}:{anchored}:{k}")
-    if backend == "native" and mspec.device_model:
-        keys.append(f"native:{anchored}:{k}")
     return tuple(keys)
 
 
@@ -355,8 +352,7 @@ class Planner:
                 plans.append((rank_cost, eng_pos, position, CountPlan(
                     method=mspec.name, p=query.p, q=query.q,
                     backend=engine_name, workers=workers, layer=layer,
-                    prepared=prepared_keys(mspec, self.graph, query,
-                                           layer, backend=engine_name),
+                    prepared=prepared_keys(mspec, self.graph, query, layer),
                     predicted_seconds=predicted,
                     observed_seconds=observed,
                     calibrated_seconds=calibrated,
@@ -418,8 +414,7 @@ class Planner:
                 plans.append((predicted, eng_pos, position, CountPlan(
                     method=mspec.name, p=query.p, q=query.q,
                     backend=engine_name, workers=None, layer=layer,
-                    prepared=prepared_keys(mspec, self.graph, query,
-                                           layer, backend=engine_name),
+                    prepared=prepared_keys(mspec, self.graph, query, layer),
                     predicted_seconds=predicted,
                     source="auto",
                     reason=reason,

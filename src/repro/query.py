@@ -142,7 +142,6 @@ class SessionStats:
     index_builds: int = 0      #: N2^k two-hop indexes materialised
     htb_adj_builds: int = 0    #: HTBs over 1-hop adjacency (per layer)
     htb_two_hop_builds: int = 0  #: HTBs over N2^k lists (per layer, k)
-    native_pack_builds: int = 0  #: native-backend CSR packs (per layer, k)
     prepare_calls: int = 0     #: root-set preparations served
 
     def as_dict(self) -> dict[str, int]:
@@ -260,7 +259,6 @@ class GraphSession:
         self._indexes: dict[tuple, TwoHopIndex] = {}
         self._htb_adj: dict[str, HTB] = {}
         self._htb_two_hop: dict[tuple, HTB] = {}
-        self._native_packs: dict[tuple, object] = {}
         self._plans: dict[tuple, CountPlan] = {}
         self._planner: Planner | None = None
 
@@ -380,27 +378,6 @@ class GraphSession:
                 self._htb_two_hop[key] = htb2
             return htb1, htb2
 
-    def native_pack(self, layer: str, k: int):
-        """The native backend's contiguous CSR pack for (``layer``, ``k``)
-        — the anchored adjacency plus the rank-filtered N2^k index,
-        repacked once per (layer, k) and shared by every native-engine
-        count (the ``native:<layer>:<k>`` plan requirement)."""
-        with self._lock:
-            key = (layer, int(k))
-            got = self._native_packs.get(key)
-            if got is None:
-                from repro.engine.native import build_native_pack
-
-                with _trace.span("prepare.native_pack", layer=layer,
-                                 k=int(k)) as sp:
-                    self.stats.native_pack_builds += 1
-                    got = build_native_pack(self.anchored(layer),
-                                            self.two_hop_index(layer, k),
-                                            layer, k)
-                    sp.annotate(bytes=got.nbytes)
-                self._native_packs[key] = got
-            return got
-
     def prepared(self, query: BicliqueQuery, layer: str | None = None):
         """The :class:`~repro.core.device_common.DeviceInputs` for one
         query, served from the session's caches."""
@@ -427,7 +404,6 @@ class GraphSession:
             self._indexes.clear()
             self._htb_adj.clear()
             self._htb_two_hop.clear()
-            self._native_packs.clear()
             self._plans.clear()
             self._planner = None
             self.results.clear()

@@ -2,6 +2,7 @@
 
 
 from repro.core.counts import BicliqueQuery
+from repro.core.gbc import gbc_count, gbc_variant
 from repro.core.gbl import gbl_count
 from repro.gpu.device import small_test_device
 
@@ -34,3 +35,14 @@ class TestGBL:
     def test_imbalance_reported(self, medium_power_law):
         res = gbl_count(medium_power_law, BicliqueQuery(3, 2))
         assert res.breakdown["imbalance"] >= 1.0
+
+    def test_native_reports_the_frontier_peak(self, medium_power_law):
+        """On ``native`` GBL runs the CSR frontier GBC-NB runs, over the
+        same arrays, so it reports the same nonzero working-set peak."""
+        query = BicliqueQuery(3, 2)
+        gbl = gbl_count(medium_power_law, query, backend="native")
+        nb = gbc_count(medium_power_law, query, options=gbc_variant("NB"),
+                       backend="native")
+        assert gbl.count == nb.count > 0
+        assert gbl.peak_working_set_bytes > 0
+        assert gbl.peak_working_set_bytes == nb.peak_working_set_bytes

@@ -1,16 +1,17 @@
-"""The native batch-kernel backend: equivalence, gating, prepared state.
+"""The native batch-kernel backend: equivalence and prepared state.
 
 Three layers of protection:
 
-* **primitive equivalence** — every batch kernel against the protocol's
-  default implementation (a loop over the scalar ``fast`` kernels) on
-  randomised CSR/HTB batches, including empty keys/rows/selections;
+* **pairwise-kernel equivalence** — each of the frontier's four
+  pairwise kernels against the protocol's default implementation (a
+  loop over the scalar ``fast`` kernels) on randomised CSR/HTB levels,
+  including empty keys/rows/selections;
 * **algorithm equivalence** — every counter (ablation variants
   included) produces counts bit-identical to ``fast``, on regular and
   degenerate graphs, across all four registered engines;
-* **tier gating** — ``REPRO_NATIVE_JIT`` and the explicit ``jit=`` flag
-  resolve as documented whether or not numba is installed, and (when it
-  is) the JIT tier matches the pure-numpy tier exactly.
+* **prepared state** — a count on ``native`` builds exactly what the
+  same count builds on ``fast``: the engine reads the shared prepared
+  arrays and keeps no state of its own.
 """
 
 from __future__ import annotations
@@ -20,15 +21,8 @@ import pytest
 
 from repro.bench.runner import run_method
 from repro.core.counts import BicliqueQuery
-from repro.core.gbc import gbc_count, gbc_variant
-from repro.core.gbl import gbl_count
 from repro.engine import NativeBackend, ParallelBackend, resolve_backend
 from repro.engine.fast import FastBackend
-from repro.engine.native import (
-    JIT_ENV,
-    build_native_pack,
-    jit_available,
-)
 from repro.gpu.metrics import KernelMetrics
 from repro.graph.builders import from_edges
 from repro.graph.generators import power_law_bipartite, random_bipartite
@@ -58,82 +52,6 @@ def _pack_csr(rows):
     return offsets, values
 
 
-class TestPrimitiveEquivalence:
-    """Each batch kernel vs the scalar-loop default on the same data."""
-
-    @pytest.fixture()
-    def engines(self):
-        return NativeBackend(jit=False), FastBackend()
-
-    def test_merge_many(self, engines):
-        native, fast = engines
-        rng = np.random.default_rng(0)
-        a = np.unique(rng.integers(0, 200, 80)).astype(np.int64)
-        lists = _random_rows(rng, 12, 200, 40) + [np.empty(0, np.int64)]
-        got = native.merge_many(a, lists)
-        want = fast.merge_many(a, lists)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-        assert native.merge_many(a, []) == []
-        for out in native.merge_many(np.empty(0, np.int64), lists):
-            assert len(out) == 0
-
-    def test_membership_many(self, engines):
-        native, fast = engines
-        rng = np.random.default_rng(1)
-        keys = np.unique(rng.integers(0, 100, 30)).astype(np.int64)
-        lists = _random_rows(rng, 9, 100, 25) + [np.empty(0, np.int64)]
-        got = native.membership_many(keys, lists)
-        want = fast.membership_many(keys, lists)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(np.asarray(g), np.asarray(w))
-        for out in native.membership_many(np.empty(0, np.int64), lists):
-            assert len(out) == 0
-
-    def test_intersect_many_and_sizes(self, engines):
-        native, fast = engines
-        rng = np.random.default_rng(2)
-        offsets, values = _pack_csr(_random_rows(rng, 20, 300, 50))
-        keys = np.unique(rng.integers(0, 300, 90)).astype(np.int64)
-        rows = rng.integers(0, 20, 15)
-        m = KernelMetrics()
-        got = native.intersect_many(keys, offsets, values, rows, m)
-        want = fast.intersect_many(keys, offsets, values, rows, m)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-        np.testing.assert_array_equal(
-            native.intersect_sizes(keys, offsets, values, rows, m),
-            fast.intersect_sizes(keys, offsets, values, rows, m))
-        assert native.intersect_many(keys, offsets, values, [], m) == []
-        empty = native.intersect_sizes(np.empty(0, np.int64), offsets,
-                                       values, rows, m)
-        assert empty.sum() == 0 and len(empty) == len(rows)
-
-    def test_bitmap_many_and_counts(self, engines):
-        native, fast = engines
-        rng = np.random.default_rng(3)
-        htb = build_htb_from_rows(_random_rows(rng, 16, 400, 60))
-        keys = BitmapSet.from_vertices(
-            np.unique(rng.integers(0, 400, 120)).astype(np.int64))
-        rows = rng.integers(0, 16, 12)
-        m = KernelMetrics()
-        got = native.bitmap_intersect_many(keys, htb, rows, m)
-        want = fast.bitmap_intersect_many(keys, htb, rows, m)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.idx, w.idx)
-            np.testing.assert_array_equal(g.val, w.val)
-            assert g.count() == w.count()
-        np.testing.assert_array_equal(
-            native.bitmap_intersect_counts(keys, htb, rows, m),
-            fast.bitmap_intersect_counts(keys, htb, rows, m))
-        empty_keys = BitmapSet.from_vertices(np.empty(0, np.int64))
-        for got in native.bitmap_intersect_many(empty_keys, htb, rows, m):
-            assert got.is_empty()
-        assert native.bitmap_intersect_counts(
-            empty_keys, htb, rows, m).sum() == 0
-
-
 class TestPairwiseEquivalence:
     """The frontier's pairwise kernels vs the scalar-loop defaults.
 
@@ -146,7 +64,7 @@ class TestPairwiseEquivalence:
 
     @pytest.fixture()
     def engines(self):
-        return NativeBackend(jit=False), FastBackend()
+        return NativeBackend(), FastBackend()
 
     def _ragged(self, rows):
         offsets, values = _pack_csr(rows)
@@ -213,28 +131,6 @@ class TestPairwiseEquivalence:
             fast.bitmap_pairs_counts(a_off, a_idx, a_val, a_ids,
                                      htb, rows, m))
 
-    @pytest.mark.skipif(not jit_available(),
-                        reason="numba not installed (pip install .[native])")
-    def test_jit_pairwise_matches_numpy(self):
-        rng = np.random.default_rng(23)
-        a_off, a_val = _pack_csr(_random_rows(rng, 9, 250, 40))
-        offsets, values = _pack_csr(_random_rows(rng, 11, 250, 45))
-        a_ids = rng.integers(0, 9, 20).astype(np.int64)
-        rows = rng.integers(0, 11, 20).astype(np.int64)
-        m = KernelMetrics()
-        jit, plain = NativeBackend(jit=True), NativeBackend(jit=False)
-        got_off, got_flat = jit.intersect_pairs(
-            a_off, a_val, a_ids, offsets, values, rows, m)
-        want_off, want_flat = plain.intersect_pairs(
-            a_off, a_val, a_ids, offsets, values, rows, m)
-        np.testing.assert_array_equal(got_off, want_off)
-        np.testing.assert_array_equal(got_flat, want_flat)
-        np.testing.assert_array_equal(
-            jit.intersect_pairs_sizes(a_off, a_val, a_ids, offsets,
-                                      values, rows, m),
-            plain.intersect_pairs_sizes(a_off, a_val, a_ids, offsets,
-                                        values, rows, m))
-
 
 class TestAlgorithmEquivalence:
     """Counts bit-identical to fast across every counter and variant."""
@@ -282,102 +178,23 @@ class TestDegenerateInputs:
             f"{algorithm} disagrees on {case}: {counts}"
 
 
-class TestJitGating:
-    def test_env_off(self, monkeypatch):
-        for raw in ("0", "false", "off", "no"):
-            monkeypatch.setenv(JIT_ENV, raw)
-            assert NativeBackend().jit_enabled is False
-
-    def test_env_on_degrades_without_numba(self, monkeypatch):
-        for raw in ("1", "true", "on", "yes"):
-            monkeypatch.setenv(JIT_ENV, raw)
-            assert NativeBackend().jit_enabled is jit_available()
-
-    def test_env_unset_means_auto(self, monkeypatch):
-        monkeypatch.delenv(JIT_ENV, raising=False)
-        assert NativeBackend().jit_enabled is jit_available()
-
-    def test_explicit_flag(self, monkeypatch):
-        monkeypatch.setenv(JIT_ENV, "1")  # flag beats the environment
-        assert NativeBackend(jit=False).jit_enabled is False
-        assert NativeBackend(jit=True).jit_enabled is jit_available()
-
-    @pytest.mark.skipif(not jit_available(),
-                        reason="numba not installed (pip install .[native])")
-    def test_jit_tier_matches_numpy_tier(self):
-        graph = power_law_bipartite(40, 30, 200, seed=9)
-        for query in (BicliqueQuery(3, 2), BicliqueQuery(2, 3)):
-            jit = gbl_count(graph, query,
-                            backend=NativeBackend(jit=True)).count
-            plain = gbl_count(graph, query,
-                              backend=NativeBackend(jit=False)).count
-            assert jit == plain
-            jit = gbc_count(graph, query,
-                            backend=NativeBackend(jit=True)).count
-            plain = gbc_count(graph, query,
-                              backend=NativeBackend(jit=False)).count
-            assert jit == plain
-
-
 class TestPreparedState:
-    def test_session_pack_built_once(self):
+    """The engine reads the prepared state every engine shares."""
+
+    @pytest.mark.parametrize("method", ["GBL", "GBC", "GBC-NB"])
+    def test_native_count_builds_what_fast_builds(self, method):
         from repro.query import GraphSession
 
-        graph = random_bipartite(30, 25, 150, seed=4)
-        session = GraphSession(graph)
+        graph = power_law_bipartite(50, 40, 260, seed=5)
         query = BicliqueQuery(3, 2)
-        first = gbl_count(graph, query, backend="native", session=session)
-        again = gbl_count(graph, query, backend="native", session=session,
-                          )
-        assert first.count == again.count
-        assert session.stats.native_pack_builds == 1
-        assert first.count == gbl_count(graph, query,
-                                        backend="fast").count
-
-    def test_pack_cached_per_layer_k(self):
-        from repro.query import GraphSession
-
-        graph = random_bipartite(20, 20, 100, seed=6)
-        session = GraphSession(graph)
-        a = session.native_pack("U", 2)
-        assert session.native_pack("U", 2) is a
-        session.native_pack("U", 3)
-        assert session.stats.native_pack_builds == 2
-        assert session.refresh() is False      # untouched graph
-        assert session.native_pack("U", 2) is a
-
-    def test_warm_session_builds_native_kind(self):
-        from repro.plan import execute_plan, explicit_plan, warm_session
-        from repro.query import GraphSession
-
-        graph = random_bipartite(25, 20, 120, seed=8)
-        session = GraphSession(graph)
-        query = BicliqueQuery(2, 2)
-        plan = explicit_plan(graph, query, "GBL", backend="native")
-        assert any(key.startswith("native:") for key in plan.prepared)
-        warm_session(session, plan)
-        assert session.stats.native_pack_builds == 1
-        result = execute_plan(plan, graph, query, session=session)
-        assert session.stats.native_pack_builds == 1   # reused, not rebuilt
-        assert result.count == gbl_count(graph, query,
-                                         backend="fast").count
-
-    def test_adhoc_pack_matches_session_pack(self):
-        from repro.query import GraphSession
-
-        graph = random_bipartite(20, 15, 90, seed=2)
-        session = GraphSession(graph)
-        prepared = session.prepared(BicliqueQuery(2, 2))
-        adhoc = build_native_pack(prepared.graph, prepared.index,
-                                  prepared.anchored_layer, prepared.q)
-        cached = session.native_pack(prepared.anchored_layer, prepared.q)
-        np.testing.assert_array_equal(adhoc.adj_offsets,
-                                      cached.adj_offsets)
-        np.testing.assert_array_equal(adhoc.adj_values, cached.adj_values)
-        np.testing.assert_array_equal(adhoc.idx_offsets,
-                                      cached.idx_offsets)
-        np.testing.assert_array_equal(adhoc.idx_values, cached.idx_values)
-        assert cached.nbytes == adhoc.nbytes
+        counts, stats = {}, {}
+        for backend in ("fast", "native"):
+            session = GraphSession(graph)
+            counts[backend] = session.count(query, method,
+                                            backend=backend).count
+            stats[backend] = session.stats.as_dict()
+        assert counts["native"] == counts["fast"] > 0
+        assert stats["native"] == stats["fast"]
 
 
 class TestAutoPlanning:

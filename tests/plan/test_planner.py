@@ -118,14 +118,14 @@ class TestEngineChoice:
     def test_free_choice_ranks_native_candidates(self):
         """With no pinned engine the ranking prices the device methods
         on the native batch-kernel engine too, with its own cost model
-        and an extra ``native:<layer>:<k>`` prepared requirement."""
+        and the same prepared requirements as on ``fast``."""
         ranked = Planner(GRAPHS["random"]).rank(BicliqueQuery(2, 2))
         native = [p for p in ranked if p.backend == "native"]
         assert {p.method for p in native} == {"GBL", "GBC"}
         for plan in native:
-            assert any(key.startswith("native:") for key in plan.prepared)
             fast_twin = next(p for p in ranked if p.backend == "fast"
                              and p.method == plan.method)
+            assert plan.prepared == fast_twin.prepared
             assert plan.predicted_seconds < fast_twin.predicted_seconds
 
     def test_sim_backend_prefers_the_device_methods(self):

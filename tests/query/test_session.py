@@ -79,6 +79,13 @@ class TestBuildOnce:
                     "htb_adj_builds", "htb_two_hop_builds"):
             assert second[key] == first[key]
 
+    def test_nb_builds_no_htb(self, graph):
+        """GBC-NB intersects CSR rows, so its count builds neither HTB."""
+        session = GraphSession(graph)
+        session.count(BicliqueQuery(3, 3), "GBC-NB", backend="fast")
+        assert session.stats.htb_adj_builds == 0
+        assert session.stats.htb_two_hop_builds == 0
+
     def test_methods_share_prepared_structures(self, graph):
         session = GraphSession(graph)
         query = BicliqueQuery(3, 3)
