@@ -12,7 +12,10 @@ are noise) and checks the planner's promise end to end:
 
 The per-dataset table of predicted vs measured seconds is written to
 ``benchmarks/artifacts/BENCH_plan.json`` — the perf-trajectory artifact
-the CI planner-accuracy step regenerates on every run.
+the CI planner-accuracy step regenerates on every run.  Each row also
+records the ``native`` side, where ``auto`` is a rule rather than a
+ranking: the plan it picks, the seconds planning took, and the measured
+GBC and GBL headline seconds on that engine (recorded, not gated).
 
 Runs as part of the slow benchmark suite (``pytest -m "" benchmarks``)
 or directly: ``python benchmarks/test_plan_accuracy.py``.
@@ -38,11 +41,12 @@ REPS = 3
 MAX_RATIO = 2.0
 
 
-def _measure_headline(method: str, graph) -> tuple[float, int]:
+def _measure_headline(method: str, graph,
+                      backend: str = BACKEND) -> tuple[float, int]:
     """Best-of-REPS headline seconds (and the count) for one method."""
     best, count = float("inf"), None
     for _ in range(REPS):
-        result = run_method(method, graph, QUERY, backend=BACKEND)
+        result = run_method(method, graph, QUERY, backend=backend)
         best = min(best, headline_seconds(result))
         count = result.count
     return best, count
@@ -86,6 +90,13 @@ def _measure_dataset(key: str, scale: str) -> dict:
     recal = Planner(graph, ledger=ledger).rank(QUERY, backend=BACKEND)[0]
     calibrated_count = execute_plan(recal, graph, QUERY).count
 
+    start = time.perf_counter()
+    native_plan = Planner(graph).plan(QUERY, backend="native")
+    native_plan_seconds = time.perf_counter() - start
+    native_measured = {method: _measure_headline(method, graph,
+                                                 "native")[0]
+                       for method in ("GBC", "GBL")}
+
     return {
         "dataset": key,
         "query": [QUERY.p, QUERY.q],
@@ -106,6 +117,9 @@ def _measure_dataset(key: str, scale: str) -> dict:
         "predicted_seconds": predicted,
         "measured_seconds": measured,
         "counts": counts,
+        "native_auto_method": native_plan.method,
+        "native_plan_seconds": native_plan_seconds,
+        "native_measured_seconds": native_measured,
     }
 
 
@@ -125,7 +139,9 @@ def _render(artifact: dict) -> str:
     lines = [f"Planner accuracy — (p,q)=({QUERY.p},{QUERY.q}), "
              f"backend {BACKEND}, scale {artifact['scale']}",
              f"{'ds':<4} {'auto':>6} {'pred [ms]':>10} {'meas [ms]':>10} "
-             f"{'best':>6} {'best [ms]':>10} {'ratio':>6} {'calib':>6}"]
+             f"{'best':>6} {'best [ms]':>10} {'ratio':>6} {'calib':>6} "
+             f"{'native':>6} {'plan [ms]':>9} {'GBC [ms]':>9} "
+             f"{'GBL [ms]':>9}"]
     for row in artifact["datasets"]:
         lines.append(
             f"{row['dataset']:<4} {row['auto_method']:>6} "
@@ -134,7 +150,11 @@ def _render(artifact: dict) -> str:
             f"{row['best_method']:>6} "
             f"{row['best_measured_seconds'] * 1e3:>10.2f} "
             f"{row['ratio_vs_best']:>5.2f}x "
-            f"{row['calibrated_method']:>6}")
+            f"{row['calibrated_method']:>6} "
+            f"{row['native_auto_method']:>6} "
+            f"{row['native_plan_seconds'] * 1e3:>9.3f} "
+            f"{row['native_measured_seconds']['GBC'] * 1e3:>9.2f} "
+            f"{row['native_measured_seconds']['GBL'] * 1e3:>9.2f}")
     return "\n".join(lines)
 
 

@@ -81,6 +81,7 @@ from repro.engine import (
     BACKEND_NAMES,
     FastBackend,
     KernelBackend,
+    NativeBackend,
     ParallelBackend,
     SimulatedDeviceBackend,
     get_backend,
@@ -141,17 +142,6 @@ from repro.service import (
 )
 
 __version__ = "1.1.0"
-
-
-def __getattr__(name: str):
-    # mirror repro.engine's lazy export: importing the native engine
-    # eagerly here would load its cost-model registration mid-way
-    # through this package's own import chain
-    if name == "NativeBackend":
-        from repro.engine import NativeBackend
-
-        return NativeBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

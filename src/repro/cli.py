@@ -286,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("-p", type=int, required=True)
     pe.add_argument("-q", type=int, required=True)
     pe.add_argument("--backend", default=None, choices=list(BACKEND_NAMES),
-                    help="rank candidates under this engine "
-                         "(default: the planner's free choice, fast)")
+                    help="rank candidates under this engine (default: "
+                         "the planner's free choice, native, where "
+                         "auto is GBC without a ranking)")
     pe.add_argument("--workers", type=int, default=None, metavar="N",
                     help="worker processes; implies --backend par")
     pe.add_argument("--samples", type=int, default=8,
@@ -713,7 +714,9 @@ def _cmd_plan(args) -> int:
         marker = " <- chosen" if position == 1 else ""
         rel = plan.signals.get("predicted_rel_error")
         row = [f"{position}{marker}", plan.method, plan.backend,
-               format_seconds(plan.predicted_seconds)]
+               # the native rule's unpriced plan carries no signals
+               format_seconds(plan.predicted_seconds)
+               if plan.signals else "-"]
         if ledger is not None:
             row.append("-" if plan.observed_seconds is None
                        else format_seconds(plan.observed_seconds))
@@ -735,12 +738,13 @@ def _cmd_plan(args) -> int:
     chosen = ranked[0]
     signals = chosen.signals
     print(f"chosen: {chosen.method} on {chosen.backend} — {chosen.reason}")
-    print(f"probe: {signals['population']} promising roots "
-          f"(Basic sees {signals['basic_population']}), "
-          f"~{signals['comparisons']:.0f} comparisons "
-          f"(id order ~{signals['basic_comparisons']:.0f}), "
-          f"est. count {signals['est_count']:.0f}, "
-          f"anchored layer {signals['anchored_layer']}")
+    if signals:
+        print(f"probe: {signals['population']} promising roots "
+              f"(Basic sees {signals['basic_population']}), "
+              f"~{signals['comparisons']:.0f} comparisons "
+              f"(id order ~{signals['basic_comparisons']:.0f}), "
+              f"est. count {signals['est_count']:.0f}, "
+              f"anchored layer {signals['anchored_layer']}")
     print(f"prepared state: {', '.join(chosen.prepared)}")
     if args.accuracy == "exact":
         # always show what the sampling tier would buy, so the

@@ -400,11 +400,10 @@ def _predicted_seconds(signals: CostSignals) -> float:
     """GBC's simulated-device prediction: HTB collapses word-aligned
     runs of comparisons into single coalesced transactions (§V-A) and
     hybrid DFS-BFS keeps warp lanes busy (§IV), so both the transaction
-    count and the idle-lane inflation drop relative to GBL.  On the
-    uninstrumented engines the Python HTB kernel makes it the slowest
-    *host* path — the cost hook says so, which is exactly why
-    ``method="auto"`` only picks GBC when the device model is the
-    headline."""
+    count and the idle-lane inflation drop relative to GBL.  On
+    ``fast`` and ``par`` the per-child Python HTB kernel makes it the
+    slowest host path; on ``native`` the frontier intersects a whole
+    level of HTB rows per kernel call."""
     if signals.backend == "sim":
         metrics = KernelMetrics(
             global_transactions=int(signals.comparisons / 16) + 1,
@@ -413,10 +412,11 @@ def _predicted_seconds(signals: CostSignals) -> float:
         )
         metrics.record_slots(active=3, total=4)      # hybrid DFS-BFS
         return kernel_seconds(metrics, signals.device)
-    overhead = GBC_NATIVE_OVERHEAD if signals.backend == "native" \
-        else GBC_HOST_OVERHEAD
-    enum = overhead * signals.enum_seconds(signals.merge_calls,
-                                           signals.comparisons)
+    if signals.backend == "native":
+        enum = GBC_NATIVE_OVERHEAD * signals.frontier_seconds()
+    else:
+        enum = GBC_HOST_OVERHEAD * signals.enum_seconds(
+            signals.merge_calls, signals.comparisons)
     htb = (signals.num_edges * HTB_BUILD_SECONDS_PER_EDGE
            + (signals.num_u + signals.num_v) * HTB_BUILD_SECONDS_PER_VERTEX)
     return signals.priority_prepare_seconds() + htb + signals.sharded(enum)
@@ -436,7 +436,6 @@ register_method(MethodSpec(
     runner=gbc_count,
     accepts=("spec", "options", "layer", "backend", "workers", "session"),
     instrumented_metrics=True,
-    device_model=True,
     prepared_kinds=("wedges", "order", "two_hop", "htb"),
     cost=_predicted_seconds,
     order=50,
@@ -450,7 +449,6 @@ for _variant in ("NH", "NB", "NW"):
         accepts=("spec", "options", "layer", "backend", "workers",
                  "session"),
         instrumented_metrics=True,
-        device_model=True,
         ablation=True,
         # NB intersects CSR rows, so it never reads the HTBs
         prepared_kinds=("wedges", "order", "two_hop")

@@ -176,8 +176,9 @@ def _predicted_seconds(signals: CostSignals) -> float:
     """GBL on the simulated device prices through the SIMT cost model:
     per-element binary-search intersections make roughly one global
     transaction per comparison and leave most warp lanes idle.  On the
-    uninstrumented engines its headline is host wall time — the same
-    enumeration as BCL plus the device-bookkeeping overhead."""
+    uninstrumented engines its headline is host wall time: on ``native``
+    the batched frontier, elsewhere the same enumeration as BCL plus
+    the device-bookkeeping overhead."""
     if signals.backend == "sim":
         metrics = KernelMetrics(
             global_transactions=int(signals.comparisons) + 1,
@@ -186,10 +187,11 @@ def _predicted_seconds(signals: CostSignals) -> float:
         )
         metrics.record_slots(active=1, total=4)      # sparse warp lanes
         return kernel_seconds(metrics, signals.device)
-    overhead = GBL_NATIVE_OVERHEAD if signals.backend == "native" \
-        else GBL_HOST_OVERHEAD
-    enum = overhead * signals.enum_seconds(signals.merge_calls,
-                                           signals.comparisons)
+    if signals.backend == "native":
+        enum = GBL_NATIVE_OVERHEAD * signals.frontier_seconds()
+    else:
+        enum = GBL_HOST_OVERHEAD * signals.enum_seconds(
+            signals.merge_calls, signals.comparisons)
     return signals.priority_prepare_seconds() + signals.sharded(enum)
 
 
@@ -204,7 +206,6 @@ register_method(MethodSpec(
     runner=gbl_count,
     accepts=("spec", "layer", "backend", "workers", "session"),
     instrumented_metrics=True,
-    device_model=True,
     cost=_predicted_seconds,
     order=40,
     summary="naive GPU port: binary-search intersections (§III-B)",

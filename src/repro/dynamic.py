@@ -4,9 +4,9 @@ epoch-pinned snapshots.
 The ROADMAP's top open item — and the gap the paper's streaming lineage
 ([37] FLEET, [40] sGrapp) points at — is that production graphs are
 never frozen, while every prepared structure in this repo (priority
-orders, two-hop indexes, HTBs, native packs, result caches) keys on an
-immutable graph fingerprint.  One edge edit used to mean: rebuild the
-graph, rebuild the session, recount everything.
+orders, two-hop indexes, HTBs, result caches) keys on an immutable
+graph fingerprint.  One edge edit used to mean: rebuild the graph,
+rebuild the session, recount everything.
 
 This module closes that gap with two cooperating objects:
 
@@ -66,6 +66,7 @@ from repro.core.delta import bicliques_containing_edge, delta_work_estimate
 from repro.errors import GraphValidationError, QueryError
 from repro.graph.bipartite import (BipartiteGraph, LAYER_U, LAYER_V,
                                    _csr_from_adjacency, _transpose_csr)
+from repro.plan import AUTO
 from repro.query import GraphSession
 
 __all__ = ["EdgeMutation", "DynamicGraphSession", "SnapshotSession",
@@ -277,8 +278,8 @@ class DynamicGraphSession:
     * *cutover* — when :func:`~repro.core.delta.delta_work_estimate`
       times :data:`SECONDS_PER_WORK_UNIT` exceeds ``cutover_ratio`` x
       the planner-predicted rebuild seconds (priced once per shape at
-      :meth:`track` time through the session's
-      :meth:`~repro.query.GraphSession.plan` cost hooks), the shape is
+      :meth:`track` time with :meth:`~repro.plan.Planner.predict` for
+      the method and engine :meth:`count` recounts with), the shape is
       marked dirty and the delta skipped; the next :meth:`count` of a
       dirty shape recounts it from a pinned snapshot and re-cleans it.
 
@@ -383,7 +384,9 @@ class DynamicGraphSession:
         """Maintain shape (p, q) incrementally from now on.
 
         Performs one exact baseline count and prices the full-rebuild
-        alternative through the planner's cost hooks (the deterministic
+        alternative — a recount with :attr:`method` on :attr:`backend`,
+        exactly what :meth:`count` runs — through
+        :meth:`repro.plan.Planner.predict` (the deterministic
         denominator of the delta-vs-rebuild cutover).  Returns the
         current count.  Tracking an already-tracked shape is a no-op
         read.
@@ -404,10 +407,15 @@ class DynamicGraphSession:
             else:
                 price_needed = False
         if price_needed:
-            plan = self.pinned().session.plan(query, backend=self.backend)
+            session = self.pinned().session
+            method, backend = self.method, self.backend
+            if method == AUTO:
+                plan = session.plan(query, backend=backend)
+                method, backend = plan.method, plan.backend
+            seconds = session._get_planner().predict(query, method,
+                                                     backend=backend)
             with self._lock:
-                self._rebuild_seconds[shape] = max(
-                    float(plan.predicted_seconds), 1e-9)
+                self._rebuild_seconds[shape] = max(float(seconds), 1e-9)
         return value
 
     def untrack(self, p: int, q: int) -> None:

@@ -12,7 +12,9 @@ Planning/definition (which sets intersect, in which order) lives in
   to a serial fast run for any worker count);
 * ``"native"`` — :class:`~repro.engine.native.NativeBackend`, the
   batch-kernel engine: every intersection of a search level per
-  vectorised kernel call, counts bit-identical to ``fast``.
+  vectorised kernel call, counts bit-identical to ``fast``.  It is
+  also where ``method="auto"`` runs when no engine is named: GBC, by
+  rule (:mod:`repro.plan.planner`).
 
 Select one via the ``backend=`` argument of any counting entry point, the
 ``--backend``/``--workers`` CLI flags, or construct an engine directly:
@@ -37,6 +39,7 @@ from repro.engine.base import (
     resolve_backend,
 )
 from repro.engine.fast import FastBackend
+from repro.engine.native import NativeBackend
 from repro.engine.parallel import ParallelBackend
 from repro.engine.simulated import SimulatedDeviceBackend
 
@@ -45,14 +48,3 @@ __all__ = [
     "ParallelBackend", "NativeBackend", "BACKEND_NAMES", "get_backend",
     "resolve_backend",
 ]
-
-
-def __getattr__(name: str):
-    # NativeBackend imports lazily: repro.engine.native registers its
-    # cost model with repro.plan at import time, and loading that chain
-    # from this package-level __init__ would be circular
-    if name == "NativeBackend":
-        from repro.engine.native import NativeBackend
-
-        return NativeBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

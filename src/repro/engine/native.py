@@ -24,10 +24,10 @@ across all five algorithms.  Scalar primitives inherit from
 :class:`~repro.engine.fast.FastBackend`, so call sites that intersect
 one pair at a time (enumeration, probes) keep working.
 
-The engine also registers a :class:`~repro.plan.registry
-.BackendCostModel` with ``auto=True``: the cost hooks price counted
-work with native's amortised per-call constants and ``method="auto"``
-(with no pinned backend) picks the engine whenever it wins.
+The engine keeps no planner state either: ``method="auto"`` on
+``native`` (or with no engine pinned) always runs GBC here, and GBL's
+and GBC's cost hooks price this frontier when a deadline needs a
+prediction (:mod:`repro.plan.planner`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.graph.csr import row_positions
 from repro.gpu.metrics import KernelMetrics
 from repro.htb.bitmap import popcount
 from repro.obs import trace as _trace
-from repro.plan.registry import BackendCostModel, register_backend_cost
 
 __all__ = ["NativeBackend"]
 
@@ -89,8 +88,7 @@ class NativeBackend(FastBackend):
         pos[pos == len(haystack)] = 0
         return pos, haystack[pos] == needles
 
-    def _pair_select(self, a_off, a_val, a_ids, offsets, values, rows,
-                     want_values: bool):
+    def _pair_select(self, a_off, a_val, a_ids, offsets, values, rows):
         """Core of the pairwise CSR kernels: per-pair hit flags.
 
         Probes the *smaller* side of the level into the other — binary
@@ -138,8 +136,7 @@ class NativeBackend(FastBackend):
                                         - a_off[a_ids]).sum())
                                    + int((offsets[rows + 1]
                                           - offsets[rows]).sum())))
-        got = self._pair_select(a_off, a_val, a_ids, offsets, values,
-                                rows, want_values=True)
+        got = self._pair_select(a_off, a_val, a_ids, offsets, values, rows)
         if got is None:
             return off, _EMPTY_I64
         hit, lens, flat = got
@@ -161,8 +158,7 @@ class NativeBackend(FastBackend):
                                         - a_off[a_ids]).sum())
                                    + int((offsets[rows + 1]
                                           - offsets[rows]).sum())))
-        got = self._pair_select(a_off, a_val, a_ids, offsets, values,
-                                rows, want_values=False)
+        got = self._pair_select(a_off, a_val, a_ids, offsets, values, rows)
         if got is None:
             return np.zeros(n, dtype=np.int64)
         hit, lens, _ = got
@@ -226,25 +222,3 @@ class NativeBackend(FastBackend):
         weights = np.zeros(len(hit), dtype=np.int64)
         weights[hit] = popcount(masks).astype(np.int64, copy=False)
         return _per_row_sums(weights, b_lens)
-
-
-# ---------------------------------------------------------------------------
-# cost-model self-registration: the planner prices counted work on this
-# engine with amortised per-call constants (fitted on the Table II tiny
-# stand-ins alongside BENCH_native.json) and, because auto=True, ranks
-# every method under "native" as well as "fast" when no backend is
-# pinned — method="auto" picks the engine exactly when it wins.
-# ---------------------------------------------------------------------------
-
-#: batched per-merge-invocation overhead: one numpy dispatch is shared
-#: by a whole frontier, so the marginal per-call cost collapses
-NATIVE_SECONDS_PER_MERGE_CALL = 4.5e-7
-#: marginal cost per comparison inside a vectorised batch
-NATIVE_SECONDS_PER_COMPARISON = 7.0e-9
-
-register_backend_cost(BackendCostModel(
-    name="native",
-    seconds_per_merge_call=NATIVE_SECONDS_PER_MERGE_CALL,
-    seconds_per_comparison=NATIVE_SECONDS_PER_COMPARISON,
-    auto=True,
-))

@@ -11,10 +11,12 @@ shape; this package makes that selection mechanical instead of manual:
 * :class:`CountPlan` (:mod:`repro.plan.ir`) — the frozen, serialisable
   decision: method, backend, workers, anchored layer, the prepared
   state the run requires, and the predicted headline cost.
-* :class:`Planner` (:mod:`repro.plan.planner`) — prices every
-  registered method from cheap graph statistics, Definition-2
-  degeneracy signals, a seeded root-sampling probe, and the SIMT cost
-  model, then ranks the candidates.  Deterministic for a fixed seed.
+* :class:`Planner` (:mod:`repro.plan.planner`) — on ``native``, the
+  free choice, ``auto`` is GBC, with no probe; on ``fast``/``par``/
+  ``sim`` it prices every registered method from cheap graph
+  statistics, Definition-2 degeneracy signals, a seeded root-sampling
+  probe, and the SIMT cost model, then ranks the candidates.
+  Deterministic for a fixed seed.
 * :func:`execute_plan` (:mod:`repro.plan.execute`) — the ONLY place a
   method name turns into a counter call.
 
@@ -22,8 +24,8 @@ shape; this package makes that selection mechanical instead of manual:
 >>> from repro.plan import plan_query, execute_plan
 >>> g = random_bipartite(num_u=30, num_v=20, num_edges=200, seed=7)
 >>> plan = plan_query(g, BicliqueQuery(2, 3), method="auto")
->>> plan.source, plan.backend
-('auto', 'fast')
+>>> plan.source, plan.method, plan.backend
+('auto', 'GBC', 'native')
 >>> execute_plan(plan, g).count     # bit-identical to every explicit method
 528
 

@@ -69,11 +69,12 @@ def plan_query(graph, query, method: str = "GBC", *,
     :class:`~repro.plan.ir.CountPlan`.
 
     Explicit names plan trivially; ``method="auto"`` runs the
-    cost-based :class:`~repro.plan.planner.Planner`.  With a
+    :class:`~repro.plan.planner.Planner` (GBC by rule on ``native``,
+    the free choice; a cost-based ranking elsewhere).  With a
     ``session`` and default probe settings the decision comes from
     :meth:`repro.query.GraphSession.plan` — the session's per-shape
     plan cache — so repeated auto calls over one graph probe each
-    (p, q) shape exactly once; custom probe settings fall back to a
+    (p, q) shape at most once; custom probe settings fall back to a
     fresh planner that still probes through the session's warm
     prepared state.  ``accuracy``/``deadline`` select the service tier
     for planned (``"auto"``) requests exactly as

@@ -36,8 +36,8 @@ class CountPlan:
     #: ``("wedges:v", "order:v:3", "two_hop:v:3", "htb:v:3")``; a
     #: GraphSession warms exactly these before the batch runs
     prepared: tuple[str, ...] = ()
-    #: predicted headline seconds (0.0 for explicit plans, which skip
-    #: the probe entirely)
+    #: predicted headline seconds (0.0 for explicit plans and for the
+    #: ``native`` rule plan without a deadline, which skip the probe)
     predicted_seconds: float = 0.0
     #: EWMA-measured seconds from the planner's CostLedger cell, when
     #: one had history for this (fingerprint, shape, method, backend)
@@ -50,7 +50,7 @@ class CountPlan:
     #: one-line human rationale for ``repro plan explain``
     reason: str = ""
     #: serialisable probe summary (population, comparisons, est_count,
-    #: ...) for explain output and artifacts; empty for explicit plans
+    #: ...) for explain output and artifacts; empty for unprobed plans
     signals: dict = field(default_factory=dict)
     #: approx-tier sample budget (None = the estimator's default; the
     #: planner sizes this from the cost model under a deadline)

@@ -1,11 +1,16 @@
-"""The cost-based planner behind ``method="auto"``.
+"""The planner behind ``method="auto"``.
 
-The paper's headline experiments (Fig. 7/8, Tables III-V) exist because
-no single counting strategy wins everywhere: the right method depends
-on the graph and the (p, q) shape.  :class:`Planner` makes that choice
-mechanical, the way the sampling-based selection in the
-butterfly-estimation and near-clique-sampling lines does — probe a few
-root search trees, extrapolate, price every registered method, pick the
+On ``native`` — and whenever no engine is pinned — ``auto`` is a rule,
+not a ranking: it runs GBC, the paper's method (§IV–V) and the fastest
+exact counter measured on that engine, so nothing is probed to choose
+it.  Only a deadline makes the planner price that plan.
+
+On ``fast``, ``par`` and ``sim`` the winner still depends on the graph
+and the (p, q) shape — the reason the paper's headline experiments
+(Fig. 7/8, Tables III-V) compare five algorithms — so :class:`Planner`
+ranks the registered methods the way the sampling-based selection in
+the butterfly-estimation and near-clique-sampling lines does: probe a
+few root search trees, extrapolate, price every method, pick the
 cheapest:
 
 1. **cheap graph statistics** (:func:`repro.graph.stats.compute_stats`,
@@ -21,14 +26,14 @@ cheapest:
    seconds — device methods price theirs through the SIMT cost model
    (:mod:`repro.gpu.costmodel`).
 
-Because the probe counts *work* (comparisons, populations), never
-wall-clock, planner output is bit-identical for a fixed seed: the same
-ranked plans, the same chosen plan, run after run.
+The same signals price deadlines, approx sample budgets and the
+dynamic-graph cutover on every engine.  Because the probe counts
+*work* (comparisons, populations), never wall-clock, planner output is
+bit-identical for a fixed seed: the same ranked plans, the same chosen
+plan, run after run.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from repro.engine.base import resolve_backend_name
 from repro.errors import DeadlineExceededError, PlanError
@@ -42,7 +47,6 @@ from repro.plan.registry import (
     CostSignals,
     MethodSpec,
     approx_candidates,
-    auto_backends,
     auto_candidates,
     ensure_accuracy,
     get_method,
@@ -87,36 +91,37 @@ def prepared_keys(mspec: MethodSpec, graph, query,
     return tuple(keys)
 
 
-#: fingerprint-keyed caches of per-graph planning signals, so repeated
-#: sessionless ``plan()`` calls over one graph pay the wedge-mass scan
-#: and the root-sampling probe once (sessions get the same effect from
-#: their per-shape plan cache, and their probes double as state warmers,
-#: so they bypass the probe cache on purpose)
-_WEDGE_MASS_CACHE: OrderedDict[tuple, float] = OrderedDict()
-_PROBE_CACHE: OrderedDict[tuple, object] = OrderedDict()
-_SIGNAL_CACHE_SIZE = 128
+def _signal_summary(signals: CostSignals) -> dict:
+    """The probe signals a plan records for ``plan explain``."""
+    return {
+        "population": signals.population,
+        "basic_population": signals.basic_population,
+        "comparisons": signals.comparisons,
+        "basic_comparisons": signals.basic_comparisons,
+        "mean_index_size": signals.mean_index_size,
+        "est_count": signals.est_count,
+        "wedge_ops": signals.wedge_ops,
+        "degree_skew": signals.degree_skew,
+        "anchored_layer": signals.anchored_layer,
+    }
 
 
-def _cache_get(cache: OrderedDict, key: tuple, build):
-    got = cache.get(key)
-    if got is None:
-        got = build()
-        cache[key] = got
-        while len(cache) > _SIGNAL_CACHE_SIZE:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return got
+def _cost(plan: CountPlan) -> float:
+    """What a plan is ranked and deadline-checked on: the ledger's
+    calibrated seconds when the cell has a ratio, else the prediction."""
+    return plan.calibrated_seconds if plan.calibrated_seconds is not None \
+        else plan.predicted_seconds
 
 
 class Planner:
-    """Ranks every registered counting method for queries on one graph.
+    """Plans ``method="auto"`` queries on one graph.
 
     ``session`` (a :class:`repro.query.GraphSession`) lets probes reuse
     the graph's prepared state; ``samples`` and ``seed`` control the
-    root-sampling probe (signals are cached per (p, q, layer), so a
-    batch of same-shape queries probes once).  ``spec`` is the device
-    the SIMT cost model prices simulated-device candidates with.
+    root-sampling probe (each planner memoises its probes per
+    (p, q, layer), so a batch of same-shape queries probes once).
+    ``spec`` is the device the SIMT cost model prices simulated-device
+    candidates with.
 
     ``ledger`` (a :class:`repro.obs.ledger.CostLedger`) blends measured
     history into the exact-tier ranking: candidates whose (fingerprint,
@@ -143,6 +148,7 @@ class Planner:
         self._stats = None
         self._fp: str | None = None
         self._probes: dict[tuple, object] = {}
+        self._wedges: dict[str, float] = {}
 
     # -- signal gathering ----------------------------------------------
     def _fingerprint(self) -> str:
@@ -156,10 +162,9 @@ class Planner:
 
         A planner reused across an in-place mutation of its graph's
         arrays (or across a ``session.refresh()``) would otherwise keep
-        serving the old fingerprint, stats and probe results — the
-        module-level signal caches are fingerprint-keyed and safe, but
-        the instance memos are not.  Called on every public entry
-        point; costs one content hash when nothing changed.
+        serving the old fingerprint, stats and probe results.  Called
+        whenever signals are gathered; costs one content hash when
+        nothing changed.
         """
         fp = self.session.fingerprint if self.session is not None \
             else graph_fingerprint(self.graph)
@@ -167,6 +172,7 @@ class Planner:
             self._fp = fp
             self._stats = None
             self._probes.clear()
+            self._wedges.clear()
 
     def _graph_stats(self):
         if self._stats is None:
@@ -174,8 +180,10 @@ class Planner:
         return self._stats
 
     def _wedge_mass(self, layer: str) -> float:
-        return _cache_get(_WEDGE_MASS_CACHE, (self._fingerprint(), layer),
-                          lambda: float(wedge_mass(self.graph, layer)))
+        got = self._wedges.get(layer)
+        if got is None:
+            got = self._wedges[layer] = float(wedge_mass(self.graph, layer))
+        return got
 
     def _probe(self, query, layer: str | None):
         from repro.core.estimate import sample_root_profile
@@ -183,23 +191,10 @@ class Planner:
         key = (query.p, query.q, layer)
         got = self._probes.get(key)
         if got is None:
-            def build():
-                return sample_root_profile(
-                    self.graph, query, samples=self.samples,
-                    seed=self.seed, layer=layer, session=self.session)
-            if self.session is None:
-                # probe results depend only on graph content + shape +
-                # probe settings, so sessionless planners share them
-                got = _cache_get(
-                    _PROBE_CACHE,
-                    (self._fingerprint(), query.p, query.q, layer,
-                     self.samples, self.seed),
-                    build)
-            else:
-                # session probes intentionally run: they warm the
-                # session's prepared state as a side effect
-                got = build()
-            self._probes[key] = got
+            # a session probe also warms the session's prepared state
+            got = self._probes[key] = sample_root_profile(
+                self.graph, query, samples=self.samples, seed=self.seed,
+                layer=layer, session=self.session)
         return got
 
     def signals(self, query, backend: str = "fast",
@@ -254,16 +249,15 @@ class Planner:
              deadline: float | None = None) -> list[CountPlan]:
         """Every eligible candidate plan, cheapest predicted first.
 
-        ``backend=None`` leaves the engine to the planner: it prices
-        every method on the uninstrumented ``fast`` engine *and* on
-        each auto-registered engine (the ``native`` batch-kernel
-        backend registers a :class:`~repro.plan.registry
-        .BackendCostModel` with ``auto=True``), so ``auto`` means
-        "fastest", whichever engine that takes — instrumentation is
-        something a caller asks for explicitly.  Naming a backend ranks
-        the methods *under* that engine, which changes the winners —
-        on ``sim`` the headline is simulated device seconds, so the
-        device methods dominate.
+        On ``native``, and with ``backend=None`` and no ``workers=``
+        (the planner's free choice, which means ``native``), the exact
+        tier is one plan: GBC on ``native``.  It is neither ranked nor
+        probed, so its ``predicted_seconds`` is 0.0 — unless a
+        ``deadline`` asks for a price, which :meth:`predict`'s cost
+        path supplies (ledger-calibrated when the cell has history).
+        Naming ``fast``, ``par`` or ``sim`` ranks every method *under*
+        that engine from the probe; on ``sim`` the headline is
+        simulated device seconds, so the device methods dominate.
 
         ``accuracy`` selects the tier: ``"exact"`` (default) ranks the
         exact counters and — when a ``deadline`` is given — raises
@@ -278,23 +272,22 @@ class Planner:
         ensure_accuracy(accuracy)
         if deadline is not None and deadline <= 0:
             raise PlanError(f"deadline must be > 0 seconds, got {deadline}")
-        pinned = resolve_backend_name(backend, workers)
-        engine_names = auto_backends() if pinned is None else (pinned,)
+        engine = resolve_backend_name(backend, workers) or "native"
         with _trace.span("plan.rank", p=query.p, q=query.q,
                          accuracy=accuracy) as sp:
             if accuracy == "approx":
-                plans = self._approx_rank(query, engine_names, workers,
-                                          layer, deadline)
+                plans = self._approx_rank(query, engine, layer, deadline)
                 sp.annotate(candidates=len(plans), chosen=plans[0].method)
                 return plans
-            plans = self._exact_rank(query, engine_names, workers, layer)
-            best_cost = plans[0].calibrated_seconds \
-                if plans[0].calibrated_seconds is not None \
-                else plans[0].predicted_seconds
+            if engine == "native":
+                plans = [self._native_plan(query, layer, deadline)]
+            else:
+                plans = self._exact_rank(query, engine, workers, layer)
+            best_cost = _cost(plans[0])
             if deadline is not None and best_cost > deadline:
                 if accuracy == "auto":
-                    plans = self._approx_rank(query, engine_names, workers,
-                                              layer, deadline)
+                    plans = self._approx_rank(query, engine, layer,
+                                              deadline)
                     sp.annotate(candidates=len(plans),
                                 chosen=plans[0].method, tier="approx")
                     return plans
@@ -313,133 +306,120 @@ class Planner:
             sp.annotate(candidates=len(plans), chosen=plans[0].method)
             return plans
 
-    def _exact_rank(self, query, engine_names, workers: int | None,
+    def _native_plan(self, query, layer: str | None,
+                     deadline: float | None) -> CountPlan:
+        """``auto``'s exact plan on ``native``: always GBC, priced only
+        when a deadline has to be checked against it."""
+        mspec = get_method("GBC")
+        rule = "auto on native runs GBC, the paper's method"
+        if deadline is not None:
+            return self._priced_plan(query, mspec, "native", None, layer,
+                                     f"{rule}; ")
+        return CountPlan(
+            method=mspec.name, p=query.p, q=query.q, backend="native",
+            workers=None, layer=layer,
+            prepared=prepared_keys(mspec, self.graph, query, layer),
+            source="auto", reason=f"{rule} (no ranking, no probe)")
+
+    def _exact_rank(self, query, engine: str, workers: int | None,
                     layer: str | None) -> list[CountPlan]:
-        plans: list[tuple] = []
-        for eng_pos, engine_name in enumerate(engine_names):
-            signals = self.signals(query, backend=engine_name,
-                                   workers=workers, layer=layer)
-            for position, mspec in enumerate(auto_candidates()):
-                if engine_name == "par" and not mspec.supports_partitioned:
-                    continue
-                if engine_name == "native" and not mspec.device_model:
-                    # only the frontier-batched device counters run
-                    # their hot loops through the batch kernels; the
-                    # host baselines would be priced with a speedup
-                    # they cannot realise
-                    continue
-                if layer is not None and not mspec.supports_layer:
-                    continue
-                predicted = float(mspec.cost(signals))
-                observed = calibrated = None
-                if self.ledger is not None:
-                    cell = self.ledger.lookup(
-                        self._fingerprint(), query.p, query.q,
-                        mspec.name, engine_name)
-                    if cell is not None:
-                        observed = cell.observed_seconds
-                        if cell.ratio is not None:
-                            calibrated = predicted * cell.ratio
-                rank_cost = calibrated if calibrated is not None \
-                    else predicted
-                reason = (f"predicted {predicted:.3g}s on {engine_name} "
-                          f"from a {self.samples}-root probe "
-                          f"(seed {self.seed})")
-                if calibrated is not None:
-                    reason += (f"; ledger-calibrated to "
-                               f"{calibrated:.3g}s from "
-                               f"{cell.observations} measured run(s)")
-                plans.append((rank_cost, eng_pos, position, CountPlan(
-                    method=mspec.name, p=query.p, q=query.q,
-                    backend=engine_name, workers=workers, layer=layer,
-                    prepared=prepared_keys(mspec, self.graph, query, layer),
-                    predicted_seconds=predicted,
-                    observed_seconds=observed,
-                    calibrated_seconds=calibrated,
-                    source="auto",
-                    reason=reason,
-                    signals={
-                        "population": signals.population,
-                        "basic_population": signals.basic_population,
-                        "comparisons": signals.comparisons,
-                        "basic_comparisons": signals.basic_comparisons,
-                        "mean_index_size": signals.mean_index_size,
-                        "est_count": signals.est_count,
-                        "wedge_ops": signals.wedge_ops,
-                        "degree_skew": signals.degree_skew,
-                        "anchored_layer": signals.anchored_layer,
-                    },
-                )))
+        plans = [self._priced_plan(query, mspec, engine, workers, layer)
+                 for mspec in auto_candidates()
+                 if (engine != "par" or mspec.supports_partitioned)
+                 and (layer is None or mspec.supports_layer)]
         if not plans:
             raise PlanError(f"no registered method can run on backend "
-                            f"{engine_names[0]!r}")
-        # ties break on engine position (fast first), then registration
-        # order, keeping the ranking total and deterministic
-        plans.sort(key=lambda item: (item[0], item[1], item[2]))
-        return [plan for _, _, _, plan in plans]
+                            f"{engine!r}")
+        # a stable sort: ties keep registration order, so the ranking
+        # stays total and deterministic
+        plans.sort(key=_cost)
+        return plans
 
-    def _approx_rank(self, query, engine_names, workers: int | None,
-                     layer: str | None,
+    def _price(self, query, mspec: MethodSpec, engine: str,
+               workers: int | None, layer: str | None):
+        """One method's cost on one engine: ``(signals, predicted
+        seconds, ledger cell or None)``."""
+        signals = self.signals(query, backend=engine, workers=workers,
+                               layer=layer)
+        predicted = float(mspec.cost(signals))
+        cell = None if self.ledger is None else self.ledger.lookup(
+            self._fingerprint(), query.p, query.q, mspec.name, engine)
+        return signals, predicted, cell
+
+    def _priced_plan(self, query, mspec: MethodSpec, engine: str,
+                     workers: int | None, layer: str | None,
+                     why: str = "") -> CountPlan:
+        signals, predicted, cell = self._price(query, mspec, engine,
+                                               workers, layer)
+        calibrated = None if cell is None or cell.ratio is None \
+            else predicted * cell.ratio
+        reason = (f"{why}predicted {predicted:.3g}s on {engine} from a "
+                  f"{self.samples}-root probe (seed {self.seed})")
+        if calibrated is not None:
+            reason += (f"; ledger-calibrated to {calibrated:.3g}s from "
+                       f"{cell.observations} measured run(s)")
+        return CountPlan(
+            method=mspec.name, p=query.p, q=query.q,
+            backend=engine, workers=workers, layer=layer,
+            prepared=prepared_keys(mspec, self.graph, query, layer),
+            predicted_seconds=predicted,
+            observed_seconds=None if cell is None
+            else cell.observed_seconds,
+            calibrated_seconds=calibrated,
+            source="auto",
+            reason=reason,
+            signals=_signal_summary(signals),
+        )
+
+    def _approx_rank(self, query, engine: str, layer: str | None,
                      deadline: float | None) -> list[CountPlan]:
         from repro.core.estimate import approx_cost
 
-        candidates = approx_candidates()
-        plans: list[tuple] = []
-        for eng_pos, engine_name in enumerate(engine_names):
-            if engine_name == "par":
-                # the estimator's root loop is serial; pricing it with
-                # the sharded engine's speedup would be a lie
+        if engine == "par":
+            # the estimator's root loop is serial; pricing it with the
+            # sharded engine's speedup would be a lie
+            raise PlanError("no approximate method can run on backend "
+                            "'par'; the approx tier is serial "
+                            "(fast/sim/native)")
+        signals = self.signals(query, backend=engine, layer=layer)
+        plans = []
+        for mspec in approx_candidates():
+            if layer is not None and not mspec.supports_layer:
                 continue
-            signals = self.signals(query, backend=engine_name,
-                                   workers=workers, layer=layer)
-            for position, mspec in enumerate(candidates):
-                if layer is not None and not mspec.supports_layer:
-                    continue
-                samples = self._approx_budget(signals, deadline)
-                predicted = float(approx_cost(signals, samples))
-                population = max(signals.population, 1)
-                rel_error = (1.0 / samples ** 0.5
-                             if samples < population else 0.0)
-                reason = (f"{samples}-sample HT estimate (seed "
-                          f"{self.seed}), predicted {predicted:.3g}s on "
-                          f"{engine_name}")
-                if deadline is not None:
-                    # the MIN_APPROX_SAMPLES floor can overshoot a
-                    # deadline no budget fits; say which happened
-                    reason += (
-                        f" within the {deadline:.3g}s deadline"
-                        if predicted <= deadline else
-                        f" (best effort: the {MIN_APPROX_SAMPLES}-sample "
-                        f"floor overruns the {deadline:.3g}s deadline)")
-                plans.append((predicted, eng_pos, position, CountPlan(
-                    method=mspec.name, p=query.p, q=query.q,
-                    backend=engine_name, workers=None, layer=layer,
-                    prepared=prepared_keys(mspec, self.graph, query, layer),
-                    predicted_seconds=predicted,
-                    source="auto",
-                    reason=reason,
-                    signals={
-                        "population": signals.population,
-                        "basic_population": signals.basic_population,
-                        "comparisons": signals.comparisons,
-                        "basic_comparisons": signals.basic_comparisons,
-                        "mean_index_size": signals.mean_index_size,
-                        "est_count": signals.est_count,
-                        "wedge_ops": signals.wedge_ops,
-                        "degree_skew": signals.degree_skew,
-                        "anchored_layer": signals.anchored_layer,
-                        "samples": samples,
-                        "predicted_rel_error": rel_error,
-                    },
-                    samples=samples,
-                    seed=self.seed,
-                )))
+            samples = self._approx_budget(signals, deadline)
+            predicted = float(approx_cost(signals, samples))
+            population = max(signals.population, 1)
+            rel_error = (1.0 / samples ** 0.5
+                         if samples < population else 0.0)
+            reason = (f"{samples}-sample HT estimate (seed "
+                      f"{self.seed}), predicted {predicted:.3g}s on "
+                      f"{engine}")
+            if deadline is not None:
+                # the MIN_APPROX_SAMPLES floor can overshoot a
+                # deadline no budget fits; say which happened
+                reason += (
+                    f" within the {deadline:.3g}s deadline"
+                    if predicted <= deadline else
+                    f" (best effort: the {MIN_APPROX_SAMPLES}-sample "
+                    f"floor overruns the {deadline:.3g}s deadline)")
+            plans.append(CountPlan(
+                method=mspec.name, p=query.p, q=query.q,
+                backend=engine, workers=None, layer=layer,
+                prepared=prepared_keys(mspec, self.graph, query, layer),
+                predicted_seconds=predicted,
+                source="auto",
+                reason=reason,
+                signals={**_signal_summary(signals),
+                         "samples": samples,
+                         "predicted_rel_error": rel_error},
+                samples=samples,
+                seed=self.seed,
+            ))
         if not plans:
             raise PlanError(f"no approximate method can run on backend "
-                            f"{engine_names[0]!r}; the approx tier is "
-                            f"serial (fast/sim/native)")
-        plans.sort(key=lambda item: (item[0], item[1], item[2]))
-        return [plan for _, _, _, plan in plans]
+                            f"{engine!r} with layer={layer!r}")
+        plans.sort(key=lambda plan: plan.predicted_seconds)
+        return plans
 
     def _approx_budget(self, signals: CostSignals,
                        deadline: float | None) -> int:
@@ -475,25 +455,22 @@ class Planner:
     def predict(self, query, method: str, backend=None,
                 workers: int | None = None,
                 layer: str | None = None) -> float:
-        """Predicted headline seconds for one explicitly named method.
+        """Predicted headline seconds for one explicitly named method,
+        ledger-calibrated when its cell has history.
 
-        What the scheduler's deadline admission uses for requests that
-        pin a method instead of planning: methods without a cost hook
-        (the ablation variants) predict 0.0, i.e. are always admitted.
+        What deadline admission uses for requests that pin a method
+        instead of planning, and what prices a dynamic graph's rebuild:
+        methods without a cost hook (the ablation variants) predict
+        0.0, i.e. are always admitted.
         """
         mspec = get_method(method)
         if mspec.cost is None:
             return 0.0
-        engine_name = resolve_backend_name(backend, workers) or "fast"
-        signals = self.signals(query, backend=engine_name,
-                               workers=workers, layer=layer)
-        predicted = float(mspec.cost(signals))
-        if self.ledger is not None:
-            calibrated = self.ledger.calibrated(
-                self._fingerprint(), query.p, query.q, method,
-                engine_name, predicted)
-            if calibrated is not None:
-                return calibrated
+        engine = resolve_backend_name(backend, workers) or "fast"
+        _, predicted, cell = self._price(query, mspec, engine, workers,
+                                         layer)
+        if cell is not None and cell.ratio is not None:
+            return predicted * cell.ratio
         return predicted
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -28,18 +28,14 @@ from repro.errors import UnknownMethodError
 __all__ = [
     "ACCURACIES",
     "AUTO",
-    "BackendCostModel",
     "CostSignals",
     "MethodSpec",
     "approx_candidates",
-    "auto_backends",
     "auto_candidates",
-    "backend_cost",
     "ensure_accuracy",
     "ensure_known",
     "get_method",
     "method_names",
-    "register_backend_cost",
     "register_method",
 ]
 
@@ -74,8 +70,9 @@ def ensure_accuracy(accuracy: str) -> str:
 # work* — merge invocations, merge comparisons, promising-root
 # populations — which is deterministic for a fixed seed.  These
 # constants convert counted work into predicted headline seconds; they
-# were least-squares fitted against measured preparation and
-# enumeration times on the Table II tiny stand-ins (fast backend), and
+# were least-squares fitted against measured enumeration times on the
+# Table II tiny stand-ins (fast backend), the prepare models against
+# the single-wedge-pass prepare (see below), and
 # ``benchmarks/test_plan_accuracy.py`` re-checks the resulting *choices*
 # end to end on every stand-in.  Absolute accuracy is secondary to
 # ranking accuracy, the same way the paper's SIMT cost model only needs
@@ -87,16 +84,20 @@ def ensure_accuracy(accuracy: str) -> str:
 SECONDS_PER_MERGE_CALL = 3.7e-6
 #: marginal cost per merge comparison
 SECONDS_PER_COMPARISON = 2.0e-8
-#: priority prepare: per-edge / per-wedge / per-vertex coefficients and
-#: intercept of the fitted linear model (wedge pass + reorder + index)
-PRIORITY_PREP_EDGE = 2.5e-6
-PRIORITY_PREP_WEDGE = 7.0e-7
-PRIORITY_PREP_VERTEX = 1.3e-5
-PRIORITY_PREP_BASE = -2.1e-3
-#: id-order prepare (Basic): no wedge-mass reorder, one pass per root
-ID_PREP_BASE = 3.0e-4
-ID_PREP_VERTEX = 2.7e-5
-ID_PREP_WEDGE = 1.0e-7
+#: priority prepare: per-wedge / per-vertex coefficients and intercept
+#: of a linear model (one wedge pass + reorder + index) fitted by
+#: non-negative least squares on relative error to the best-of-5
+#: sessionless ``prepare_device_inputs`` times of the tiny and bench
+#: stand-ins at (2,2), (2,3), (3,2) and (3,3) (2-vCPU host; the fit
+#: leaves no per-edge cost beyond the wedge pass)
+PRIORITY_PREP_WEDGE = 4.2e-8
+PRIORITY_PREP_VERTEX = 6.5e-8
+PRIORITY_PREP_BASE = 1.6e-4
+#: id-order prepare (Basic): no wedge-mass reorder, one pass per root;
+#: fitted the same way to the id-order index build
+ID_PREP_BASE = 9.7e-5
+ID_PREP_VERTEX = 5.4e-7
+ID_PREP_WEDGE = 3.5e-8
 #: floor below which prepare predictions are meaningless noise
 PREP_FLOOR = 1.0e-4
 #: per-root loop overhead of BCLP's per-root measurement pass
@@ -105,55 +106,13 @@ SECONDS_PER_ROOT_PROFILED = 2.0e-6
 SIM_INSTRUMENT_FACTOR = 30.0
 #: flat cost of forking the par worker pool
 FORK_SECONDS = 0.08
-
-
-@dataclass(frozen=True)
-class BackendCostModel:
-    """Per-engine calibration of the enumeration cost model.
-
-    An execution engine whose kernels amortise per-call dispatch (the
-    batch-kernel ``native`` backend) registers one of these so the cost
-    hooks price counted work with *its* constants instead of the
-    ``fast`` defaults above.  ``auto=True`` additionally nominates the
-    engine as a candidate when the planner is free to choose the
-    backend (``backend=None``): the planner then ranks every method
-    under every nominated engine and picks the overall winner.
-    """
-
-    #: engine registry name ("native", ...)
-    name: str
-    seconds_per_merge_call: float = SECONDS_PER_MERGE_CALL
-    seconds_per_comparison: float = SECONDS_PER_COMPARISON
-    #: eligible for planner backend selection when none is pinned
-    auto: bool = False
-
-
-_BACKEND_COSTS: dict[str, BackendCostModel] = {}
-
-
-def register_backend_cost(model: BackendCostModel,
-                          replace: bool = False) -> BackendCostModel:
-    """Register an engine's cost model under its name (idempotent for
-    identical models, like :func:`register_method`)."""
-    if not replace and model.name in _BACKEND_COSTS \
-            and _BACKEND_COSTS[model.name] != model:
-        raise ValueError(f"backend cost model {model.name!r} is already "
-                         f"registered; pass replace=True to override")
-    _BACKEND_COSTS[model.name] = model
-    return model
-
-
-def backend_cost(name: str) -> BackendCostModel | None:
-    """The cost model registered for engine ``name`` (None = defaults)."""
-    return _BACKEND_COSTS.get(name)
-
-
-def auto_backends() -> tuple[str, ...]:
-    """Engines the planner may choose between when no backend is pinned:
-    the ``fast`` default plus every registered ``auto`` cost model."""
-    _ensure_registered()
-    return ("fast",) + tuple(sorted(
-        name for name, model in _BACKEND_COSTS.items() if model.auto))
+#: the ``native`` frontier's per-merge-invocation cost: one numpy
+#: dispatch serves a whole search level, so the per-call cost collapses
+#: (only GBL and GBC run the frontier; the scalar counters run the same
+#: merges on ``native`` as on ``fast`` and pay the constants above)
+NATIVE_SECONDS_PER_MERGE_CALL = 4.5e-7
+#: the ``native`` frontier's marginal cost per comparison
+NATIVE_SECONDS_PER_COMPARISON = 7.0e-9
 
 
 @dataclass(frozen=True)
@@ -203,7 +162,6 @@ class CostSignals:
         on the anchored view (what BCL/BCLP/GBL/GBC all pay)."""
         return max(PREP_FLOOR,
                    PRIORITY_PREP_BASE
-                   + self.num_edges * PRIORITY_PREP_EDGE
                    + self.wedge_ops * PRIORITY_PREP_WEDGE
                    + (self.anchored_num_u + self.anchored_num_v)
                    * PRIORITY_PREP_VERTEX)
@@ -217,23 +175,21 @@ class CostSignals:
                    + self.wedge_ops_id * ID_PREP_WEDGE)
 
     def enum_seconds(self, merge_calls: float, comparisons: float) -> float:
-        """Predicted serial enumeration cost for counted work.
-
-        Priced with the engine's registered
-        :class:`BackendCostModel` when one exists (the batch-kernel
-        ``native`` engine amortises per-call dispatch, so its per-call
-        constant is far below the ``fast`` default); unregistered
-        engines use the fitted ``fast`` constants.
-        """
-        model = backend_cost(self.backend)
-        call_s = model.seconds_per_merge_call if model is not None \
-            else SECONDS_PER_MERGE_CALL
-        cmp_s = model.seconds_per_comparison if model is not None \
-            else SECONDS_PER_COMPARISON
-        seconds = merge_calls * call_s + comparisons * cmp_s
+        """Predicted serial enumeration cost for counted work: one
+        scalar merge per call, as ``fast`` (and ``native``, outside
+        its frontier) runs it, inflated by instrumentation on ``sim``."""
+        seconds = (merge_calls * SECONDS_PER_MERGE_CALL
+                   + comparisons * SECONDS_PER_COMPARISON)
         if self.backend == "sim":
             seconds *= SIM_INSTRUMENT_FACTOR
         return seconds
+
+    def frontier_seconds(self) -> float:
+        """Predicted priority-order enumeration on the ``native``
+        frontier, which batches each search level into one kernel call
+        (what GBL's and GBC's cost hooks price on ``native``)."""
+        return (self.merge_calls * NATIVE_SECONDS_PER_MERGE_CALL
+                + self.comparisons * NATIVE_SECONDS_PER_COMPARISON)
 
     def max_root_seconds(self) -> float:
         """Predicted cost of the heaviest sampled root's search tree —
@@ -267,8 +223,6 @@ class MethodSpec:
     supports_partitioned: bool = True
     #: reports simulated device metrics / device_seconds on "sim"
     instrumented_metrics: bool = False
-    #: headline time is simulated device seconds (DeviceRunResult)
-    device_model: bool = False
     #: honours layer= to pin the anchored layer
     supports_layer: bool = True
     #: prepared-state kinds the method consumes from a GraphSession
@@ -298,11 +252,7 @@ _REGISTRY: dict[str, MethodSpec] = {}
 _CORE_MODULES = ("repro.core.basic", "repro.core.bcl", "repro.core.bclp",
                  "repro.core.gbl", "repro.core.gbc",
                  # the sampling estimator registers the "approx" tier
-                 "repro.core.estimate",
-                 # the native engine registers its BackendCostModel (and
-                 # thereby its planner eligibility) at import time, the
-                 # same self-registration pattern the counters use
-                 "repro.engine.native")
+                 "repro.core.estimate")
 #: set once every module in _CORE_MODULES has imported
 _core_registered = False
 

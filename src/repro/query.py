@@ -428,9 +428,10 @@ class GraphSession:
         Planning runs once per (graph, shape-class) — the (p, q) shape
         under a given engine choice — and the chosen plan is reused for
         every later query of that shape on this session, so a mixed
-        batch or serving workload pays one probe per distinct shape.
-        The probe itself runs through this session, reusing (and
-        warming) the shared prepared state.  ``accuracy``/``deadline``
+        batch or serving workload pays at most one probe per distinct
+        shape (none on ``native``, where ``auto`` is GBC by rule).  The
+        probe itself runs through this session, reusing (and warming)
+        the shared prepared state.  ``accuracy``/``deadline``
         select the tier as :meth:`repro.plan.planner.Planner.rank`
         documents; deadlines are request-specific wall-clock budgets,
         so deadline-carrying plans bypass the per-shape cache.
@@ -478,8 +479,8 @@ class GraphSession:
         timing/metric fields always match the configuration that was
         asked for.
 
-        ``method="auto"`` resolves through :meth:`plan` first (one
-        probe per query shape, cached); the resolved plan supplies the
+        ``method="auto"`` resolves through :meth:`plan` first (cached
+        per query shape); the resolved plan supplies the
         method — and, when no backend was named, the engine — so auto
         runs share the result cache with their explicit equivalents.
 

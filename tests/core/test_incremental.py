@@ -4,7 +4,8 @@ At (2, 2) the delta rule of :mod:`repro.core.delta` is the classic
 wedge-closure sum, so these are the butterfly-stream checks run through
 the one incremental implementation; randomized toggle, round-trip and
 teardown streams over every shape live in
-``tests/property/test_property_incremental.py``.
+``tests/property/test_property_incremental.py``.  ``TestRebuildPrice``
+pins what the delta-vs-rebuild cutover prices.
 """
 
 from math import comb
@@ -13,10 +14,12 @@ import numpy as np
 import pytest
 
 from repro.core.butterfly import butterfly_count
+from repro.core.counts import BicliqueQuery
 from repro.dynamic import DynamicGraphSession
 from repro.errors import GraphValidationError
 from repro.graph.builders import complete_bipartite
-from repro.graph.generators import random_bipartite
+from repro.graph.generators import power_law_bipartite, random_bipartite
+from repro.plan import Planner
 
 
 def tracked(graph=None, num_u=0, num_v=0):
@@ -90,3 +93,18 @@ class TestDynamicButterflies:
         dyn.insert(0, 0)
         dyn.insert(1, 1)
         assert dyn.epoch == 2
+
+
+
+class TestRebuildPrice:
+    @pytest.mark.parametrize("backend, method",
+                             [("fast", "GBC"), ("native", "auto")])
+    def test_rebuild_priced_for_the_recount(self, backend, method):
+        """The cutover prices the recount :meth:`count` runs: the
+        session's method on its engine (``auto`` on native is GBC)."""
+        g = power_law_bipartite(60, 50, 400, seed=9)
+        dyn = DynamicGraphSession.from_graph(g, backend=backend,
+                                             method=method)
+        dyn.track(3, 3)
+        assert dyn._rebuild_seconds[(3, 3)] == \
+            Planner(g).predict(BicliqueQuery(3, 3), "GBC", backend=backend)

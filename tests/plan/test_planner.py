@@ -42,7 +42,8 @@ class TestAutoMatchesExplicit:
                     f"{graph_name} {query} [{backend}]")
 
     def test_auto_resolves_to_a_registered_candidate(self):
-        plan = plan_query(GRAPHS["random"], QUERIES[0], method="auto")
+        plan = plan_query(GRAPHS["random"], QUERIES[0], method="auto",
+                          backend="fast")
         assert plan.method in ("Basic", "BCL", "BCLP", "GBL", "GBC")
         assert plan.source == "auto"
         assert plan.predicted_seconds > 0
@@ -63,14 +64,14 @@ class TestDeterminism:
         assert all(p == plans[0] for p in plans)
 
     def test_ranking_is_total_and_sorted(self):
-        ranked = Planner(GRAPHS["random"]).rank(BicliqueQuery(2, 2))
+        ranked = Planner(GRAPHS["random"]).rank(BicliqueQuery(2, 2),
+                                                backend="fast")
         predictions = [p.predicted_seconds for p in ranked]
         assert predictions == sorted(predictions)
-        # free engine choice prices methods per engine: each (method,
-        # engine) candidate appears exactly once
-        assert len({(p.method, p.backend) for p in ranked}) == len(ranked)
-        assert {p.method for p in ranked} == \
-            {"Basic", "BCL", "BCLP", "GBL", "GBC"}
+        # every exact method appears exactly once, on the named engine
+        assert sorted(p.method for p in ranked) == \
+            ["BCL", "BCLP", "Basic", "GBC", "GBL"]
+        assert {p.backend for p in ranked} == {"fast"}
 
     def test_session_probe_matches_sessionless(self):
         from repro.query import GraphSession
@@ -111,22 +112,29 @@ class TestRoundTrip:
 class TestEngineChoice:
     def test_free_choice_prefers_uninstrumented(self):
         plan = Planner(GRAPHS["random"]).plan(BicliqueQuery(2, 2))
-        # auto means "fastest": either uninstrumented engine may win,
-        # but never the instrumented simulated device
-        assert plan.backend in ("fast", "native")
+        # the free choice is native, never the instrumented simulated
+        # device
+        assert plan.backend == "native"
 
-    def test_free_choice_ranks_native_candidates(self):
-        """With no pinned engine the ranking prices the device methods
-        on the native batch-kernel engine too, with its own cost model
-        and the same prepared requirements as on ``fast``."""
-        ranked = Planner(GRAPHS["random"]).rank(BicliqueQuery(2, 2))
-        native = [p for p in ranked if p.backend == "native"]
-        assert {p.method for p in native} == {"GBL", "GBC"}
-        for plan in native:
-            fast_twin = next(p for p in ranked if p.backend == "fast"
-                             and p.method == plan.method)
-            assert plan.prepared == fast_twin.prepared
-            assert plan.predicted_seconds < fast_twin.predicted_seconds
+    def test_free_choice_is_gbc_on_native_without_a_probe(
+            self, monkeypatch):
+        """On native, and with no engine pinned, auto is one plan:
+        GBC on native, chosen by rule, so the probe never runs."""
+        import repro.core.estimate as estimate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the native rule must not probe")
+
+        monkeypatch.setattr(estimate, "sample_root_profile", refuse)
+        for query in QUERIES:
+            planner = Planner(GRAPHS["power-law"])
+            for ranked in (planner.rank(query, backend="native"),
+                           planner.rank(query)):
+                assert len(ranked) == 1
+                plan = ranked[0]
+                assert (plan.method, plan.backend) == ("GBC", "native")
+                assert plan.source == "auto"
+                assert plan.predicted_seconds == 0.0
 
     def test_sim_backend_prefers_the_device_methods(self):
         """On the instrumented engine the headline is simulated device
@@ -167,27 +175,7 @@ class TestEngineChoice:
 
 
 class TestSignalCaches:
-    """Sessionless planning memoises per-graph signals by content."""
-
-    def test_probe_runs_once_per_graph_content(self, monkeypatch):
-        import repro.core.estimate as estimate
-        from repro.plan import planner as planner_mod
-
-        graph = random_bipartite(22, 18, 90, seed=41)
-        query = BicliqueQuery(2, 2)
-        calls = {"n": 0}
-        real = estimate.sample_root_profile
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(estimate, "sample_root_profile", counting)
-        planner_mod._PROBE_CACHE.clear()
-        first = Planner(graph).plan(query)
-        second = Planner(graph).plan(query)   # a brand-new planner
-        assert first.as_dict() == second.as_dict()
-        assert calls["n"] == 1
+    """Planners memoise per-graph signals and re-sync on content change."""
 
     def test_stats_cached_by_content(self):
         from repro.graph.stats import cached_stats
@@ -203,7 +191,6 @@ class TestSignalCaches:
         import numpy as np
 
         import repro.core.estimate as estimate
-        from repro.plan import planner as planner_mod
 
         graph = random_bipartite(22, 18, 90, seed=44)
         donor = random_bipartite(22, 18, 90, seed=45)
@@ -216,25 +203,81 @@ class TestSignalCaches:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(estimate, "sample_root_profile", counting)
-        planner_mod._PROBE_CACHE.clear()
         planner = Planner(graph)
-        planner.plan(query)
-        planner.plan(query)                      # memoised: no new probe
+        planner.plan(query, backend="fast")
+        planner.plan(query, backend="fast")      # memoised: no new probe
         assert calls["n"] == 1
         for name in ("u_offsets", "u_neighbors", "v_offsets",
                      "v_neighbors"):
             np.copyto(getattr(graph, name), getattr(donor, name))
-        changed = planner.plan(query)            # re-syncs, probes again
+        changed = planner.plan(query, backend="fast")   # re-syncs
         assert calls["n"] == 2
-        assert changed.as_dict() == Planner(graph).plan(query).as_dict()
-        assert calls["n"] == 2                   # shared via probe cache
+        assert changed.as_dict() == \
+            Planner(graph).plan(query, backend="fast").as_dict()
 
-    def test_session_probe_still_warms_prepared_state(self, monkeypatch):
-        """Session planners bypass the probe cache on purpose: their
-        probe doubles as the session's prepared-state warmer."""
+    def test_session_probe_still_warms_prepared_state(self):
+        """A session planner probes through its session, so the probe
+        doubles as the session's prepared-state warmer."""
         from repro.query import GraphSession
 
         graph = random_bipartite(22, 18, 90, seed=43)
         session = GraphSession(graph)
-        Planner(graph, session=session).plan(BicliqueQuery(2, 2))
+        Planner(graph, session=session).plan(BicliqueQuery(2, 2),
+                                             backend="fast")
         assert session.stats.wedge_builds >= 1
+
+
+class TestNativeRule:
+    """``auto`` on native is GBC: same work as the explicit request,
+    priced only for a deadline, with the scalar methods at fast's
+    prices."""
+
+    def test_session_auto_does_exactly_what_explicit_gbc_does(self):
+        from repro.query import GraphSession
+
+        graph = GRAPHS["power-law"]
+        for query in QUERIES:
+            auto_session, gbc_session = GraphSession(graph), \
+                GraphSession(graph)
+            auto = auto_session.count(query, "auto", backend="native")
+            gbc = gbc_session.count(query, "GBC", backend="native")
+            assert (auto.algorithm, auto.count) == ("GBC", gbc.count)
+            assert auto_session.stats.as_dict() == \
+                gbc_session.stats.as_dict()
+
+    @pytest.mark.parametrize("method", ["Basic", "BCL", "BCLP", "approx"])
+    def test_scalar_methods_get_fast_prices_on_native(self, method):
+        planner = Planner(GRAPHS["power-law"])
+        for query in QUERIES:
+            assert planner.predict(query, method, backend="native") == \
+                planner.predict(query, method, backend="fast")
+
+    def test_deadline_prices_the_rule_plan(self):
+        graph = GRAPHS["power-law"]
+        query = BicliqueQuery(3, 2)
+        plan = Planner(graph).plan(query, backend="native", deadline=1e3)
+        assert (plan.method, plan.backend) == ("GBC", "native")
+        assert plan.predicted_seconds == \
+            Planner(graph).predict(query, "GBC", backend="native") > 0
+
+    def test_infeasible_deadline_raises_or_falls_back(self):
+        from repro.errors import DeadlineExceededError
+        from repro.query import GraphSession
+
+        graph = GRAPHS["power-law"]
+        query = BicliqueQuery(2, 2)
+        for backend in ("native", None):
+            with pytest.raises(DeadlineExceededError, match="GBC on native"):
+                Planner(graph).plan(query, backend=backend,
+                                    deadline=1e-9)
+            fallback = Planner(graph).plan(query, backend=backend,
+                                           accuracy="auto", deadline=1e-9)
+            assert (fallback.method, fallback.backend) == \
+                ("approx", "native")
+        session = GraphSession(graph)
+        with pytest.raises(DeadlineExceededError):
+            session.count(query, "auto", backend="native", deadline=1e-9)
+        served = session.count(query, "auto", backend="native",
+                               accuracy="auto", deadline=1e-9)
+        assert served.algorithm == "approx"
+        assert "ci95" in served.extras

@@ -10,8 +10,9 @@ rather than silently degrade: every request expires with
 :class:`~repro.errors.DeadlineExceededError`.
 
 The graph/deadline pair is picked so the admission decision is
-deterministic: the best exact plan predicts ~50 ms against a 10 ms
-deadline, a 5x margin no scheduler jitter can flip.
+deterministic: the best exact plan on the scheduler's ``fast`` engine
+predicts ~65 ms against a 10 ms deadline, a margin over 5x that no
+scheduler jitter can flip.
 """
 
 from __future__ import annotations
@@ -29,14 +30,15 @@ from repro.service.scheduler import Scheduler, SchedulerConfig
 from repro.service.workload import WorkloadSpec, run_workload
 
 #: dense enough that every exact plan predicts far beyond DEADLINE
-GRAPH = random_bipartite(200, 150, 3000, seed=3)
+GRAPH = random_bipartite(200, 150, 4000, seed=3)
 QUERY = BicliqueQuery(3, 3)
 DEADLINE = 0.01
 
 
 @pytest.fixture(scope="module")
 def exact_count():
-    return gbc_count(GRAPH, QUERY).count
+    # counts are engine-independent; native keeps the oracle cheap
+    return gbc_count(GRAPH, QUERY, backend="native").count
 
 
 @pytest.fixture()
@@ -52,7 +54,7 @@ def test_deadline_is_actually_infeasible_for_exact():
     """Guard the premise: if the cost model ever gets fast enough to
     predict this plan under the deadline, the tests below stop testing
     the fallback path — fail loudly here instead."""
-    best = Planner(GRAPH).rank(QUERY)[0]
+    best = Planner(GRAPH).rank(QUERY, backend="fast")[0]
     assert best.predicted_seconds > 5 * DEADLINE
 
 

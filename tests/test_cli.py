@@ -92,13 +92,22 @@ class TestCommands:
 
     def test_plan_explain(self, capsys):
         assert main(["plan", "explain", "--dataset", "YT",
-                     "--scale", "tiny", "-p", "2", "-q", "2"]) == 0
+                     "--scale", "tiny", "-p", "2", "-q", "2",
+                     "--backend", "fast"]) == 0
         out = capsys.readouterr().out
         assert "<- chosen" in out
         assert "candidate plan(s), cheapest first" in out
         assert "promising roots" in out
         for method in ("Basic", "BCL", "BCLP", "GBL", "GBC"):
             assert method in out
+
+    def test_plan_explain_free_choice_prints_the_rule(self, capsys):
+        assert main(["plan", "explain", "--dataset", "YT",
+                     "--scale", "tiny", "-p", "2", "-q", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "1 candidate plan(s)" in out
+        assert "chosen: GBC on native — auto on native runs GBC" in out
+        assert "promising roots" not in out     # nothing was probed
 
     def test_plan_explain_measure(self, capsys):
         assert main(["plan", "explain", "--dataset", "S1",
@@ -108,7 +117,7 @@ class TestCommands:
 
     def test_plan_explain_deterministic(self, capsys):
         args = ["plan", "explain", "--dataset", "GH", "--scale", "tiny",
-                "-p", "2", "-q", "2", "--seed", "3"]
+                "-p", "2", "-q", "2", "--seed", "3", "--backend", "fast"]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert main(args) == 0
@@ -214,7 +223,8 @@ class TestAccuracyTier:
 
     def test_plan_explain_error_column_and_approx_alternative(self, capsys):
         assert main(["plan", "explain", "--dataset", "YT",
-                     "--scale", "tiny", "-p", "2", "-q", "2"]) == 0
+                     "--scale", "tiny", "-p", "2", "-q", "2",
+                     "--backend", "fast"]) == 0
         out = capsys.readouterr().out
         assert "error" in out                 # the new column
         assert "exact" in out                 # exact rows say so
@@ -283,7 +293,8 @@ class TestObservability:
             self, tmp_path, capsys):
         ledger = tmp_path / "costs.json"
         argv = ["plan", "explain", "--dataset", "YT", "--scale", "tiny",
-                "-p", "2", "-q", "2", "--ledger", str(ledger)]
+                "-p", "2", "-q", "2", "--backend", "fast",
+                "--ledger", str(ledger)]
         assert main(argv + ["--measure"]) == 0
         first = capsys.readouterr().out
         assert "observed" in first and "calibrated" in first
