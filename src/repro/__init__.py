@@ -49,10 +49,12 @@ Packages:
   maintenance under edge mutations, with epoch-pinned snapshots.
 * :mod:`repro.service` — the concurrent serving subsystem (bounded
   session pool, work-conserving scheduler with futures/deadlines/
-  backpressure, telemetry, workload generator, serve-bench harness).
+  backpressure, telemetry).
+* :mod:`repro.dist` — the multi-process serving tier (consistent-hash
+  routing over forked workers, partitioned fan-out).
 * :mod:`repro.obs` — cross-layer observability: zero-overhead-when-off
   span tracing, the measured-cost ledger that calibrates the Planner,
-  structured logging and the BENCH_* regression leaderboard.
+  and structured logging.
 * :mod:`repro.bench` — dataset stand-ins and paper experiment harness.
 
 See ``docs/ARCHITECTURE.md`` for the layer diagram and
@@ -135,10 +137,6 @@ from repro.service import (
     SchedulerConfig,
     SessionPool,
     Telemetry,
-    WorkloadSpec,
-    mutate_bench,
-    run_workload,
-    serve_bench,
 )
 
 __version__ = "1.1.0"
@@ -163,7 +161,6 @@ __all__ = [
     "parse_queries", "graph_fingerprint",
     "DynamicGraphSession", "SnapshotSession", "EdgeMutation",
     "SessionPool", "Scheduler", "SchedulerConfig", "Telemetry",
-    "WorkloadSpec", "run_workload", "serve_bench", "mutate_bench",
     "CostLedger", "TraceRecorder", "enable_tracing", "disable_tracing",
     "tracing",
 ]

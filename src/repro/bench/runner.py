@@ -30,7 +30,7 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.plan import execute_plan, method_names, plan_query, warm_session
 
 __all__ = ["METHODS", "run_method", "headline_seconds", "MethodRun",
-           "run_matrix", "speedup", "run_serve_bench"]
+           "run_matrix", "speedup"]
 
 #: the registered method names, in registry listing order (``"auto"``
 #: additionally asks the planner to choose among the non-ablations).
@@ -172,19 +172,6 @@ def run_matrix(graphs: dict[str, BipartiteGraph],
                 raise AssertionError(
                     f"methods disagree on {name} {query}: {sorted(counts)}")
     return runs
-
-
-def run_serve_bench(graphs: dict[str, BipartiteGraph], spec, **kwargs):
-    """Benchmark-harness entry point for the serving subsystem.
-
-    Thin delegation to :func:`repro.service.bench.serve_bench` (imported
-    lazily — :mod:`repro.service` sits above this module and its naive
-    baseline calls back into :func:`run_method`); here so benchmark
-    drivers reach every harness through ``repro.bench.runner``.
-    """
-    from repro.service.bench import serve_bench
-
-    return serve_bench(graphs, spec, **kwargs)
 
 
 def speedup(baseline: MethodRun | CountResult,

@@ -7,7 +7,6 @@ Examples::
     python -m repro count --dataset YT --scale bench -p 3 -q 3 --method auto
     python -m repro plan explain --dataset YT --scale tiny -p 3 -q 3
     python -m repro batch --dataset YT --scale tiny --queries 3x3,3x4,4x4
-    python -m repro serve-bench --graphs YT,S1 --scale tiny --duration 2
     python -m repro enumerate --dataset S1 --scale tiny -p 3 -q 2 --limit 5
     python -m repro estimate --dataset YT --scale bench -p 4 -q 4 --samples 32
     python -m repro datasets
@@ -16,7 +15,6 @@ Examples::
     python -m repro trace summarize t.jsonl
     python -m repro plan explain --dataset YT --scale tiny -p 3 -q 3 \\
         --ledger costs.json --measure
-    python -m repro leaderboard
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from repro.graph.io import read_edge_list
 from repro.graph.stats import compute_stats
 from repro.plan import (ACCURACIES, AUTO, Planner, execute_plan,
                         explicit_plan, method_names)
-from repro.query import GraphSession, batch_count, parse_queries
+from repro.query import GraphSession, batch_count
 
 __all__ = ["main", "build_parser"]
 
@@ -140,141 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-query latency budget (see count --deadline)")
     add_trace_arg(b)
 
-    sb = sub.add_parser(
-        "serve-bench",
-        help="benchmark the concurrent serving subsystem against a "
-             "naive one-query-at-a-time loop and write a JSON artifact")
-    sb.add_argument("--graphs", default="YT,S1", metavar="KEY[,KEY...]",
-                    help="comma-separated Table II stand-in keys served "
-                         "by the pool, hottest first (default YT,S1)")
-    sb.add_argument("--scale", default="tiny",
-                    choices=("tiny", "bench", "full"),
-                    help="stand-in scale (default tiny)")
-    sb.add_argument("--queries", type=int, default=200, metavar="N",
-                    help="total requests in the workload (default 200)")
-    sb.add_argument("--duration", type=float, default=None, metavar="SECS",
-                    help="run for wall time instead of a request count")
-    sb.add_argument("--mode", default="closed", choices=("closed", "open"),
-                    help="closed loop (clients wait) or open loop "
-                         "(fixed-rate pacer; default closed)")
-    sb.add_argument("--clients", type=int, default=8,
-                    help="closed-loop client threads (default 8)")
-    sb.add_argument("--rate", type=float, default=200.0,
-                    help="open-loop submission rate in qps (default 200)")
-    sb.add_argument("--shapes", default="2x2,2x3,3x3", metavar="PxQ[,...]",
-                    help="query-shape mix (default 2x2,2x3,3x3)")
-    sb.add_argument("--zipf", type=float, default=1.1,
-                    help="graph-popularity skew exponent (default 1.1)")
-    sb.add_argument("--method", default=None, choices=_method_choices(),
-                    help="counting algorithm; 'auto' adapts per "
-                         "(graph, shape) through the pooled sessions "
-                         "(default GBC, or auto when --accuracy is "
-                         "not exact)")
-    sb.add_argument("--backend", default="fast",
-                    choices=list(BACKEND_NAMES),
-                    help="kernel engine batches execute on (default fast)")
-    sb.add_argument("--max-batch", type=int, default=64,
-                    help="per-batch request cap (default 64)")
-    sb.add_argument("--max-pending", type=int, default=1024,
-                    help="admission bound before backpressure "
-                         "(default 1024)")
-    sb.add_argument("--sched-workers", type=int, default=2, metavar="N",
-                    help="scheduler worker threads (default 2)")
-    sb.add_argument("--max-sessions", type=int, default=None, metavar="N",
-                    help="session-pool entry budget "
-                         "(default: one per graph)")
-    sb.add_argument("--deadline", type=float, default=None, metavar="SECS",
-                    help="per-request deadline")
-    sb.add_argument("--accuracy", default="exact",
-                    choices=list(ACCURACIES),
-                    help="service tier of every request: exact, the "
-                         "sampling tier, or auto — exact when it fits "
-                         "the deadline, sampling otherwise "
-                         "(default exact)")
-    sb.add_argument("--seed", type=int, default=0)
-    sb.add_argument("--naive-limit", type=int, default=100, metavar="N",
-                    help="request cap for the naive baseline (default 100)")
-    sb.add_argument("--no-verify", action="store_true",
-                    help="skip the direct-recount correctness oracle")
-    sb.add_argument("--output", default="benchmarks/artifacts/"
-                                        "BENCH_serve.json",
-                    help="artifact path (default benchmarks/artifacts/"
-                         "BENCH_serve.json)")
-    add_trace_arg(sb)
-
-    db = sub.add_parser(
-        "serve-dist-bench",
-        help="benchmark the multi-process serving tier over a "
-             "topology x graph-size grid; writes BENCH_dist.json")
-    db.add_argument("--topologies", default="1,2,4", metavar="N[,N...]",
-                    help="worker counts of the grid; 1 is the "
-                         "in-process baseline (default 1,2,4)")
-    db.add_argument("--sizes", default="small,medium",
-                    metavar="SIZE[,SIZE...]",
-                    help="graph-size tiers of the grid "
-                         "(small, medium; default both)")
-    db.add_argument("--repetitions", type=int, default=2, metavar="N",
-                    help="workload repetitions per grid point "
-                         "(default 2)")
-    db.add_argument("--queries", type=int, default=160, metavar="N",
-                    help="requests per workload run (default 160)")
-    db.add_argument("--clients", type=int, default=8,
-                    help="closed-loop client threads (default 8)")
-    db.add_argument("--zipf", type=float, default=1.1,
-                    help="graph-popularity skew exponent (default 1.1)")
-    db.add_argument("--replication", type=int, default=2, metavar="R",
-                    help="replicas for the zipf-hot graph (default 2)")
-    db.add_argument("--method", default="GBC",
-                    choices=_method_choices(),
-                    help="counting algorithm (default GBC)")
-    db.add_argument("--backend", default="fast",
-                    choices=list(BACKEND_NAMES),
-                    help="kernel engine inside workers (default fast)")
-    db.add_argument("--seed", type=int, default=17)
-    db.add_argument("--no-verify", action="store_true",
-                    help="skip the direct-recount correctness oracle")
-    db.add_argument("--output", default="benchmarks/artifacts/"
-                                        "BENCH_dist.json",
-                    help="artifact path (default benchmarks/artifacts/"
-                         "BENCH_dist.json)")
-
-    mb = sub.add_parser(
-        "serve-mutate-bench",
-        help="benchmark incremental (p,q) maintenance against "
-             "rebuild-per-edit and drive a mixed read/write workload; "
-             "writes BENCH_mutate.json")
-    mb.add_argument("--graphs", default="YT,S1", metavar="KEY[,KEY...]",
-                    help="comma-separated Table II stand-in keys "
-                         "(default YT,S1)")
-    mb.add_argument("--scale", default="tiny",
-                    choices=("tiny", "bench", "full"),
-                    help="stand-in scale (default tiny)")
-    mb.add_argument("--shapes", default="2x2,2x3,3x3", metavar="PxQ[,...]",
-                    help="tracked query shapes (default 2x2,2x3,3x3)")
-    mb.add_argument("--edits", type=int, default=200, metavar="N",
-                    help="toggle-stream length per graph (default 200)")
-    mb.add_argument("--rebuild-limit", type=int, default=16, metavar="N",
-                    help="edit cap for the rebuild-per-edit baseline "
-                         "(a rate needs few edits; default 16)")
-    mb.add_argument("--method", default="GBC", choices=_method_choices(),
-                    help="counting algorithm for recounts/rebuilds")
-    mb.add_argument("--backend", default="fast",
-                    choices=list(BACKEND_NAMES),
-                    help="kernel engine (default fast)")
-    mb.add_argument("--seed", type=int, default=0)
-    mb.add_argument("--queries", type=int, default=120, metavar="N",
-                    help="mixed read/write serving drive: total draws "
-                         "(0 disables the serving phase; default 120)")
-    mb.add_argument("--clients", type=int, default=8,
-                    help="serving-drive client threads (default 8)")
-    mb.add_argument("--mutate-fraction", type=float, default=0.15,
-                    help="fraction of serving draws that become edge "
-                         "toggles (default 0.15)")
-    mb.add_argument("--output", default="benchmarks/artifacts/"
-                                        "BENCH_mutate.json",
-                    help="artifact path (default benchmarks/artifacts/"
-                         "BENCH_mutate.json)")
-
     pl = sub.add_parser("plan",
                         help="inspect the cost-based query planner")
     plsub = pl.add_subparsers(dest="plan_command", required=True)
@@ -319,21 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="aggregate a --trace JSONL file into a per-span "
              "time / self-time tree")
     ts.add_argument("path", help="JSONL file written by --trace")
-
-    lb = sub.add_parser(
-        "leaderboard",
-        help="assemble BENCH_*.json artifacts into the regression "
-             "leaderboard (BENCH_leaderboard.json + .md)")
-    lb.add_argument("--artifacts", default="benchmarks/artifacts",
-                    metavar="DIR",
-                    help="artifact directory scanned for BENCH_*.json "
-                         "(default benchmarks/artifacts)")
-    lb.add_argument("--json-out", default=None, metavar="PATH",
-                    help="leaderboard JSON path (default "
-                         "DIR/BENCH_leaderboard.json)")
-    lb.add_argument("--md-out", default=None, metavar="PATH",
-                    help="leaderboard markdown path (default "
-                         "DIR/BENCH_leaderboard.md)")
 
     e = sub.add_parser("enumerate", help="list (p,q)-bicliques")
     add_graph_args(e)
@@ -484,201 +332,6 @@ def _cmd_batch(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from repro.service import SchedulerConfig, WorkloadSpec, serve_bench
-    from repro.service.bench import write_artifact
-
-    method = _resolve_method(args)
-    if method is None:
-        return 2
-    names = [n.strip() for n in args.graphs.split(",") if n.strip()]
-    known = list_datasets()
-    for name in names:
-        if name not in known:
-            print(f"error: unknown dataset {name!r}; pick from {known}",
-                  file=sys.stderr)
-            return 2
-    graphs = {name: load_dataset(name, args.scale) for name in names}
-    spec = WorkloadSpec(
-        graphs=tuple(names),
-        shapes=tuple((bq.p, bq.q) for bq in parse_queries(args.shapes)),
-        num_queries=args.queries,
-        duration_seconds=args.duration,
-        mode=args.mode,
-        clients=args.clients,
-        rate_qps=args.rate,
-        zipf_s=args.zipf,
-        method=method,
-        deadline=args.deadline,
-        accuracy=args.accuracy,
-        seed=args.seed)
-    config = SchedulerConfig(
-        max_batch=args.max_batch,
-        max_pending=args.max_pending,
-        workers=args.sched_workers,
-        backend=args.backend,
-        method=method,
-        accuracy=args.accuracy)
-    artifact = serve_bench(graphs, spec, config=config,
-                           max_sessions=args.max_sessions,
-                           naive_limit=args.naive_limit,
-                           verify=not args.no_verify)
-    path = write_artifact(artifact, args.output)
-
-    served, naive, tel = (artifact["served"], artifact["naive"],
-                          artifact["telemetry"])
-    rows = [
-        ["served", served["completed"],
-         f"{served['throughput_qps']:.1f}",
-         f"{tel['latency_ms']['p50']:.1f}",
-         f"{tel['latency_ms']['p99']:.1f}"],
-        ["naive", naive["requests"],
-         f"{naive['throughput_qps']:.1f}", "-", "-"],
-    ]
-    print(render_table(
-        f"serve-bench — {args.mode} loop over {', '.join(names)} "
-        f"({args.scale}), backend {args.backend}",
-        ["path", "requests", "qps", "p50 [ms]", "p99 [ms]"], rows))
-    print(f"speedup vs naive loop: {artifact['speedup_vs_naive']:.2f}x; "
-          f"mean batch {tel['batches']['mean_size']:.1f} "
-          f"(max {tel['batches']['max_size']}); "
-          f"rejected {served['rejected']}, expired {served['expired']}, "
-          f"failed {served['failed']}, approx {served['approx_served']}")
-    print(f"artifact: {path}")
-    if artifact["verified"]:
-        mismatches = artifact["mismatches"]
-        if mismatches:
-            print(f"error: {len(mismatches)} served count(s) differ from "
-                  f"direct runs: {mismatches}", file=sys.stderr)
-            return 1
-        if served["approx_served"]:
-            print(f"verified: every exact served count is bit-identical "
-                  f"to a direct {method} run; every sampling-tier "
-                  f"answer is within its reported 95% CI of the exact "
-                  f"count")
-        else:
-            print(f"verified: every served (graph, p, q) count is "
-                  f"bit-identical to a direct {method} run")
-    if served["completed"] == 0:
-        print("error: workload completed zero requests", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_serve_dist_bench(args) -> int:
-    from repro.dist.bench import GRID_SIZES, dist_bench
-    from repro.service.bench import write_artifact
-
-    try:
-        topologies = tuple(int(t) for t in args.topologies.split(",")
-                           if t.strip())
-    except ValueError:
-        print(f"error: bad --topologies {args.topologies!r}",
-              file=sys.stderr)
-        return 2
-    sizes = tuple(s.strip() for s in args.sizes.split(",") if s.strip())
-    for size in sizes:
-        if size not in GRID_SIZES:
-            print(f"error: unknown size {size!r}; pick from "
-                  f"{sorted(GRID_SIZES)}", file=sys.stderr)
-            return 2
-    artifact = dist_bench(topologies=topologies, sizes=sizes,
-                          repetitions=args.repetitions,
-                          num_queries=args.queries,
-                          clients=args.clients, zipf_s=args.zipf,
-                          backend=args.backend, method=args.method,
-                          replication=args.replication, seed=args.seed,
-                          verify=not args.no_verify)
-    path = write_artifact(artifact, args.output)
-
-    rows = [[r["graph_size"], f"{r['topology']}w", r["repetition"],
-             r["completed"], f"{r['throughput_qps']:.1f}",
-             f"{r['p95_ms']:.1f}", f"{r['failure_rate']:.3f}",
-             len(r["mismatches"])]
-            for r in artifact["rows"]]
-    print(render_table(
-        f"serve-dist-bench — {artifact['host']['usable_cpus']} usable "
-        f"CPUs, backend {args.backend}",
-        ["size", "topology", "rep", "served", "qps", "p95 [ms]",
-         "fail rate", "mismatch"], rows))
-    speedups = ", ".join(f"{size}: {s:.2f}x"
-                         for size, s in
-                         sorted(artifact["speedup_vs_1w"].items()))
-    print(f"speedup vs 1 worker at {artifact['topologies'][-1]} "
-          f"workers: {speedups}")
-    print(f"partitioned fan-out exact: "
-          f"{artifact['partitioned']['exact']}")
-    print(f"artifact: {path}")
-    mismatches = sum(len(r["mismatches"]) for r in artifact["rows"])
-    if mismatches or not artifact["partitioned"]["exact"]:
-        print(f"error: {mismatches} served counts diverged from the "
-              f"direct oracle", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_serve_mutate_bench(args) -> int:
-    from repro.service import SchedulerConfig, WorkloadSpec, mutate_bench
-    from repro.service.bench import write_artifact
-
-    names = [n.strip() for n in args.graphs.split(",") if n.strip()]
-    known = list_datasets()
-    for name in names:
-        if name not in known:
-            print(f"error: unknown dataset {name!r}; pick from {known}",
-                  file=sys.stderr)
-            return 2
-    graphs = {name: load_dataset(name, args.scale) for name in names}
-    shapes = tuple((bq.p, bq.q) for bq in parse_queries(args.shapes))
-    serve_spec = None
-    if args.queries > 0:
-        serve_spec = WorkloadSpec(
-            graphs=tuple(names), shapes=shapes,
-            num_queries=args.queries, clients=args.clients,
-            method=args.method, seed=args.seed,
-            mutate_fraction=args.mutate_fraction)
-    config = SchedulerConfig(backend=args.backend, method=args.method)
-    artifact = mutate_bench(graphs, shapes=shapes, edits=args.edits,
-                            rebuild_limit=args.rebuild_limit,
-                            method=args.method, backend=args.backend,
-                            seed=args.seed, serve_spec=serve_spec,
-                            config=config)
-    path = write_artifact(artifact, args.output)
-
-    rows = [[g["graph"], g["edits"],
-             f"{g['incremental_edits_per_s']:.1f}",
-             f"{g['rebuild_edits_per_s']:.1f}",
-             f"{g['speedup_vs_rebuild']:.1f}",
-             g["dynamic_stats"]["cutover_deferrals"],
-             len(g["mismatches"])]
-            for g in artifact["graphs"]]
-    print(render_table(
-        f"serve-mutate-bench — {args.edits} toggles over "
-        f"{', '.join(names)} ({args.scale}), shapes {args.shapes}, "
-        f"backend {args.backend}",
-        ["graph", "edits", "incr edits/s", "rebuild edits/s",
-         "speedup", "cutovers", "mismatches"], rows))
-    if serve_spec is not None:
-        served = artifact["serve"]["served"]
-        print(f"mixed serving drive: {served['completed']} reads, "
-              f"{served['mutations']} mutations, "
-              f"{served['failed']} failed, "
-              f"{served['throughput_qps']:.1f} qps; final epochs "
-              f"{artifact['serve']['pool']['dynamic_epochs']}")
-    print(f"min speedup vs rebuild-per-edit: "
-          f"{artifact['min_speedup_vs_rebuild']:.1f}x")
-    print(f"artifact: {path}")
-    if artifact["mismatches"]:
-        print(f"error: {artifact['mismatches']} incremental count(s) "
-              f"differ from rebuild/recount", file=sys.stderr)
-        return 1
-    if serve_spec is not None and artifact["serve"]["served"]["failed"]:
-        print("error: mixed serving drive recorded failures",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_plan(args) -> int:
     if args.plan_command != "explain":   # pragma: no cover - argparse
         return 2
@@ -775,25 +428,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_leaderboard(args) -> int:
-    from repro.obs.leaderboard import write_leaderboard
-    from repro.obs.schema import SchemaError
-    try:
-        json_path, md_path, board = write_leaderboard(
-            args.artifacts, out_json=args.json_out, out_md=args.md_out)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    summary = board["summary"]
-    print(f"leaderboard: {len(board['cells'])} cell(s) from "
-          f"{len(board['artifacts'])} artifact(s) — "
-          f"{summary['win']} win(s), {summary['regression']} "
-          f"regression(s), {summary['flat']} flat, {summary['new']} new")
-    print(f"wrote {json_path}")
-    print(f"wrote {md_path}")
-    return 0
-
-
 def _cmd_enumerate(args) -> int:
     graph = _load(args)
     query = BicliqueQuery(args.p, args.q)
@@ -855,11 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         "count": _cmd_count,
         "plan": _cmd_plan,
         "batch": _cmd_batch,
-        "serve-bench": _cmd_serve_bench,
-        "serve-dist-bench": _cmd_serve_dist_bench,
-        "serve-mutate-bench": _cmd_serve_mutate_bench,
         "trace": _cmd_trace,
-        "leaderboard": _cmd_leaderboard,
         "enumerate": _cmd_enumerate,
         "estimate": _cmd_estimate,
         "datasets": _cmd_datasets,

@@ -35,6 +35,12 @@ __all__ = ["csr_frontier_count", "htb_frontier_count",
 #: count) while keeping enough tasks in flight to amortise dispatch
 FRONTIER_ROOT_CHUNK = 4096
 
+#: footprint, in 4-byte words, of one element a pairwise kernel gathers
+#: from its probed rows: an int64 value per CSR element, an int64 idx
+#: plus a uint64 val per HTB word
+_CSR_GATHER_WORDS = 2
+_HTB_GATHER_WORDS = 4
+
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_U64 = np.empty(0, dtype=np.uint64)
 
@@ -51,6 +57,13 @@ def _select_rows(off: np.ndarray, flat: np.ndarray,
     """Keep a subset of ragged rows: new offsets plus the masked flat."""
     lens = np.diff(off)
     return _offsets(lens[keep]), flat[np.repeat(keep, lens)]
+
+
+def _gathered_words(off: np.ndarray, rows: np.ndarray,
+                    words_per_element: int) -> int:
+    """Words one pairwise kernel call gathers: the total length of the
+    rows it probes, at ``words_per_element`` words each."""
+    return words_per_element * int(row_lengths(off, rows).sum())
 
 
 def decode_bitmap_rows(off: np.ndarray, idx: np.ndarray, val: np.ndarray,
@@ -83,8 +96,9 @@ def csr_frontier_count(engine, metrics, adj_off, adj_val, idx_off, idx_val,
     """Count over CSR candidate sets, one kernel call per search level.
 
     Returns ``(total, peak_words)`` where ``peak_words`` is the largest
-    level footprint (live CL/CR rows plus staged children) in words —
-    the BFS analogue of the recursion's working-set peak.
+    level footprint (live CL/CR rows, the rows each kernel call gathers,
+    and staged children) in words — the BFS analogue of the recursion's
+    working-set peak.
     """
     roots = np.asarray(roots, dtype=np.int64)
     if p == 1:
@@ -97,7 +111,10 @@ def csr_frontier_count(engine, metrics, adj_off, adj_val, idx_off, idx_val,
         cr_off, cl_off = _offsets(cr_lens), _offsets(cl_lens)
         depth = 1
         while len(cl_off) > 1:
-            level_words = len(cl_val) + len(cr_val)
+            # the first pairwise call, leaf or not, gathers the
+            # adjacency rows of every candidate
+            level_words = len(cl_val) + len(cr_val) + _gathered_words(
+                adj_off, cl_val, _CSR_GATHER_WORDS)
             task_of = np.repeat(np.arange(len(cl_off) - 1, dtype=np.int64),
                                 np.diff(cl_off))
             if depth + 1 == p:
@@ -117,6 +134,8 @@ def csr_frontier_count(engine, metrics, adj_off, adj_val, idx_off, idx_val,
             new_cl_off, new_cl_val = engine.intersect_pairs(
                 cl_off, cl_val, task_of[keep], idx_off, idx_val,
                 cl_val[keep], metrics, warps=warps)
+            level_words += _gathered_words(idx_off, cl_val[keep],
+                                           _CSR_GATHER_WORDS)
             peak = max(peak, level_words + len(new_cr_val)
                        + len(new_cl_val))
             live = np.diff(new_cl_off) >= p - depth - 1
@@ -136,8 +155,9 @@ def htb_frontier_count(engine, metrics, htb1, htb2, roots, p: int, q: int,
     ``htb1`` holds the anchored adjacency bitmaps (the CR side),
     ``htb2`` the rank-filtered two-hop bitmaps (the CL side) — the same
     pair the per-root HTB kernel walks.  Returns ``(total,
-    peak_words)`` with the footprint measured in stored (idx, val)
-    word pairs, matching the recursion's 2-words-per-stored-word rule.
+    peak_words)`` with the live rows measured in stored (idx, val)
+    word pairs, matching the recursion's 2-words-per-stored-word rule,
+    plus the rows each kernel call gathers.
     """
     roots = np.asarray(roots, dtype=np.int64)
     word_bits = htb1.word_bits
@@ -158,9 +178,12 @@ def htb_frontier_count(engine, metrics, htb1, htb2, roots, p: int, q: int,
         cr_off, cl_off = _offsets(cr_lens), _offsets(cl_lens)
         depth = 1
         while len(cl_off) > 1:
-            level_words = 2 * (len(cl_idx) + len(cr_idx))
             cand, cand_lens = decode_bitmap_rows(cl_off, cl_idx, cl_val,
                                                  word_bits)
+            # the first pairwise call, leaf or not, gathers the
+            # adjacency bitmap rows of every candidate
+            level_words = 2 * (len(cl_idx) + len(cr_idx)) + _gathered_words(
+                htb1.off, cand, _HTB_GATHER_WORDS)
             task_of = np.repeat(np.arange(len(cl_off) - 1, dtype=np.int64),
                                 cand_lens)
             if depth + 1 == p:
@@ -180,6 +203,8 @@ def htb_frontier_count(engine, metrics, htb1, htb2, roots, p: int, q: int,
             ncl_off, ncl_idx, ncl_val, ncl_counts = engine.bitmap_pairs(
                 cl_off, cl_idx, cl_val, task_of[keep], htb2, cand[keep],
                 metrics, warps=warps)
+            level_words += _gathered_words(htb2.off, cand[keep],
+                                           _HTB_GATHER_WORDS)
             peak = max(peak, level_words + 2 * len(ncr_idx)
                        + 2 * len(ncl_idx))
             live = ncl_counts >= p - depth - 1

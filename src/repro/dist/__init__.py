@@ -16,9 +16,7 @@ processes, each owning a shard of the session pool:
 * :mod:`~repro.dist.router` — routing, replication fan-out,
   partition-merge counting (bit-identical to single-process by the
   per-root decomposition), cross-worker telemetry/ledger aggregation,
-  and graceful in-process fallback when ``fork`` is unavailable;
-* :mod:`~repro.dist.bench` — the ``serve-dist-bench`` topology × size
-  grid behind ``BENCH_dist.json``.
+  and graceful in-process fallback when ``fork`` is unavailable.
 
 >>> from repro import random_bipartite
 >>> from repro.dist import DistRouter
@@ -28,10 +26,9 @@ processes, each owning a shard of the session pool:
 528
 """
 
-from repro.dist.bench import dist_bench, make_grid_graphs
 from repro.dist.hashring import HashRing
 from repro.dist.router import DistRouter, RouteEntry, plan_routes
 from repro.dist.worker import WorkerHandle
 
 __all__ = ["DistRouter", "HashRing", "RouteEntry", "WorkerHandle",
-           "dist_bench", "make_grid_graphs", "plan_routes"]
+           "plan_routes"]

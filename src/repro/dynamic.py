@@ -61,6 +61,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.core.counts import BicliqueQuery, CountResult
 from repro.core.delta import bicliques_containing_edge, delta_work_estimate
 from repro.errors import GraphValidationError, QueryError
@@ -70,7 +72,7 @@ from repro.plan import AUTO
 from repro.query import GraphSession
 
 __all__ = ["EdgeMutation", "DynamicGraphSession", "SnapshotSession",
-           "DynamicStats"]
+           "DynamicStats", "edit_stream"]
 
 #: deterministic work-unit -> seconds scale for the cutover price of one
 #: delta evaluation (see :func:`repro.core.delta.delta_work_estimate`).
@@ -112,6 +114,17 @@ class EdgeMutation:
     @classmethod
     def from_dict(cls, data: dict) -> "EdgeMutation":
         return cls(str(data["op"]), int(data["u"]), int(data["v"]))
+
+
+def edit_stream(graph: BipartiteGraph, edits: int,
+                seed: int = 0) -> list[EdgeMutation]:
+    """A deterministic stream of ``edits`` uniform toggles on ``graph``'s
+    coordinate space — the replayable workload both benchmark arms and
+    the golden mutation traces share."""
+    rng = np.random.default_rng((seed, graph.num_u, graph.num_v))
+    return [EdgeMutation("toggle", int(rng.integers(graph.num_u)),
+                         int(rng.integers(graph.num_v)))
+            for _ in range(int(edits))]
 
 
 @dataclass

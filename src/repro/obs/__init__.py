@@ -1,4 +1,4 @@
-"""Observability: tracing spans, the measured-cost ledger, leaderboard.
+"""Observability: tracing spans, the measured-cost ledger, logging.
 
 The counting stack has nine functional seams (see
 ``docs/ARCHITECTURE.md``); this package is the observability seam —
@@ -17,15 +17,9 @@ zero-dependency:
   given the ledger calibrates its analytic predictions by the
   observed/predicted ratio and re-ranks.  Counts never change — only
   the ordering among exact candidates may.
-* :mod:`repro.obs.leaderboard` — assembles every
-  ``benchmarks/artifacts/BENCH_*.json`` perf artifact into one
-  ``BENCH_leaderboard.{json,md}`` waterfall of per-cell speedups vs
-  the previous generation, with win/regression flags
-  (``repro leaderboard`` and the CI ``leaderboard`` job).
-
-:mod:`repro.obs.log` supplies the ``logging.getLogger("repro")``
-hierarchy (NullHandler by default; the CLI ``--verbose`` flag installs
-a stderr handler).
+* :mod:`repro.obs.log` — the ``logging.getLogger("repro")`` hierarchy
+  (NullHandler by default; the CLI ``--verbose`` flag installs a
+  stderr handler).
 """
 
 from repro.obs.ledger import CostLedger, LedgerCell

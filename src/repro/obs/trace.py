@@ -18,8 +18,8 @@ The span model is deliberately small:
 Tracing is **off by default**.  Disabled, :func:`span` returns a
 module-level null singleton and :func:`event`/:func:`tally_kernel`
 return after one module-attribute check, so the instrumented seams cost
-nothing measurable (the <2% serve-bench overhead bar in
-``benchmarks/test_serve_throughput.py``).  :func:`enable_tracing`
+nothing measurable (the <5µs per disabled span + tally bar in
+``benchmarks/test_trace_overhead.py``).  :func:`enable_tracing`
 installs a :class:`TraceRecorder`; :meth:`TraceRecorder.dump` writes
 one JSON object per line (JSONL), which ``repro trace summarize``
 renders as a per-span total/self-time tree via :func:`summarize`.

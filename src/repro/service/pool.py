@@ -298,19 +298,6 @@ class SessionPool:
             session = self._sessions.get(name)
         return session.refresh() if session is not None else False
 
-    def dimensions(self, name: str) -> tuple[int, int]:
-        """(num_u, num_v) of graph ``name`` — the valid mutation
-        coordinate space for a dynamic entry — materialising the graph
-        if needed."""
-        with self._lock:
-            loader = self._loaders.get(name)
-            if isinstance(loader, DynamicGraphSession):
-                return loader.num_u, loader.num_v
-            if isinstance(loader, BipartiteGraph):
-                return loader.num_u, loader.num_v
-        graph = self.session(name).graph
-        return graph.num_u, graph.num_v
-
     def resident_bytes(self) -> int:
         """Summed size estimate of all live pooled graphs."""
         with self._lock:

@@ -6,7 +6,7 @@ serving path emits — request admitted / rejected / expired / completed /
 failed, batch executed, queue depth observed.  Everything is guarded by
 one lock (events arrive from every client and worker thread at once) and
 exposed as a JSON-serialisable :meth:`snapshot`, which is what the
-``serve-bench`` artifact and the CI smoke step consume.
+repository benchmark's serve-mixed workload reports per layer.
 
 Latencies are kept as raw samples up to ``max_latency_samples`` and
 summarised into percentiles at snapshot time; past the cap a simple

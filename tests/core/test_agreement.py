@@ -1,8 +1,11 @@
 """Cross-algorithm agreement: every counter must match brute force on a
 grid of graphs and queries.  This is the central correctness battery."""
 
+from math import comb
+
 import pytest
 
+from repro.bench.runner import run_method
 from repro.core.basic import basic_count
 from repro.core.bcl import bcl_count
 from repro.core.bclp import bclp_count
@@ -92,3 +95,21 @@ def test_gbc_custom_blocks():
     for blocks in (1, 3, 17):
         res = gbc_count(g, q, options=GBCOptions(num_blocks=blocks))
         assert res.count == expected
+
+
+#: C(68, 34) = 28,453,041,475,240,576,740 exceeds 2**63, so both shapes
+#: reach ``comb_sum``'s arbitrary-precision fallback on every engine
+OVERFLOW_GRAPH = complete_bipartite(68, 68)
+
+
+@pytest.mark.parametrize("engine", ["sim", "fast", "par", "native"])
+@pytest.mark.parametrize("method", ["Basic", "BCL", "BCLP", "GBL", "GBC"])
+@pytest.mark.parametrize("p,q", [(2, 34), (1, 34)])
+def test_counts_past_int64_stay_exact(p, q, method, engine):
+    expected = comb(68, p) * comb(68, q)
+    assert expected > 2 ** 63
+    workers = 2 if engine == "par" else None
+    result = run_method(method, OVERFLOW_GRAPH, BicliqueQuery(p, q),
+                        backend=engine, workers=workers)
+    assert result.backend == engine
+    assert result.count == expected

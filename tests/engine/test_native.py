@@ -1,6 +1,6 @@
 """The native batch-kernel backend: equivalence and prepared state.
 
-Three layers of protection:
+Four layers of protection:
 
 * **pairwise-kernel equivalence** — each of the frontier's four
   pairwise kernels against the protocol's default implementation (a
@@ -11,20 +11,26 @@ Three layers of protection:
   degenerate graphs, across all four registered engines;
 * **prepared state** — a count on ``native`` builds exactly what the
   same count builds on ``fast``: the engine reads the shared prepared
-  arrays and keeps no state of its own.
+  arrays and keeps no state of its own;
+* **reported peak** — the frontier's ``peak_working_set_bytes`` counts
+  the rows each pairwise kernel gathers, not only a level's live rows.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.bench.datasets import load_dataset
 from repro.bench.runner import run_method
 from repro.core.counts import BicliqueQuery
 from repro.engine import NativeBackend, ParallelBackend, resolve_backend
 from repro.engine.fast import FastBackend
 from repro.gpu.metrics import KernelMetrics
 from repro.graph.builders import from_edges
+from repro.graph.csr import row_lengths
 from repro.graph.generators import power_law_bipartite, random_bipartite
 from repro.htb.htb import BitmapSet, build_htb_from_rows
 
@@ -195,6 +201,64 @@ class TestPreparedState:
             stats[backend] = session.stats.as_dict()
         assert counts["native"] == counts["fast"] > 0
         assert stats["native"] == stats["fast"]
+
+
+class _GatherRecorder(NativeBackend):
+    """Records the total length of the CSR rows each pairwise call
+    probes — the elements the kernel gathers."""
+
+    def __init__(self):
+        super().__init__()
+        self.gathered = []
+
+    def intersect_pairs(self, a_off, a_val, a_ids, offsets, values, rows,
+                        metrics, **kwargs):
+        self.gathered.append(int(row_lengths(offsets, rows).sum()))
+        return super().intersect_pairs(a_off, a_val, a_ids, offsets,
+                                       values, rows, metrics, **kwargs)
+
+    def intersect_pairs_sizes(self, a_off, a_val, a_ids, offsets, values,
+                              rows, metrics, **kwargs):
+        self.gathered.append(int(row_lengths(offsets, rows).sum()))
+        return super().intersect_pairs_sizes(a_off, a_val, a_ids, offsets,
+                                             values, rows, metrics,
+                                             **kwargs)
+
+
+class TestFrontierPeak:
+    """``peak_working_set_bytes`` on ``native`` includes the gathers."""
+
+    @pytest.mark.parametrize("dataset,p,q", [("SO", 2, 3), ("ID", 3, 3),
+                                             ("LF", 3, 3), ("GH", 3, 3)])
+    def test_gbc_peak_tracks_the_counts_allocations(self, dataset, p, q):
+        from repro.core.gbc import gbc_count
+        from repro.query import GraphSession
+
+        graph = load_dataset(dataset, "bench")
+        query = BicliqueQuery(p, q)
+        session = GraphSession(graph)
+        # prepared state (order, index, HTBs) is built outside the
+        # measured window: the reported peak is the kernel's alone
+        gbc_count(graph, query, backend="native", session=session)
+        tracemalloc.start()
+        try:
+            result = gbc_count(graph, query, backend="native",
+                               session=session)
+            _, traced_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.backend == "native"
+        assert 5 * result.peak_working_set_bytes >= traced_peak, (
+            result.peak_working_set_bytes, traced_peak)
+
+    @pytest.mark.parametrize("method", ["GBL", "GBC-NB"])
+    @pytest.mark.parametrize("dataset,p,q", [("SO", 2, 3), ("ID", 3, 3)])
+    def test_csr_peak_covers_the_widest_gather(self, method, dataset, p, q):
+        engine = _GatherRecorder()
+        result = run_method(method, load_dataset(dataset, "bench"),
+                            BicliqueQuery(p, q), backend=engine)
+        assert engine.gathered
+        assert result.peak_working_set_bytes >= 8 * max(engine.gathered)
 
 
 class TestAutoPlanning:

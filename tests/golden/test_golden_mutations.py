@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dynamic import DynamicGraphSession
-from repro.service.mutate import edit_stream
+from repro.dynamic import DynamicGraphSession, edit_stream
 
 from tests.golden.test_golden_counts import GRAPHS
 

@@ -241,23 +241,6 @@ class TestAccuracyTier:
         assert "~" in out           # relative-error cells, not "exact"
         assert "GBC" not in out     # exact methods are not candidates
 
-    def test_serve_bench_accuracy_approx(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "BENCH_serve.json"
-        assert main(["serve-bench", "--graphs", "YT", "--scale", "tiny",
-                     "--queries", "20", "--clients", "2",
-                     "--accuracy", "approx", "--naive-limit", "5",
-                     "--output", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "within its reported 95% CI" in out
-        artifact = json.loads(out_path.read_text())
-        assert artifact["mismatches"] == []
-        assert artifact["spec"]["accuracy"] == "approx"
-        assert artifact["scheduler"]["accuracy"] == "approx"
-        assert artifact["served"]["approx_served"] == \
-            artifact["served"]["completed"] == 20
-
 
 class TestObservability:
     def test_count_trace_writes_jsonl_and_summarize_renders(
@@ -304,30 +287,6 @@ class TestObservability:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert "ledger-calibrated" in second
-
-    def test_leaderboard_command(self, tmp_path, capsys):
-        import json
-
-        artifact = {
-            "kind": "native_speedup",
-            "generated": "2026-08-08T00:00:00",
-            "datasets": [{"dataset": "YT", "query": [3, 3],
-                          "methods": {"GBC": {"speedup": 2.0}}}],
-        }
-        (tmp_path / "BENCH_native.json").write_text(json.dumps(artifact))
-        assert main(["leaderboard", "--artifacts", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "1 cell(s) from 1 artifact(s)" in out
-        assert (tmp_path / "BENCH_leaderboard.json").exists()
-        assert (tmp_path / "BENCH_leaderboard.md").exists()
-
-    def test_leaderboard_schema_violation_errors(self, tmp_path, capsys):
-        import json
-
-        (tmp_path / "BENCH_native.json").write_text(
-            json.dumps({"kind": "native_speedup"}))
-        assert main(["leaderboard", "--artifacts", str(tmp_path)]) == 1
-        assert "error" in capsys.readouterr().err
 
     def test_verbose_flag_configures_then_resets_logging(self, capsys):
         import logging
