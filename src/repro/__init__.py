@@ -40,9 +40,10 @@ Packages:
 * :mod:`repro.parallel` — shard orchestration for multi-process counting.
 * :mod:`repro.partition` — BCPar and the METIS-like baseline.
 * :mod:`repro.core` — the counting algorithms (Basic, BCL, BCLP, GBL, GBC).
-* :mod:`repro.plan` — the cost-based query planner: a method registry
-  every counter self-registers into, a CountPlan IR, and the single
-  ``execute_plan`` dispatch site behind ``method="auto"``.
+* :mod:`repro.plan` — the query planner: a method registry every
+  counter self-registers into, a CountPlan IR, one work-bound price
+  for every deadline, and the single ``execute_plan`` dispatch site
+  behind ``method="auto"``.
 * :mod:`repro.query` — the batched multi-query engine (GraphSession,
   batch_count, LRU result cache).
 * :mod:`repro.dynamic` — streaming graphs: exact incremental (p, q)

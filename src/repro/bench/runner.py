@@ -10,7 +10,7 @@ Method dispatch itself lives in :mod:`repro.plan`: ``METHODS`` is the
 registry's listing and :func:`run_method` is a thin plan/execute
 wrapper, so a newly registered counter shows up here (and in the CLI,
 batch engine, and serving scheduler) without touching this module.
-``method="auto"`` asks the cost-based planner to choose.
+``method="auto"`` runs the planner's rule: GBC on ``native``.
 
 Backend selection rides along: experiments that plot transactions or
 simulated device time must force ``backend="sim"`` (the default), while
@@ -33,7 +33,7 @@ __all__ = ["METHODS", "run_method", "headline_seconds", "MethodRun",
            "run_matrix", "speedup"]
 
 #: the registered method names, in registry listing order (``"auto"``
-#: additionally asks the planner to choose among the non-ablations).
+#: additionally asks the planner, which runs GBC on ``native``).
 #: A tuple snapshot taken when this module is imported — kept for
 #: backwards compatibility with every existing ``METHODS`` consumer;
 #: code that must see counters registered *after* this import (e.g. a
@@ -93,9 +93,9 @@ def run_method(method: str, graph: BipartiteGraph, query: BicliqueQuery,
     The name resolves through the :mod:`repro.plan` registry (an
     unregistered name raises
     :class:`~repro.errors.UnknownMethodError`, a :class:`ValueError`);
-    ``method="auto"`` lets the cost-based
-    :class:`~repro.plan.planner.Planner` choose the method — and, when
-    no backend is named, the engine.  ``workers`` selects sharded
+    ``method="auto"`` runs the :class:`~repro.plan.planner.Planner`'s
+    plan, GBC on ``native`` (any other engine is a
+    :class:`~repro.errors.PlanError`).  ``workers`` selects sharded
     multi-process execution (the ``"par"`` backend) with that many
     processes; see :func:`repro.engine.base.resolve_backend`.
     ``session`` (a :class:`repro.query.GraphSession` over ``graph``)
@@ -104,13 +104,11 @@ def run_method(method: str, graph: BipartiteGraph, query: BicliqueQuery,
     Basic, which always anchors on U); ``options`` are GBC feature
     toggles — for ``GBC-*`` variant names they default to the named
     ablation.  ``ledger`` (a :class:`repro.obs.ledger.CostLedger`)
-    records the run's measured headline seconds for Planner
-    calibration.
+    records the run's measured wall seconds for Planner calibration.
     """
     spec = spec or rtx_3090()
     plan = plan_query(graph, query, method, backend=backend,
-                      workers=workers, layer=layer, session=session,
-                      spec=spec, threads=threads)
+                      workers=workers, layer=layer, session=session)
     return execute_plan(plan, graph, query, session=session, spec=spec,
                         backend=backend, options=options, threads=threads,
                         ledger=ledger)
@@ -152,7 +150,7 @@ def run_matrix(graphs: dict[str, BipartiteGraph],
                 for method in methods:
                     warm_plan = plan_query(graph, query, method,
                                            backend=backend, workers=workers,
-                                           session=session, spec=spec)
+                                           session=session)
                     warm_session(session, warm_plan)
             prepare_seconds = time.perf_counter() - prep0
         for query in queries:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from repro.bench import experiments as exp_mod
 from repro.bench.datasets import PAPER_STATS, list_datasets, load_dataset
@@ -29,7 +30,7 @@ from repro.bench.tables import format_seconds, render_table
 from repro.core.counts import BicliqueQuery, DeviceRunResult
 from repro.core.enumerate import enumerate_bicliques
 from repro.engine import BACKEND_NAMES
-from repro.errors import DeadlineExceededError, PlanError, QueryError
+from repro.errors import DeadlineExceededError, PlanError
 from repro.graph.io import read_edge_list
 from repro.graph.stats import compute_stats
 from repro.plan import (ACCURACIES, AUTO, Planner, execute_plan,
@@ -92,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("-p", type=int, required=True)
     c.add_argument("-q", type=int, required=True)
     c.add_argument("--method", default=None, choices=_method_choices(),
-                   help="counting algorithm; 'auto' lets the cost-based "
-                        "planner choose (default GBC, or auto when "
-                        "--accuracy is not exact)")
+                   help="counting algorithm; 'auto' is GBC on native "
+                        "(default GBC, or auto when --accuracy is not "
+                        "exact)")
     c.add_argument("--backend", default=None, choices=list(BACKEND_NAMES),
                    help="kernel execution engine: 'sim' reports simulated "
                         "device metrics, 'fast' skips instrumentation, "
@@ -121,10 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--queries", required=True, metavar="PxQ[,PxQ...]",
                    help="comma-separated query list, e.g. 3x3,3x4,4x4")
     b.add_argument("--method", default=None, choices=_method_choices(),
-                   help="counting algorithm; 'auto' plans once per "
-                        "query shape and shares prepared state "
-                        "(default GBC, or auto when --accuracy is "
-                        "not exact)")
+                   help="counting algorithm; 'auto' is GBC on native, "
+                        "planned once per query shape (default GBC, or "
+                        "auto when --accuracy is not exact)")
     b.add_argument("--backend", default=None, choices=list(BACKEND_NAMES),
                    help="kernel execution engine shared by the whole batch "
                         "(default: sim, or par when --workers is given)")
@@ -139,40 +139,35 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_arg(b)
 
     pl = sub.add_parser("plan",
-                        help="inspect the cost-based query planner")
+                        help="inspect the query planner")
     plsub = pl.add_subparsers(dest="plan_command", required=True)
     pe = plsub.add_parser(
         "explain",
-        help="rank every candidate plan for one query, with predicted "
-             "(and optionally measured) cost")
+        help="show the plan auto runs for one query, with its price "
+             "(and optionally its measured cost)")
     add_graph_args(pe)
     pe.add_argument("-p", type=int, required=True)
     pe.add_argument("-q", type=int, required=True)
     pe.add_argument("--backend", default=None, choices=list(BACKEND_NAMES),
-                    help="rank candidates under this engine (default: "
-                         "the planner's free choice, native, where "
-                         "auto is GBC without a ranking)")
+                    help="engine to plan for (default: the planner's "
+                         "free choice, native, where auto is GBC; the "
+                         "exact tier plans nothing else)")
     pe.add_argument("--workers", type=int, default=None, metavar="N",
                     help="worker processes; implies --backend par")
-    pe.add_argument("--samples", type=int, default=8,
-                    help="roots per sampling probe (default 8)")
-    pe.add_argument("--seed", type=int, default=0,
-                    help="probe seed (plans are deterministic per seed)")
     pe.add_argument("--measure", action="store_true",
-                    help="also execute every candidate and report its "
-                         "measured headline seconds")
+                    help="also execute the plan cold and report its "
+                         "measured wall seconds")
     pe.add_argument("--accuracy", default="exact",
                     choices=list(ACCURACIES),
-                    help="rank this service tier's candidates "
-                         "(default exact; the approx alternative is "
-                         "always shown)")
+                    help="plan this service tier (default exact; the "
+                         "approx alternative is always shown)")
     pe.add_argument("--deadline", type=float, default=None, metavar="SECS",
-                    help="latency budget the ranked plans must fit")
+                    help="latency budget the plan must fit")
     pe.add_argument("--ledger", default=None, metavar="PATH",
                     help="cost-ledger JSON: measured runs recorded there "
-                         "calibrate the ranking and add observed/"
-                         "calibrated columns; with --measure this run's "
-                         "measurements are recorded back into it")
+                         "calibrate the price and add observed/"
+                         "calibrated seconds; with --measure this run's "
+                         "measurement is recorded back into it")
 
     t = sub.add_parser("trace",
                        help="inspect cross-layer trace files")
@@ -264,7 +259,7 @@ def _cmd_count(args) -> int:
                                        workers=args.workers,
                                        accuracy=args.accuracy,
                                        deadline=args.deadline)
-        except DeadlineExceededError as exc:
+        except (DeadlineExceededError, PlanError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         result = execute_plan(plan, graph, query)
@@ -310,7 +305,7 @@ def _cmd_batch(args) -> int:
         batch = batch_count(graph, args.queries, method=method,
                             backend=args.backend, workers=args.workers,
                             accuracy=args.accuracy, deadline=args.deadline)
-    except DeadlineExceededError as exc:
+    except (DeadlineExceededError, PlanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rows = [[str(q),
@@ -346,73 +341,63 @@ def _cmd_plan(args) -> int:
         from repro.obs import CostLedger
         ledger = CostLedger.load(args.ledger) \
             if os.path.exists(args.ledger) else CostLedger()
-    planner = Planner(graph, samples=args.samples, seed=args.seed,
-                      ledger=ledger)
+    # one session, so the exact and approx prices share one prepare
+    planner = Planner(graph, session=GraphSession(graph), ledger=ledger)
     try:
-        ranked = planner.rank(query, backend=args.backend,
-                              workers=args.workers,
-                              accuracy=args.accuracy,
-                              deadline=args.deadline)
-    except DeadlineExceededError as exc:
+        plan = planner.plan(query, backend=args.backend,
+                            workers=args.workers, accuracy=args.accuracy,
+                            deadline=args.deadline)
+    except (DeadlineExceededError, PlanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    headers = ["rank", "method", "backend", "predicted"]
-    if ledger is not None:
-        headers += ["observed", "calibrated"]
-    headers.append("error")
-    if args.measure:
-        headers.append("measured")
-    rows = []
-    for position, plan in enumerate(ranked, start=1):
-        marker = " <- chosen" if position == 1 else ""
-        rel = plan.signals.get("predicted_rel_error")
-        row = [f"{position}{marker}", plan.method, plan.backend,
-               # the native rule's unpriced plan carries no signals
-               format_seconds(plan.predicted_seconds)
-               if plan.signals else "-"]
-        if ledger is not None:
-            row.append("-" if plan.observed_seconds is None
-                       else format_seconds(plan.observed_seconds))
-            row.append("-" if plan.calibrated_seconds is None
-                       else format_seconds(plan.calibrated_seconds))
-        row.append("exact" if rel is None else f"~{rel * 100:.0f}%")
-        if args.measure:
-            row.append(format_seconds(headline_seconds(
-                execute_plan(plan, graph, query, ledger=ledger))))
-        rows.append(row)
+    if not plan.signals:
+        plan = planner.priced(plan)     # no deadline asked for a price
     print(f"graph: {graph}")
-    print(render_table(
-        f"plan explain ({args.p},{args.q}) — "
-        f"{len(ranked)} candidate plan(s), cheapest first", headers, rows))
-    if ledger is not None and args.measure:
-        cells = ledger.save(args.ledger)
-        print(f"ledger: {cells} cell(s) now in {args.ledger} "
-              f"(re-run to see the calibrated ranking)")
-    chosen = ranked[0]
-    signals = chosen.signals
-    print(f"chosen: {chosen.method} on {chosen.backend} — {chosen.reason}")
-    if signals:
-        print(f"probe: {signals['population']} promising roots "
-              f"(Basic sees {signals['basic_population']}), "
-              f"~{signals['comparisons']:.0f} comparisons "
-              f"(id order ~{signals['basic_comparisons']:.0f}), "
-              f"est. count {signals['est_count']:.0f}, "
-              f"anchored layer {signals['anchored_layer']}")
-    print(f"prepared state: {', '.join(chosen.prepared)}")
+    print(f"plan: {plan.method} on {plan.backend} — {plan.reason}")
+    inputs = plan.signals
+    if "bound" in inputs:
+        line = (f"price: {format_seconds(plan.predicted_seconds)} from a "
+                f"work bound of {inputs['bound']:.4g} over "
+                f"{inputs['population']} promising roots at "
+                f"{inputs['rate']:.4g} per s")
+        if "samples" in inputs:
+            line += (f", {min(plan.samples, inputs['population'])} of "
+                     f"those roots sampled")
+        print(line)
+    else:
+        print(f"price: unpriced ({plan.method} has no rate on "
+              f"{plan.backend}; a deadline always admits it)")
+    if ledger is not None:
+        print(f"ledger: observed "
+              f"{_seconds_or_dash(plan.observed_seconds)}, calibrated "
+              f"{_seconds_or_dash(plan.calibrated_seconds)}")
+    if "samples" in inputs:
+        print(f"approx: {plan.samples} samples, "
+              f"~{inputs['predicted_rel_error'] * 100:.0f}% rel. error")
+    if args.measure:
+        t0 = time.perf_counter()
+        execute_plan(plan, graph, query, ledger=ledger)
+        print(f"measured: {format_seconds(time.perf_counter() - t0)} "
+              f"wall, cold")
+        if ledger is not None:
+            cells = ledger.save(args.ledger)
+            print(f"ledger: {cells} cell(s) now in {args.ledger} "
+                  f"(re-run to see the calibrated price)")
+    print(f"prepared state: {', '.join(plan.prepared)}")
     if args.accuracy == "exact":
         # always show what the sampling tier would buy, so the
         # exact-vs-approx trade is visible without re-running
-        try:
-            alt = planner.rank(query, backend=args.backend,
-                               workers=args.workers,
-                               accuracy="approx")[0]
-        except (PlanError, QueryError):
-            return 0       # e.g. a pinned engine the approx tier lacks
+        alt = planner.plan(query, backend=args.backend,
+                           workers=args.workers, accuracy="approx")
         rel = alt.signals["predicted_rel_error"]
-        print(f"approx tier: {alt.samples}-sample estimate predicted "
+        print(f"approx tier: {alt.samples}-sample estimate priced "
               f"{format_seconds(alt.predicted_seconds)} "
               f"(~{rel * 100:.0f}% rel. error) on {alt.backend}")
     return 0
+
+
+def _seconds_or_dash(seconds: float | None) -> str:
+    return "-" if seconds is None else format_seconds(seconds)
 
 
 def _cmd_trace(args) -> int:

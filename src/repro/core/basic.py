@@ -20,7 +20,7 @@ from repro.core.counts import BicliqueQuery, CountResult
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
 from repro.graph.twohop import build_two_hop_index
-from repro.plan.registry import CostSignals, MethodSpec, register_method
+from repro.plan.registry import MethodSpec, register_method
 
 __all__ = ["basic_count"]
 
@@ -66,23 +66,14 @@ def basic_count(graph: BipartiteGraph, query: BicliqueQuery,
     )
 
 
-def _predicted_seconds(signals: CostSignals) -> float:
-    """Basic pays id-order enumeration (probed directly — it is what
-    the ``basic_*`` signals count) but skips the wedge-mass reorder
-    entirely, which is why it wins on graphs whose priority prepare
-    dwarfs the search."""
-    enum = signals.enum_seconds(signals.basic_merge_calls,
-                                signals.basic_comparisons)
-    return signals.id_prepare_seconds() + signals.sharded(enum)
-
-
 register_method(MethodSpec(
     name="Basic",
     runner=basic_count,
     accepts=("backend", "workers", "session"),
     supports_layer=False,
     prepared_kinds=("wedges", "two_hop_id"),
-    cost=_predicted_seconds,
+    # unpriced: Basic searches in id order, which the priority-order
+    # work bound does not track
     order=10,
     summary="id-ordered backtracking baseline, anchored on U (§III-A)",
 ))

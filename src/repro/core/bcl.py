@@ -30,9 +30,10 @@ from repro.engine.base import KernelBackend, resolve_backend
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
 from repro.graph.csr import row_lengths
 from repro.graph.twohop import TwoHopIndex
-from repro.plan.registry import CostSignals, MethodSpec, register_method
+from repro.plan.registry import MethodSpec, register_method
 
-__all__ = ["bcl_count", "bcl_per_root_profile", "BCLProfile", "count_root"]
+__all__ = ["bcl_count", "bcl_per_root_profile", "BCLProfile", "count_root",
+           "SCALAR_RATES"]
 
 
 @dataclass
@@ -67,7 +68,7 @@ def count_root(graph: BipartiteGraph, index: TwoHopIndex,
     """Count all bicliques whose highest-priority U-vertex is ``root``.
 
     The one scalar per-root search of the package: BCL, Basic (over its
-    id-order index), the estimator, the planner probe and
+    id-order index), the estimator and
     :func:`repro.partition.runner.count_roots` all call it.  With
     ``instrument`` the merges are timed and their comparisons counted
     into ``profile`` (the Fig. 1(b) breakdown).
@@ -233,17 +234,19 @@ def bcl_per_root_profile(graph: BipartiteGraph, query: BicliqueQuery,
     return _run_bcl(graph, query, layer, engine, instrument, session)[0]
 
 
-def _predicted_seconds(signals: CostSignals) -> float:
-    """BCL: priority-ordered serial enumeration after the full prepare."""
-    enum = signals.enum_seconds(signals.merge_calls, signals.comparisons)
-    return signals.priority_prepare_seconds() + signals.sharded(enum)
-
+#: work-bound units per second of a cold count whose search is
+#: :func:`count_root` — BCL, BCLP and the estimator — per engine (see
+#: :attr:`repro.plan.registry.MethodSpec.rates`).  ``native`` runs the
+#: same scalar code as ``fast``, so they share one rate: the geometric
+#: mean of bound/seconds over cold BCL and BCLP counts on the bench
+#: stand-ins (0.5-6.2M, 2-vCPU host)
+SCALAR_RATES = {"sim": 1.3e6, "fast": 1.7e6, "native": 1.7e6}
 
 register_method(MethodSpec(
     name="BCL",
     runner=bcl_count,
     accepts=("layer", "backend", "workers", "session"),
-    cost=_predicted_seconds,
+    rates=SCALAR_RATES,
     order=20,
     summary="priority-ordered CPU state of the art (§III-A)",
 ))

@@ -18,11 +18,10 @@ import time
 
 import numpy as np
 
-from repro.core.bcl import bcl_per_root_profile
+from repro.core.bcl import SCALAR_RATES, bcl_per_root_profile
 from repro.core.counts import BicliqueQuery, CountResult
 from repro.engine.base import KernelBackend, resolve_backend
-from repro.plan.registry import (SECONDS_PER_ROOT_PROFILED, CostSignals,
-                                 MethodSpec, register_method)
+from repro.plan.registry import MethodSpec, register_method
 
 __all__ = ["bclp_count", "schedule_makespan"]
 
@@ -90,24 +89,12 @@ def bclp_count(graph, query: BicliqueQuery,
     )
 
 
-def _predicted_seconds(signals: CostSignals) -> float:
-    """BCLP's headline is the modelled makespan: the serial enumeration
-    spread over ``threads``, floored by the heaviest root's tree (list
-    scheduling cannot split one root — the paper's skew-limited
-    scaling), plus the per-root profiling loop."""
-    serial = signals.enum_seconds(signals.merge_calls, signals.comparisons)
-    makespan = max(serial / max(signals.threads, 1),
-                   signals.max_root_seconds())
-    loop = signals.population * SECONDS_PER_ROOT_PROFILED
-    return (signals.priority_prepare_seconds() + loop
-            + signals.sharded(makespan))
-
-
 register_method(MethodSpec(
     name="BCLP",
     runner=bclp_count,
     accepts=("threads", "layer", "backend", "workers", "session"),
-    cost=_predicted_seconds,
+    # its wall time is BCL's search plus the schedule, so BCL's rates
+    rates=SCALAR_RATES,
     order=30,
     summary="BCL list-scheduled over modelled CPU threads (§III-A)",
 ))

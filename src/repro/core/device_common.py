@@ -3,11 +3,13 @@
 Algorithm 1's host-side recipe — anchor a layer, rank vertices by
 Definition-2 priority, materialise the rank-filtered N2^q index and
 filter unpromising roots — lives here once, in
-:func:`prepare_device_inputs`.  BCL, the estimator and planner probe,
-the partitioned runner, local counts, the search profiler and
-enumeration all start from its :class:`DeviceInputs`; GBL and GBC then
-hand each root's search tree to a simulated thread block, which is
-what the block-assignment and leaf-sum helpers below serve.
+:func:`prepare_device_inputs`.  BCL, the estimator, the partitioned
+runner, local counts, the search profiler and enumeration all start
+from its :class:`DeviceInputs`; GBL and GBC then hand each root's
+search tree to a simulated thread block, which is what the
+block-assignment and leaf-sum helpers below serve.
+:func:`root_work_bound` reads the same arrays to bound each root's
+search, which is what the planner prices.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from repro.graph.bipartite import BipartiteGraph, LAYER_U
 from repro.graph.priority import priority_order_from_sizes, rank_from_order
 from repro.graph.twohop import TwoHopIndex, build_wedge_index
 
-__all__ = ["DeviceInputs", "prepare_device_inputs", "assign_roots_to_blocks",
-           "comb_sum", "BALANCE_STRATEGIES"]
+__all__ = ["DeviceInputs", "prepare_device_inputs", "root_work_bound",
+           "assign_roots_to_blocks", "comb_sum", "BALANCE_STRATEGIES"]
 
 BALANCE_STRATEGIES = ("none", "pre", "runtime", "joint")
 
@@ -103,6 +105,27 @@ def prepare_device_inputs(graph: BipartiteGraph, query: BicliqueQuery,
         roots=order[keep].astype(np.int64, copy=False),
         prepare_seconds=time.perf_counter() - t0,
     )
+
+
+def root_work_bound(inputs: DeviceInputs) -> np.ndarray:
+    """Per-root work bound ``deg(r) * C(|N2^q(r)|, p - 1)`` over
+    ``inputs.roots``, as float64.
+
+    A root's search picks its p - 1 partners from its N2^q row and
+    intersects their neighbourhoods with its own, so this bounds the
+    candidate sets it can touch.  It reads only the arrays
+    :func:`prepare_device_inputs` already returned, in one vectorised
+    pass, with ``p`` and ``q`` of the anchored view (they swap when the
+    anchor does).  A float binomial is exact enough for a price.
+    """
+    roots = inputs.roots
+    sizes = np.diff(inputs.index.offsets)[roots].astype(np.float64)
+    bound = inputs.graph.degrees(LAYER_U)[roots].astype(np.float64)
+    # C(n, k) as the running product of (n - i) / (i + 1): a factor hits
+    # zero when n < k, which is the binomial's value there
+    for i in range(inputs.p - 1):
+        bound *= np.maximum(sizes - i, 0.0) / (i + 1)
+    return bound
 
 
 def assign_roots_to_blocks(roots: np.ndarray,

@@ -38,17 +38,15 @@ from math import sqrt
 
 import numpy as np
 
-from repro.core.bcl import BCLProfile, count_root
+from repro.core.bcl import SCALAR_RATES, count_root
 from repro.core.counts import BicliqueQuery, CountResult
 from repro.core.device_common import prepare_device_inputs
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
-from repro.graph.twohop import build_two_hop_index
-from repro.plan.registry import CostSignals, MethodSpec, register_method
+from repro.plan.registry import MethodSpec, register_method
 
-__all__ = ["DEFAULT_SAMPLES", "EstimateResult", "Z95", "approx_cost",
-           "approx_count", "estimate_count", "RootProbe",
-           "sample_root_profile"]
+__all__ = ["DEFAULT_SAMPLES", "EstimateResult", "Z95", "approx_count",
+           "estimate_count"]
 
 #: z-value of the two-sided 95% normal interval ``ci95`` reports
 Z95 = 1.959963984540054
@@ -185,25 +183,6 @@ def approx_count(graph: BipartiteGraph, query: BicliqueQuery,
     )
 
 
-def approx_cost(signals: CostSignals, samples: int) -> float:
-    """Predicted seconds for an approx run with this sample budget.
-
-    The distinct-root cache bounds the enumerated work by
-    ``min(samples, population)`` trees, so the predicted enumeration is
-    the exact priority-order total scaled by that fraction, on top of
-    the same priority prepare every priority-ordered counter pays.
-    """
-    population = max(signals.population, 1)
-    fraction = min(1.0, samples / population)
-    enum = signals.enum_seconds(signals.merge_calls,
-                                signals.comparisons) * fraction
-    return signals.priority_prepare_seconds() + enum
-
-
-def _predicted_seconds(signals: CostSignals) -> float:
-    return approx_cost(signals, DEFAULT_SAMPLES)
-
-
 register_method(MethodSpec(
     name="approx",
     runner=approx_count,
@@ -213,175 +192,9 @@ register_method(MethodSpec(
     supports_partitioned=False,
     approximate=True,
     prepared_kinds=("wedges", "order", "two_hop"),
-    cost=_predicted_seconds,
+    # each sampled root runs count_root, so BCL's rates price it
+    rates=SCALAR_RATES,
     order=90,
     summary="Horvitz-Thompson root sampling with ci95 error bars "
             "(the butterfly-estimation lineage, [36]/[33])",
 ))
-
-
-# ---------------------------------------------------------------------------
-# root-sampling probe for the cost-based planner (repro.plan)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RootProbe:
-    """Deterministic work signals from a seeded root sample.
-
-    Unlike :class:`EstimateResult` this never reports wall-clock: the
-    probe counts *merge comparisons* through the instrumented engine, so
-    two probes with the same seed are bit-identical — the property the
-    planner's determinism guarantee rests on.  Work is measured under
-    both orders the repo's methods use: the Definition-2 priority order
-    (BCL/BCLP/GBL/GBC) and Basic's id order, whose relative sizes are
-    exactly what separates Basic from the rest on skewed graphs.
-    """
-
-    p: int
-    q: int
-    anchored_layer: str          #: layer the degree heuristic anchors on
-    population: int              #: promising roots, priority order
-    basic_population: int        #: promising roots, Basic's id order
-    samples: int                 #: roots sampled per order (<= population)
-    comparisons: float           #: HT-estimated total comparisons (priority)
-    basic_comparisons: float     #: HT-estimated total comparisons (id)
-    merge_calls: float           #: HT-estimated merge invocations (priority)
-    basic_merge_calls: float     #: HT-estimated merge invocations (id)
-    max_root_comparisons: float  #: heaviest sampled root's comparisons
-    max_root_merge_calls: float  #: heaviest sampled root's merge calls
-    mean_index_size: float       #: mean N2^k size over promising roots
-    est_count: float             #: HT-estimated (p, q)-biclique count
-
-
-class _CountingEngine:
-    """Delegates ``merge`` to an engine while counting invocations —
-    merge-call counts track the per-call kernel overhead that dominates
-    enumeration wall time on small candidate sets, which comparison
-    counts alone cannot see."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.calls = 0
-
-    def merge(self, a, b, comparisons=None):
-        self.calls += 1
-        return self._inner.merge(a, b, comparisons)
-
-
-@dataclass(frozen=True)
-class _IndexProbe:
-    population: int
-    comparisons: float
-    merge_calls: float
-    est_count: float
-    max_root_comparisons: float
-    max_root_merge_calls: float
-
-
-_EMPTY_PROBE = _IndexProbe(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-def _probe_index(g, index, roots: list[int], p: int, q: int,
-                 samples: int, rng, engine) -> _IndexProbe:
-    """Horvitz-Thompson work estimates for one rooted search space
-    (``roots``: its promising roots, in vertex-id order)."""
-    population = len(roots)
-    if population == 0:
-        return _EMPTY_PROBE
-
-    def run(root: int) -> tuple[int, int, int]:
-        profile = BCLProfile()
-        counting = _CountingEngine(engine)
-        count = count_root(g, index, root, p, q, counting, profile,
-                           instrument=True)
-        return (profile.comparisons_one_hop + profile.comparisons_two_hop,
-                counting.calls, count)
-
-    if samples >= population:
-        triples = [run(r) for r in roots]
-        return _IndexProbe(
-            population=population,
-            comparisons=float(sum(c for c, _, _ in triples)),
-            merge_calls=float(sum(m for _, m, _ in triples)),
-            est_count=float(sum(n for _, _, n in triples)),
-            max_root_comparisons=float(max(c for c, _, _ in triples)),
-            max_root_merge_calls=float(max(m for _, m, _ in triples)),
-        )
-    weights = np.asarray([max(index.size(r), 1) for r in roots],
-                         dtype=np.float64)
-    pi = weights / weights.sum()
-    picks = rng.choice(population, size=samples, replace=True, p=pi)
-    cache: dict[int, tuple[int, int, int]] = {}
-    cmp_contrib = np.empty(samples, dtype=np.float64)
-    call_contrib = np.empty(samples, dtype=np.float64)
-    cnt_contrib = np.empty(samples, dtype=np.float64)
-    for j, i in enumerate(picks):
-        i = int(i)
-        root = roots[i]
-        if root not in cache:
-            cache[root] = run(root)
-        comparisons, calls, count = cache[root]
-        cmp_contrib[j] = comparisons / pi[i]
-        call_contrib[j] = calls / pi[i]
-        cnt_contrib[j] = count / pi[i]
-    sampled = cache.values()
-    return _IndexProbe(
-        population=population,
-        comparisons=float(cmp_contrib.mean()),
-        merge_calls=float(call_contrib.mean()),
-        est_count=float(cnt_contrib.mean()),
-        max_root_comparisons=float(max(c for c, _, _ in sampled)),
-        max_root_merge_calls=float(max(m for _, m, _ in sampled)),
-    )
-
-
-def sample_root_profile(graph: BipartiteGraph, query: BicliqueQuery,
-                        samples: int = 8,
-                        seed: int | None = 0,
-                        layer: str | None = None,
-                        session=None) -> RootProbe:
-    """Probe a seeded sample of root search trees and extrapolate.
-
-    The planner's raw material (see :mod:`repro.plan.planner`): counted
-    comparisons under the priority order *and* under Basic's id order,
-    the promising-root populations, the mean two-hop index size, and an
-    estimated count — all deterministic for a fixed ``seed``.  A
-    :class:`repro.query.GraphSession` serves the indexes from its
-    caches, so probing a warm session builds nothing new.
-    """
-    # the simulated engine's merge fills the comparison cells the probe
-    # counts; a handful of sampled roots keeps its overhead negligible
-    engine = resolve_backend("sim")
-    inputs = prepare_device_inputs(graph, query, layer, session=session)
-    g, index = inputs.graph, inputs.index
-    if session is not None:
-        basic_index = session.id_order_index(query.q)
-    else:
-        ids = np.arange(graph.num_u, dtype=np.int64)
-        basic_index = build_two_hop_index(graph, LAYER_U, query.q,
-                                          min_priority_rank=ids)
-    rng = np.random.default_rng(seed)
-    probe = _probe_index(g, index, np.sort(inputs.roots).tolist(),
-                         inputs.p, inputs.q, samples, rng, engine)
-    # Basic never swaps layers: probe it on the original orientation,
-    # over the id-order index (no Definition-2 order to prepare)
-    basic_roots = graph.degrees(LAYER_U) >= query.q
-    if query.p > 1:
-        basic_roots &= np.diff(basic_index.offsets) >= query.p - 1
-    basic = _probe_index(graph, basic_index,
-                         np.flatnonzero(basic_roots).tolist(), query.p,
-                         query.q, samples, rng, engine)
-    sizes = np.diff(index.offsets)[g.degrees(LAYER_U) >= inputs.q]
-    mean_index_size = float(np.mean(sizes)) if len(sizes) else 0.0
-    return RootProbe(
-        p=query.p, q=query.q, anchored_layer=inputs.anchored_layer,
-        population=probe.population, basic_population=basic.population,
-        samples=min(samples, max(probe.population, basic.population)),
-        comparisons=probe.comparisons,
-        basic_comparisons=basic.comparisons,
-        merge_calls=probe.merge_calls,
-        basic_merge_calls=basic.merge_calls,
-        max_root_comparisons=probe.max_root_comparisons,
-        max_root_merge_calls=probe.max_root_merge_calls,
-        mean_index_size=mean_index_size, est_count=probe.est_count,
-    )

@@ -33,13 +33,13 @@ from repro.core.frontier import csr_frontier_count, htb_frontier_count
 from repro.graph.csr import row_lengths
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.errors import QueryError
-from repro.gpu.costmodel import effective_cycles, kernel_seconds
+from repro.gpu.costmodel import effective_cycles
 from repro.gpu.device import DeviceSpec, rtx_3090
 from repro.gpu.metrics import KernelMetrics
 from repro.gpu.workqueue import simulate_blocks
 from repro.graph.bipartite import BipartiteGraph, LAYER_U
 from repro.htb.htb import HTB, BitmapSet, htb_from_graph, htb_from_two_hop
-from repro.plan.registry import CostSignals, MethodSpec, register_method
+from repro.plan.registry import MethodSpec, register_method
 
 __all__ = ["GBCOptions", "gbc_count", "gbc_variant"]
 
@@ -396,48 +396,15 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
     )
 
 
-def _predicted_seconds(signals: CostSignals) -> float:
-    """GBC's simulated-device prediction: HTB collapses word-aligned
-    runs of comparisons into single coalesced transactions (§V-A) and
-    hybrid DFS-BFS keeps warp lanes busy (§IV), so both the transaction
-    count and the idle-lane inflation drop relative to GBL.  On
-    ``fast`` and ``par`` the per-child Python HTB kernel makes it the
-    slowest host path; on ``native`` the frontier intersects a whole
-    level of HTB rows per kernel call."""
-    if signals.backend == "sim":
-        metrics = KernelMetrics(
-            global_transactions=int(signals.comparisons / 16) + 1,
-            bitwise_ops=int(signals.comparisons / 8),
-            shared_accesses=int(signals.comparisons / 16),
-        )
-        metrics.record_slots(active=3, total=4)      # hybrid DFS-BFS
-        return kernel_seconds(metrics, signals.device)
-    if signals.backend == "native":
-        enum = GBC_NATIVE_OVERHEAD * signals.frontier_seconds()
-    else:
-        enum = GBC_HOST_OVERHEAD * signals.enum_seconds(
-            signals.merge_calls, signals.comparisons)
-    htb = (signals.num_edges * HTB_BUILD_SECONDS_PER_EDGE
-           + (signals.num_u + signals.num_v) * HTB_BUILD_SECONDS_PER_VERTEX)
-    return signals.priority_prepare_seconds() + htb + signals.sharded(enum)
-
-
-#: fast-backend wall overhead of the Python HTB kernel vs plain BCL
-GBC_HOST_OVERHEAD = 2.5
-#: native-backend overhead: whole HTB frontiers per vectorised call
-#: instead of one Python bitmap intersection per child
-GBC_NATIVE_OVERHEAD = 1.4
-#: HTB materialisation cost per edge / per vertex
-HTB_BUILD_SECONDS_PER_EDGE = 1.5e-6
-HTB_BUILD_SECONDS_PER_VERTEX = 5e-6
-
 register_method(MethodSpec(
     name="GBC",
     runner=gbc_count,
     accepts=("spec", "options", "layer", "backend", "workers", "session"),
     instrumented_metrics=True,
     prepared_kinds=("wedges", "order", "two_hop", "htb"),
-    cost=_predicted_seconds,
+    # work-bound units per second of a cold count, per engine: the
+    # geometric mean over the bench stand-ins (docs/ARCHITECTURE.md)
+    rates={"sim": 0.24e6, "fast": 0.59e6, "native": 6.0e6},
     order=50,
     summary="hybrid DFS-BFS + HTB + joint balancing (the paper's system)",
 ))

@@ -23,8 +23,8 @@ from repro.core.device_common import (
 from repro.core.frontier import csr_frontier_count
 from repro.graph.csr import row_lengths
 from repro.engine.base import KernelBackend, resolve_backend
-from repro.gpu.costmodel import effective_cycles, kernel_seconds
-from repro.plan.registry import CostSignals, MethodSpec, register_method
+from repro.gpu.costmodel import effective_cycles
+from repro.plan.registry import MethodSpec, register_method
 from repro.gpu.device import DeviceSpec, rtx_3090
 from repro.gpu.metrics import KernelMetrics
 from repro.gpu.workqueue import simulate_blocks
@@ -172,41 +172,14 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
     )
 
 
-def _predicted_seconds(signals: CostSignals) -> float:
-    """GBL on the simulated device prices through the SIMT cost model:
-    per-element binary-search intersections make roughly one global
-    transaction per comparison and leave most warp lanes idle.  On the
-    uninstrumented engines its headline is host wall time: on ``native``
-    the batched frontier, elsewhere the same enumeration as BCL plus
-    the device-bookkeeping overhead."""
-    if signals.backend == "sim":
-        metrics = KernelMetrics(
-            global_transactions=int(signals.comparisons) + 1,
-            comparisons=int(signals.comparisons * 2),
-            alu_ops=int(signals.comparisons),
-        )
-        metrics.record_slots(active=1, total=4)      # sparse warp lanes
-        return kernel_seconds(metrics, signals.device)
-    if signals.backend == "native":
-        enum = GBL_NATIVE_OVERHEAD * signals.frontier_seconds()
-    else:
-        enum = GBL_HOST_OVERHEAD * signals.enum_seconds(
-            signals.merge_calls, signals.comparisons)
-    return signals.priority_prepare_seconds() + signals.sharded(enum)
-
-
-#: fast-backend wall overhead of the device bookkeeping vs plain BCL
-GBL_HOST_OVERHEAD = 1.25
-#: native-backend overhead: frontier batching amortises the per-call
-#: bookkeeping across each level's kernel submission
-GBL_NATIVE_OVERHEAD = 1.1
-
 register_method(MethodSpec(
     name="GBL",
     runner=gbl_count,
     accepts=("spec", "layer", "backend", "workers", "session"),
     instrumented_metrics=True,
-    cost=_predicted_seconds,
+    # work-bound units per second of a cold count, per engine: the
+    # geometric mean over the bench stand-ins (docs/ARCHITECTURE.md)
+    rates={"sim": 0.27e6, "fast": 1.4e6, "native": 3.8e6},
     order=40,
     summary="naive GPU port: binary-search intersections (§III-B)",
 ))

@@ -367,7 +367,7 @@ class DistRouter(Scheduler):
         """Router + per-worker + merged cluster telemetry, one dict.
 
         Worker ledgers are folded into :attr:`ledger` as a side effect
-        (the cross-process ``method="auto"`` calibration loop).  The
+        (the cross-process price-calibration loop).  The
         router view measures end-to-end client latency; worker views
         measure in-worker latency — the difference is queue + pipe
         time.

@@ -4,8 +4,8 @@ A worker is one thread in one process.  It owns a
 :class:`~repro.service.pool.SessionPool` holding only the graphs the
 router placed on it, a :class:`~repro.service.telemetry.Telemetry`
 recording what it served, a private
-:class:`~repro.obs.ledger.CostLedger` keeping ``method="auto"``
-calibrated per worker, and — for partitioned graphs — its shard of the
+:class:`~repro.obs.ledger.CostLedger` calibrating the worker's
+deadline prices, and — for partitioned graphs — its shard of the
 graph's U roots (the router's LPT cut on U degrees) with cached
 :func:`~repro.partition.runner.build_root_index` state per query ``q``
 so repeated partial counts over that shard skip index builds.  The

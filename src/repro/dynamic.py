@@ -18,9 +18,9 @@ This module closes that gap with two cooperating objects:
   are the (p-1, q-1)-bicliques of the subgraph induced on
   N(v)\\{u} x N(u)\\{v}, so insertion adds that quantity and deletion
   subtracts it.  When an edit lands on a hub pair whose delta would
-  cost more than a scoped rebuild — priced deterministically through
-  the existing :class:`~repro.plan.Planner` cost hooks at
-  :meth:`track` time — the shape is marked *dirty* instead and lazily
+  cost more than a scoped rebuild — priced deterministically by
+  :meth:`repro.plan.Planner.predict` at :meth:`track` time — the shape
+  is marked *dirty* instead and lazily
   recounted from a pinned snapshot on the next read (the cost
   cutover).  Either way every read is bit-identical to a fresh
   recount.
@@ -295,6 +295,8 @@ class DynamicGraphSession:
       the method and engine :meth:`count` recounts with), the shape is
       marked dirty and the delta skipped; the next :meth:`count` of a
       dirty shape recounts it from a pinned snapshot and re-cleans it.
+      A rebuild priced 0.0 (an unpriced method such as Basic, or a
+      shape without promising roots) never cuts over.
 
     Both paths are exact, so reads are bit-identical to
     :meth:`recount` at every prefix of any mutation stream — the
@@ -428,7 +430,8 @@ class DynamicGraphSession:
             seconds = session._get_planner().predict(query, method,
                                                      backend=backend)
             with self._lock:
-                self._rebuild_seconds[shape] = max(float(seconds), 1e-9)
+                self._rebuild_seconds[shape] = float(seconds) \
+                    if seconds > 0.0 else None
         return value
 
     def untrack(self, p: int, q: int) -> None:

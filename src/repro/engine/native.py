@@ -22,12 +22,12 @@ Counts are bit-identical to ``fast`` — the golden harness and the
 equivalence tests in ``tests/engine/test_native.py`` assert this
 across all five algorithms.  Scalar primitives inherit from
 :class:`~repro.engine.fast.FastBackend`, so call sites that intersect
-one pair at a time (enumeration, probes) keep working.
+one pair at a time (enumeration, the estimator) keep working.
 
 The engine keeps no planner state either: ``method="auto"`` on
-``native`` (or with no engine pinned) always runs GBC here, and GBL's
-and GBC's cost hooks price this frontier when a deadline needs a
-prediction (:mod:`repro.plan.planner`).
+``native`` (or with no engine pinned) always runs GBC here, and a
+deadline prices this frontier as the work bound over GBC's or GBL's
+``native`` rate (:mod:`repro.plan.planner`).
 """
 
 from __future__ import annotations

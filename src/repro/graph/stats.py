@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph, LAYER_U, LAYER_V
 
-__all__ = ["GraphStats", "compute_stats", "cached_stats",
-           "graph_fingerprint", "format_table2_row", "TABLE2_HEADER"]
+__all__ = ["GraphStats", "compute_stats", "graph_fingerprint",
+           "format_table2_row", "TABLE2_HEADER"]
 
 TABLE2_HEADER = f"{'Dataset':<14}{'|U|':>10}{'|V|':>10}{'|E|':>12}{'dU':>9}{'dV':>9}"
 
@@ -60,8 +59,8 @@ def graph_fingerprint(graph: BipartiteGraph) -> str:
     Two structurally identical graphs fingerprint identically whatever
     their ``name``; any edge difference — including in-place mutation
     of the underlying arrays — changes the digest.  This is the cache
-    key component that ties cached counts (and the planner's cached
-    signals) to graph *content*.
+    key component that ties cached counts (and the cost ledger's
+    cells) to graph *content*.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(np.asarray([graph.num_u, graph.num_v], dtype=np.int64).tobytes())
@@ -69,31 +68,6 @@ def graph_fingerprint(graph: BipartiteGraph) -> str:
                 graph.v_offsets, graph.v_neighbors):
         h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
     return h.hexdigest()
-
-
-_STATS_CACHE: OrderedDict[tuple[str, str], GraphStats] = OrderedDict()
-_STATS_CACHE_SIZE = 64
-
-
-def cached_stats(graph: BipartiteGraph) -> GraphStats:
-    """:func:`compute_stats` memoised by graph content.
-
-    Keyed by ``(fingerprint, name)`` so repeated planning over the same
-    graph — or a structurally identical copy — reuses one computation;
-    the fingerprint keeps an in-place edge mutation from serving stale
-    numbers.  A small LRU bound keeps the cache from growing with every
-    graph ever planned.
-    """
-    key = (graph_fingerprint(graph), graph.name)
-    got = _STATS_CACHE.get(key)
-    if got is None:
-        got = compute_stats(graph)
-        _STATS_CACHE[key] = got
-        while len(_STATS_CACHE) > _STATS_CACHE_SIZE:
-            _STATS_CACHE.popitem(last=False)
-    else:
-        _STATS_CACHE.move_to_end(key)
-    return got
 
 
 def format_table2_row(stats: GraphStats) -> str:

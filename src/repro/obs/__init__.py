@@ -12,11 +12,10 @@ zero-dependency:
   module-attribute check, so the hot paths pay nothing.
 * :mod:`repro.obs.ledger` — the :class:`~repro.obs.ledger.CostLedger`.
   Every real execution through :func:`repro.plan.execute.execute_plan`
-  appends its measured headline seconds under (graph fingerprint,
-  shape, method, backend); a :class:`~repro.plan.planner.Planner`
-  given the ledger calibrates its analytic predictions by the
-  observed/predicted ratio and re-ranks.  Counts never change — only
-  the ordering among exact candidates may.
+  appends its measured wall seconds under (graph fingerprint, shape,
+  method, backend); a :class:`~repro.plan.planner.Planner` given the
+  ledger calibrates its prices by the observed/predicted ratio.
+  Counts never change — only prices do.
 * :mod:`repro.obs.log` — the ``logging.getLogger("repro")`` hierarchy
   (NullHandler by default; the CLI ``--verbose`` flag installs a
   stderr handler).

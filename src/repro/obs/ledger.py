@@ -1,23 +1,22 @@
 """The measured-cost ledger: what executions actually took, per cell.
 
-``BENCH_plan.json`` shows the static cost model lands within 2x of the
-best method but misranks some cells — the model is analytic, fitted
-once, and blind to the host it runs on.  The ledger closes that loop:
+The planner prices a run as a work bound over a rate fitted once, on
+one host, across many graphs — blind to the graph's own constant and
+to the host it runs on.  The ledger closes that loop:
 
 * every real execution through
   :func:`repro.plan.execute.execute_plan` (which is the repo's single
   dispatch site, so the Scheduler batch path, ``batch_count``, the CLI
-  and the bench runner all flow through it) appends its measured
-  headline seconds to the cell keyed by **(graph fingerprint, p, q,
-  method, backend)**;
+  and the bench runner all flow through it) appends its measured wall
+  seconds to the cell keyed by **(graph fingerprint, p, q, method,
+  backend)**;
 * cells smooth their history with an EWMA, and track the
-  observed/predicted ratio for executions that carried an analytic
-  prediction (``plan.predicted_seconds > 0``);
-* a :class:`~repro.plan.planner.Planner` constructed with
-  ``ledger=`` calibrates each candidate's ``predicted_seconds`` by its
-  cell's ratio and re-ranks (``calibrated = predicted * ratio``).
-  Counts never change — every exact method returns the same number —
-  only the ordering among candidates may.
+  observed/predicted ratio for executions that carried a price
+  (``plan.predicted_seconds > 0``);
+* a :class:`~repro.plan.planner.Planner` constructed with ``ledger=``
+  calibrates each price by its cell's ratio (``calibrated = predicted
+  * ratio``), which is what deadline admission, the approx budget and
+  the dynamic cutover read.  Counts never change — only prices do.
 
 **Drift invalidates cells.**  Keys embed the graph fingerprint, so any
 content change starts from scratch automatically; within one
@@ -48,7 +47,7 @@ _FORMAT = 1
 class LedgerCell:
     """Measured history of one (fingerprint, shape, method, backend)."""
 
-    #: EWMA of measured headline seconds
+    #: EWMA of measured wall seconds
     observed_seconds: float
     #: EWMA of observed/predicted — None until a predicted>0 execution
     ratio: float | None
@@ -107,10 +106,9 @@ class CostLedger:
                predicted_seconds: float | None = None) -> LedgerCell:
         """Fold one measured execution into its cell.
 
-        ``predicted_seconds`` is the analytic prediction the run was
-        planned with (omit it — or pass 0 — for explicit plans, which
-        skip the probe); only predicted-carrying runs update the
-        calibration ratio.
+        ``predicted_seconds`` is the price the run was planned with
+        (omit it — or pass 0 — for explicit plans, which are unpriced);
+        only priced runs update the calibration ratio.
         """
         observed = float(observed_seconds)
         predicted = (None if not predicted_seconds
@@ -126,7 +124,7 @@ class CostLedger:
                              <= new_ratio
                              <= cell.ratio * self.drift_band):
                 # regime change (host contention, thermal state, ...):
-                # averaging two regimes would misrank both — restart
+                # averaging two regimes would misprice both — restart
                 # from the fresh observation
                 self.drift_resets += 1
                 cell = None

@@ -1,22 +1,20 @@
-"""repro.plan — the cost-based query planner and method registry.
+"""repro.plan — the query planner and method registry.
 
-One plan/execute layer behind every dispatcher.  The paper evaluates
-five algorithms because no single one wins on every graph and (p, q)
-shape; this package makes that selection mechanical instead of manual:
+One plan/execute layer behind every dispatcher:
 
 * :mod:`repro.plan.registry` — every counter in :mod:`repro.core`
-  self-registers a :class:`MethodSpec` (entry point, capabilities, cost
-  hook), so the CLI, bench runner, batch engine, and serving scheduler
-  share one source of truth for what ``method=`` may name.
+  self-registers a :class:`MethodSpec` (entry point, capabilities,
+  per-engine rates), so the CLI, bench runner, batch engine, and
+  serving scheduler share one source of truth for what ``method=`` may
+  name.
 * :class:`CountPlan` (:mod:`repro.plan.ir`) — the frozen, serialisable
   decision: method, backend, workers, anchored layer, the prepared
-  state the run requires, and the predicted headline cost.
-* :class:`Planner` (:mod:`repro.plan.planner`) — on ``native``, the
-  free choice, ``auto`` is GBC, with no probe; on ``fast``/``par``/
-  ``sim`` it prices every registered method from cheap graph
-  statistics, Definition-2 degeneracy signals, a seeded root-sampling
-  probe, and the SIMT cost model, then ranks the candidates.
-  Deterministic for a fixed seed.
+  state the run requires, and its price.
+* :class:`Planner` (:mod:`repro.plan.planner`) — ``auto`` is GBC on
+  ``native``, the paper's method on the fastest engine; any other
+  engine makes ``auto`` a :class:`~repro.errors.PlanError`.  Deadlines
+  are priced as a work bound over the prepared arrays divided by the
+  method's rate, calibrated by the cost ledger.
 * :func:`execute_plan` (:mod:`repro.plan.execute`) — the ONLY place a
   method name turns into a counter call.
 
@@ -29,8 +27,8 @@ shape; this package makes that selection mechanical instead of manual:
 >>> execute_plan(plan, g).count     # bit-identical to every explicit method
 528
 
-Explicit methods plan trivially (no probe) and execute through the same
-single dispatch site:
+Explicit methods plan trivially and execute through the same single
+dispatch site:
 
 >>> explicit = plan_query(g, BicliqueQuery(2, 3), method="BCL",
 ...                       backend="fast")
@@ -42,20 +40,18 @@ from repro.plan.execute import (execute_plan, explicit_plan, plan_query,
                                 warm_session)
 from repro.plan.ir import CountPlan
 from repro.plan.planner import Planner, prepared_keys
-from repro.plan.registry import (ACCURACIES, AUTO, CostSignals, MethodSpec,
-                                 approx_candidates, auto_candidates,
-                                 ensure_accuracy, ensure_known, get_method,
-                                 method_names, register_method)
+from repro.plan.registry import (ACCURACIES, AUTO, MethodSpec,
+                                 approx_candidates, ensure_accuracy,
+                                 ensure_known, get_method, method_names,
+                                 register_method)
 
 __all__ = [
     "ACCURACIES",
     "AUTO",
-    "CostSignals",
     "CountPlan",
     "MethodSpec",
     "Planner",
     "approx_candidates",
-    "auto_candidates",
     "ensure_accuracy",
     "ensure_known",
     "execute_plan",

@@ -23,18 +23,13 @@ from repro.plan.registry import AUTO, get_method
 
 __all__ = ["execute_plan", "explicit_plan", "plan_query", "warm_session"]
 
-#: plan_query's (samples, seed, threads) defaults — requests matching
-#: them are served from a session's per-shape plan cache when one is
-#: supplied, which keys plans by shape only
-_DEFAULT_PROBE = (8, 0, 16)
-
 
 def explicit_plan(graph, query, method: str, *,
                   backend=None, workers: int | None = None,
                   layer: str | None = None,
                   samples: int | None = None,
                   seed: int | None = None) -> CountPlan:
-    """A plan for an explicitly named method — no probe, no ranking.
+    """A plan for an explicitly named method, unpriced.
 
     ``backend=None`` keeps the historical default of every entry point
     (the instrumented simulated engine); ``workers=`` selects the
@@ -60,43 +55,34 @@ def explicit_plan(graph, query, method: str, *,
 
 def plan_query(graph, query, method: str = "GBC", *,
                backend=None, workers: int | None = None,
-               layer: str | None = None, session=None, spec=None,
-               samples: int = 8, seed: int = 0,
-               threads: int = 16,
+               layer: str | None = None, session=None,
                accuracy: str = "exact",
                deadline: float | None = None) -> CountPlan:
     """Turn a (possibly ``"auto"``) method request into a
     :class:`~repro.plan.ir.CountPlan`.
 
     Explicit names plan trivially; ``method="auto"`` runs the
-    :class:`~repro.plan.planner.Planner` (GBC by rule on ``native``,
-    the free choice; a cost-based ranking elsewhere).  With a
-    ``session`` and default probe settings the decision comes from
-    :meth:`repro.query.GraphSession.plan` — the session's per-shape
-    plan cache — so repeated auto calls over one graph probe each
-    (p, q) shape at most once; custom probe settings fall back to a
-    fresh planner that still probes through the session's warm
-    prepared state.  ``accuracy``/``deadline`` select the service tier
-    for planned (``"auto"``) requests exactly as
-    :meth:`~repro.plan.planner.Planner.rank` documents; ``samples``
-    here sizes the cost *probe* — the estimator's own budget lives on
-    the returned plan.
+    :class:`~repro.plan.planner.Planner`: GBC on ``native``, and a
+    :class:`~repro.errors.PlanError` on any other engine.  With a
+    ``session`` the decision comes from
+    :meth:`repro.query.GraphSession.plan`, the session's per-shape plan
+    cache.  ``accuracy``/``deadline`` select the service tier for
+    planned (``"auto"``) requests exactly as
+    :meth:`~repro.plan.planner.Planner.plan` documents; the approx
+    tier's sample budget lives on the returned plan.
     """
     if method == AUTO or accuracy != "exact":
         if method != AUTO and method != "approx":
             raise QueryError(
                 f"accuracy={accuracy!r} plans the method itself; pass "
                 f"method='auto' (got explicit method {method!r})")
-        if session is not None \
-                and (samples, seed, threads) == _DEFAULT_PROBE:
+        if session is not None:
             return session.plan(query, backend=backend, workers=workers,
                                 layer=layer, accuracy=accuracy,
                                 deadline=deadline)
-        planner = Planner(graph, spec=spec, session=session,
-                          samples=samples, seed=seed, threads=threads)
-        return planner.plan(query, backend=backend, workers=workers,
-                            layer=layer, accuracy=accuracy,
-                            deadline=deadline)
+        return Planner(graph).plan(query, backend=backend,
+                                   workers=workers, layer=layer,
+                                   accuracy=accuracy, deadline=deadline)
     return explicit_plan(graph, query, method, backend=backend,
                          workers=workers, layer=layer)
 
@@ -130,22 +116,6 @@ def warm_session(session, plan: CountPlan) -> None:
                             f"requirement {key!r}")
 
 
-def _headline(result, elapsed: float) -> float:
-    """The headline seconds of one run, for the cost ledger.
-
-    Mirrors the headline convention of :class:`repro.bench.runner
-    .MethodRun`: instrumented engines report simulated device seconds,
-    everything else wall clock (with our own measurement as the
-    fallback for results that carry neither).
-    """
-    if getattr(result, "backend_instrumented", False):
-        device = getattr(result, "device_seconds", None)
-        if device is not None:
-            return float(device)
-    wall = getattr(result, "wall_seconds", None)
-    return float(wall) if wall is not None else elapsed
-
-
 def execute_plan(plan: CountPlan, graph, query=None, *,
                  session=None, spec=None, backend=None,
                  options=None, threads: int = 16, ledger=None):
@@ -163,10 +133,10 @@ def execute_plan(plan: CountPlan, graph, query=None, *,
     theirs in the registry).
 
     ``ledger=`` (defaulting to the session's, when it carries one)
-    receives the run's measured headline seconds — this is the single
-    site where every dispatcher's real executions feed the
-    :class:`repro.obs.ledger.CostLedger`, because every dispatcher
-    already resolves here.
+    receives the run's measured wall seconds, which is what a deadline
+    budgets — this is the single site where every dispatcher's real
+    executions feed the :class:`repro.obs.ledger.CostLedger`, because
+    every dispatcher already resolves here.
     """
     # deferred: the counter modules import repro.plan.registry at their
     # own import time, so repro.plan must not import repro.core eagerly
@@ -211,7 +181,7 @@ def execute_plan(plan: CountPlan, graph, query=None, *,
             fingerprint = session.fingerprint if session is not None \
                 else graph_fingerprint(graph)
             ledger.record(fingerprint, plan.p, plan.q, plan.method,
-                          engine.name, _headline(result, elapsed),
+                          engine.name, elapsed,
                           predicted_seconds=plan.predicted_seconds)
         sp.annotate(seconds=elapsed, count=getattr(result, "count", None))
     return result

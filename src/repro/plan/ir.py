@@ -4,7 +4,7 @@ A plan is what sits between "a (p, q) query arrived" and "a counter
 ran": the chosen method, the execution engine (backend name + worker
 count), the anchored-layer/reorder choice, the prepared state the run
 requires from a :class:`repro.query.GraphSession`, and the planner's
-predicted headline cost.  Plans are frozen and JSON-round-trippable
+price.  Plans are frozen and JSON-round-trippable
 (:meth:`CountPlan.as_dict` / :meth:`CountPlan.from_dict`) so ``repro
 plan explain`` output, benchmark artifacts, and tests can all pin them.
 """
@@ -36,21 +36,22 @@ class CountPlan:
     #: ``("wedges:v", "order:v:3", "two_hop:v:3", "htb:v:3")``; a
     #: GraphSession warms exactly these before the batch runs
     prepared: tuple[str, ...] = ()
-    #: predicted headline seconds (0.0 for explicit plans and for the
-    #: ``native`` rule plan without a deadline, which skip the probe)
+    #: priced seconds, work bound / rate (0.0 for explicit plans, for
+    #: unpriced methods, and for ``auto``'s plan without a deadline)
     predicted_seconds: float = 0.0
     #: EWMA-measured seconds from the planner's CostLedger cell, when
     #: one had history for this (fingerprint, shape, method, backend)
     observed_seconds: float | None = None
-    #: ledger-calibrated prediction (predicted * observed/predicted
-    #: ratio); when set, ranking used this instead of predicted_seconds
+    #: ledger-calibrated price (predicted * observed/predicted ratio);
+    #: when set, deadlines are checked against this instead
     calibrated_seconds: float | None = None
     #: how the plan was made: "explicit" or "auto"
     source: str = "explicit"
     #: one-line human rationale for ``repro plan explain``
     reason: str = ""
-    #: serialisable probe summary (population, comparisons, est_count,
-    #: ...) for explain output and artifacts; empty for unprobed plans
+    #: the price's inputs (``bound``, ``rate``, ``population``, and for
+    #: approx plans ``samples`` and ``predicted_rel_error``) for
+    #: ``plan explain``; empty for unpriced plans
     signals: dict = field(default_factory=dict)
     #: approx-tier sample budget (None = the estimator's default; the
     #: planner sizes this from the cost model under a deadline)

@@ -246,7 +246,7 @@ class GraphSession:
         self.spec = spec
         #: optional :class:`repro.obs.ledger.CostLedger` — executions
         #: report measured seconds into it, and the session's planner
-        #: calibrates its rankings from it
+        #: calibrates its prices from it
         self.ledger = ledger
         self._lock = threading.RLock()
         self._fingerprint = graph_fingerprint(graph)
@@ -413,8 +413,8 @@ class GraphSession:
     def _get_planner(self) -> Planner:
         with self._lock:
             if self._planner is None:
-                self._planner = Planner(self._graph, spec=self.spec,
-                                        session=self, ledger=self.ledger)
+                self._planner = Planner(self._graph, session=self,
+                                        ledger=self.ledger)
             return self._planner
 
     def plan(self, query: BicliqueQuery, *,
@@ -423,18 +423,15 @@ class GraphSession:
              layer: str | None = None,
              accuracy: str = "exact",
              deadline: float | None = None) -> CountPlan:
-        """The cost-based plan for one query shape, cached per shape.
+        """The ``auto`` plan for one query shape, cached per shape.
 
         Planning runs once per (graph, shape-class) — the (p, q) shape
-        under a given engine choice — and the chosen plan is reused for
-        every later query of that shape on this session, so a mixed
-        batch or serving workload pays at most one probe per distinct
-        shape (none on ``native``, where ``auto`` is GBC by rule).  The
-        probe itself runs through this session, reusing (and warming)
-        the shared prepared state.  ``accuracy``/``deadline``
-        select the tier as :meth:`repro.plan.planner.Planner.rank`
-        documents; deadlines are request-specific wall-clock budgets,
-        so deadline-carrying plans bypass the per-shape cache.
+        under a given engine choice — and the plan is reused for every
+        later query of that shape on this session.  Prices read this
+        session's prepared arrays.  ``accuracy``/``deadline`` select
+        the tier as :meth:`repro.plan.planner.Planner.plan` documents;
+        deadlines are request-specific wall-clock budgets, so
+        deadline-carrying plans bypass the per-shape cache.
         """
         backend_key = backend.name if isinstance(backend, KernelBackend) \
             else backend
@@ -450,7 +447,7 @@ class GraphSession:
             got = self._plans.get(key)
             if got is not None:
                 return got
-        # probe outside the lock: it may run sampled roots
+        # plan outside the lock: an approx plan prepares to price
         plan = planner.plan(query, backend=backend, workers=workers,
                             layer=layer, accuracy=accuracy)
         with self._lock:
@@ -625,9 +622,9 @@ def batch_count(graph: BipartiteGraph | GraphSession,
     consistent epoch.  ``queries`` is anything :func:`parse_queries`
     accepts.  All remaining arguments mirror the single-query entry
     points: ``method`` picks the algorithm (``"auto"`` asks the
-    cost-based planner, which plans once per distinct query shape and
-    shares the session's prepared state across the batch per the
-    chosen plan's requirements), ``backend``/``workers`` the execution
+    planner, which plans once per distinct query shape and shares the
+    session's prepared state across the batch per the plan's
+    requirements), ``backend``/``workers`` the execution
     engine, ``layer`` pins the anchored layer, and
     ``accuracy``/``deadline`` select the service tier per query exactly
     as :meth:`GraphSession.count` documents.

@@ -67,9 +67,9 @@ class SchedulerConfig:
     workers: int = 2
     #: kernel backend every batch runs on ("sim" / "fast" / "par" /
     #: "native"); "par" shards over one process per usable CPU
-    backend: str = "fast"
+    backend: str = "native"
     #: default counting method for requests that do not name one;
-    #: ``"auto"`` lets the pooled session's planner pick per shape
+    #: ``"auto"`` (GBC) needs ``backend="native"``
     method: str = "GBC"
     #: default service tier for requests that do not name one:
     #: "exact" treats a deadline as a hard admission bound, "approx"
@@ -80,6 +80,12 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         ensure_known(self.method, allow_auto=True)
         ensure_accuracy(self.accuracy)
+        if self.method == "auto" and self.backend != "native":
+            # the planner's auto is GBC on native only: refuse here
+            # rather than fail every request
+            raise ServiceError(
+                f"method='auto' runs GBC on 'native'; with backend="
+                f"{self.backend!r} name an explicit method")
         if self.max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_pending < 1:

@@ -101,10 +101,27 @@ class TestRebuildPrice:
                              [("fast", "GBC"), ("native", "auto")])
     def test_rebuild_priced_for_the_recount(self, backend, method):
         """The cutover prices the recount :meth:`count` runs: the
-        session's method on its engine (``auto`` on native is GBC)."""
+        session's method on its engine (``auto`` on native is GBC), at
+        the work bound over GBC's rate there."""
+        from repro.plan import get_method
+
         g = power_law_bipartite(60, 50, 400, seed=9)
         dyn = DynamicGraphSession.from_graph(g, backend=backend,
                                              method=method)
         dyn.track(3, 3)
-        assert dyn._rebuild_seconds[(3, 3)] == \
-            Planner(g).predict(BicliqueQuery(3, 3), "GBC", backend=backend)
+        query = BicliqueQuery(3, 3)
+        planner = Planner(g)
+        price = planner.predict(query, "GBC", backend=backend)
+        assert dyn._rebuild_seconds[(3, 3)] == price == \
+            planner.bound(query)[0] / get_method("GBC").rates[backend] > 0
+
+    def test_unpriced_rebuild_never_cuts_over(self):
+        """Basic is unpriced, so its shapes stay on the delta path."""
+        g = power_law_bipartite(60, 50, 400, seed=9)
+        dyn = DynamicGraphSession.from_graph(g, method="Basic",
+                                             cutover_ratio=1e-12)
+        dyn.track(2, 2)
+        assert dyn._rebuild_seconds[(2, 2)] is None
+        dyn.toggle(0, 0)
+        assert dyn.stats.cutover_deferrals == 0
+        assert dyn.count(2, 2) == dyn.recount(2, 2)

@@ -82,8 +82,9 @@ def test_exact_item_over_its_budget_expires_and_auto_samples():
     assert snap["expired"] == 1
     assert snap["failed"] == 0           # a miss is not a malfunction
 
+    # auto is GBC on native, the only engine it plans for
     [(rid, status, payload)] = _serve_batch(
-        pool, telemetry, "fast", "dense",
+        pool, telemetry, "native", "dense",
         [(2, 3, 3, "auto", "auto", 0.01)])
     assert status == "ok", payload
     result = unpack_result(payload)

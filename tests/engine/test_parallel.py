@@ -81,7 +81,7 @@ class TestRegistry:
                 explicit_plan(graph, query, "GBC", backend=backend,
                               workers=2)
             with pytest.raises(QueryError):
-                Planner(graph).rank(query, backend=backend, workers=2)
+                Planner(graph).plan(query, backend=backend, workers=2)
             with pytest.raises(QueryError):
                 GraphSession(graph).count(query, "GBC", backend=backend,
                                           workers=2)

@@ -87,10 +87,11 @@ class TestPoolLedger:
         ledger = CostLedger()
         pool = make_pool(ledger=ledger)
         with Scheduler(pool, method="auto") as sched:
-            sched.count("a", 2, 2)
-            sched.count("b", 2, 3)
+            # a deadline makes auto price its plan
+            sched.count("a", 2, 2, deadline=60.0)
+            sched.count("b", 2, 3, deadline=60.0)
         assert len(ledger) >= 2
-        # auto plans carry predictions, so cells learn ratios
+        # priced plans carry predictions, so cells learn ratios
         snap = ledger.snapshot()
         assert any(c["ratio"] is not None
                    for c in snap["cells"].values())
@@ -100,7 +101,7 @@ class TestPoolLedger:
         graph = GRAPHS["a"]
         session = GraphSession(graph, ledger=ledger)
         res = session.count(BicliqueQuery(2, 2), method="auto",
-                            backend="fast")
+                            backend="native")
         assert len(ledger) == 1
         cell = next(iter(ledger.snapshot()["cells"].values()))
         assert cell["observations"] == 1

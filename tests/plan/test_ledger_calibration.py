@@ -1,20 +1,22 @@
-"""Ledger-backed planning: calibration re-ranks, counts never change.
+"""Ledger-backed planning: calibration moves prices, never counts.
 
-The cost ledger may only ever change *which* exact method the planner
-picks — every exact method returns the same count, so a ledger-backed
-``method="auto"`` must stay bit-identical to every explicit method.
-These tests pin that equivalence plus the calibration mechanics:
-observed/predicted ratios flow from ``execute_plan`` back into the next
-``rank()``, and a misleading prediction gets corrected by measurement.
+The cost ledger may only ever change the *price* of a plan — which a
+deadline admits, how many samples the approx tier draws — so a
+ledger-backed ``method="auto"`` must stay bit-identical to every
+explicit method.  These tests pin that equivalence plus the calibration
+mechanics: measured/predicted ratios flow from ``execute_plan`` back
+into the next price, and a misleading prediction gets corrected by
+measurement.
 """
 
 import pytest
 
 from repro.core.counts import BicliqueQuery
+from repro.errors import DeadlineExceededError
 from repro.graph.generators import power_law_bipartite, random_bipartite
 from repro.graph.stats import graph_fingerprint
 from repro.obs import CostLedger
-from repro.plan import Planner, execute_plan
+from repro.plan import Planner
 from repro.query import GraphSession
 
 GRAPHS = {
@@ -32,14 +34,15 @@ class TestCountsUnchanged:
         bare = GraphSession(graph)
         led = GraphSession(graph, ledger=CostLedger())
         for query in QUERIES:
-            for _ in range(2):    # second pass ranks with observations
-                assert led.count(query, method="auto",
-                                 backend="fast").count \
-                    == bare.count(query, method="auto",
-                                  backend="fast").count
+            for _ in range(2):    # second pass prices with observations
+                assert led.count(query, method="auto", deadline=1e3,
+                                 use_cache=False).count \
+                    == bare.count(query, method="auto").count
             for method in ("Basic", "BCL", "BCLP", "GBL", "GBC"):
-                explicit = led.count(query, method=method, backend="fast")
-                auto = led.count(query, method="auto", backend="fast")
+                explicit = led.count(query, method=method,
+                                     backend="native")
+                auto = led.count(query, method="auto", backend="native",
+                                 deadline=1e3)
                 assert auto.count == explicit.count, (graph_name, query,
                                                       method)
 
@@ -49,48 +52,45 @@ class TestCalibration:
         graph = GRAPHS["random"]
         session = GraphSession(graph, ledger=CostLedger())
         query = QUERIES[0]
-        session.count(query, method="auto", backend="fast")
-        planner = Planner(graph, session=session,
-                          ledger=session.ledger)
-        ranked = planner.rank(query, backend="fast")
-        calibrated = [p for p in ranked
-                      if p.calibrated_seconds is not None]
-        assert calibrated, "no candidate learned from the measured run"
-        chosen = calibrated[0]
-        assert chosen.observed_seconds is not None
-        assert "ledger-calibrated" in chosen.reason
+        session.count(query, method="auto", deadline=1e3)
+        planner = Planner(graph, session=session, ledger=session.ledger)
+        plan = planner.plan(query, deadline=1e3)
+        assert plan.calibrated_seconds is not None, \
+            "the price did not learn from the measured run"
+        assert plan.observed_seconds is not None
+        assert "ledger-calibrated" in plan.reason
 
     def test_measured_costs_override_a_wrong_prediction(self):
-        # plant history claiming GBC runs 1000x faster than predicted
-        # and every rival 1000x slower: the calibrated ranking must put
-        # GBC first regardless of what the static model says
+        # plant history claiming GBC runs 1000x faster than priced: a
+        # deadline between the calibrated and the raw price must admit
+        # the plan, and the raw price alone must not
         graph = GRAPHS["power-law"]
         query = BicliqueQuery(3, 2)
         fp = graph_fingerprint(graph)
+        raw = Planner(graph).plan(query, deadline=1e3).predicted_seconds
         ledger = CostLedger()
-        baseline = Planner(graph).rank(query, backend="fast")
-        for plan in baseline:
-            ratio = 1e-3 if plan.method == "GBC" else 1e3
-            ledger.record(fp, query.p, query.q, plan.method, plan.backend,
-                          plan.predicted_seconds * ratio,
-                          predicted_seconds=plan.predicted_seconds)
-        ranked = Planner(graph, ledger=ledger).rank(query, backend="fast")
-        assert ranked[0].method == "GBC"
-        assert ranked[0].calibrated_seconds == pytest.approx(
-            ranked[0].predicted_seconds * 1e-3, rel=0.3)
+        ledger.record(fp, query.p, query.q, "GBC", "native", raw * 1e-3,
+                      predicted_seconds=raw)
+        deadline = raw * 1e-1
+        with pytest.raises(DeadlineExceededError):
+            Planner(graph).plan(query, deadline=deadline)
+        plan = Planner(graph, ledger=ledger).plan(query, deadline=deadline)
+        assert (plan.method, plan.backend) == ("GBC", "native")
+        assert plan.calibrated_seconds == pytest.approx(raw * 1e-3,
+                                                        rel=0.3)
 
     def test_predict_uses_the_calibrated_cost(self):
         graph = GRAPHS["random"]
         query = QUERIES[0]
         fp = graph_fingerprint(graph)
         bare = Planner(graph)
-        raw = bare.predict(query, "GBC", backend="fast")
+        raw = bare.predict(query, "GBC", backend="native")
         ledger = CostLedger()
-        ledger.record(fp, query.p, query.q, "GBC", "fast", raw * 10.0,
+        ledger.record(fp, query.p, query.q, "GBC", "native", raw * 10.0,
                       predicted_seconds=raw)
         assert Planner(graph, ledger=ledger).predict(
-            query, "GBC", backend="fast") == pytest.approx(raw * 10.0,
-                                                           rel=0.05)
+            query, "GBC", backend="native") == pytest.approx(raw * 10.0,
+                                                             rel=0.05)
 
     def test_explicit_plan_execution_records_without_a_ratio(self):
         # explicit plans carry no prediction: the cell exists (observed
@@ -104,3 +104,16 @@ class TestCalibration:
                              "GBC", "fast")
         assert cell is not None
         assert cell.ratio is None
+
+    def test_ledger_records_wall_seconds(self):
+        """The ledger learns the wall seconds a deadline budgets, not
+        the simulated device seconds a sim result headlines."""
+        graph = GRAPHS["random"]
+        query = QUERIES[0]
+        ledger = CostLedger()
+        session = GraphSession(graph, ledger=ledger)
+        result = session.count(query, method="GBC", backend="sim")
+        cell = ledger.lookup(session.fingerprint, query.p, query.q,
+                             "GBC", "sim")
+        assert cell.observed_seconds != result.device_seconds
+        assert cell.observed_seconds >= result.wall_seconds * 0.5

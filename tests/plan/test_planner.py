@@ -1,10 +1,12 @@
-"""Planner properties: auto == explicit counts, determinism, round-trip.
+"""Planner properties: auto == explicit counts, one price, round-trip.
 
-The golden-graph property the acceptance criteria pin: ``method="auto"``
-must be *bit-identical* to every explicit method on every backend — the
-planner may only ever change how fast an answer arrives, never the
-answer — and its output (the ranked candidate list and the chosen plan)
-must be deterministic for a fixed probe seed.
+The property pinned first: ``method="auto"`` is GBC on ``native`` and
+must be *bit-identical* to every explicit method there — the planner may only ever change how fast an answer
+arrives, never the answer.  Any other engine makes ``auto`` a typed
+:class:`~repro.errors.PlanError`.  Prices are ``bound / rate`` over the
+prepared arrays: deterministic, identical across planners and between
+session and sessionless planners, and computed without running any
+search.
 """
 
 import pytest
@@ -25,70 +27,94 @@ GRAPHS = {
 QUERIES = [BicliqueQuery(2, 2), BicliqueQuery(3, 2), BicliqueQuery(2, 3)]
 
 
+def _refuse_searches(monkeypatch):
+    """Make every per-root search and frontier raise, wherever the
+    counters bound their names."""
+    import repro.core.bcl as bcl
+    import repro.core.estimate as estimate
+    import repro.core.frontier as frontier
+    import repro.core.gbc as gbc
+    import repro.core.gbl as gbl
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pricing must not run a search")
+
+    for module, name in ((bcl, "count_root"), (estimate, "count_root"),
+                         (frontier, "csr_frontier_count"),
+                         (frontier, "htb_frontier_count"),
+                         (gbc, "csr_frontier_count"),
+                         (gbc, "htb_frontier_count"),
+                         (gbl, "csr_frontier_count")):
+        monkeypatch.setattr(module, name, refuse)
+
+
 class TestAutoMatchesExplicit:
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     @pytest.mark.parametrize("backend", ["sim", "fast", "par", "native"])
     def test_auto_count_bit_identical(self, graph_name, backend):
+        """On native auto counts exactly what every explicit method
+        counts; on any other engine it refuses, naming the methods."""
         graph = GRAPHS[graph_name]
         workers = 2 if backend == "par" else None
         for query in QUERIES:
-            auto = run_method("auto", graph, query, backend=backend,
-                              workers=workers)
+            if backend != "native":
+                with pytest.raises(PlanError, match="GBC"):
+                    run_method("auto", graph, query, backend=backend,
+                               workers=workers)
+                continue
+            auto = run_method("auto", graph, query, backend=backend)
             for method in ("Basic", "BCL", "BCLP", "GBL", "GBC"):
-                explicit = run_method(method, graph, query, backend=backend,
-                                      workers=workers)
+                explicit = run_method(method, graph, query, backend=backend)
                 assert auto.count == explicit.count, (
                     f"auto ({auto.algorithm}) disagrees with {method} on "
                     f"{graph_name} {query} [{backend}]")
 
     def test_auto_resolves_to_a_registered_candidate(self):
         plan = plan_query(GRAPHS["random"], QUERIES[0], method="auto",
-                          backend="fast")
-        assert plan.method in ("Basic", "BCL", "BCLP", "GBL", "GBC")
+                          deadline=1e3)
+        assert plan.method == "GBC"
         assert plan.source == "auto"
         assert plan.predicted_seconds > 0
 
 
 class TestDeterminism:
     def test_ranked_plans_stable_for_fixed_seed(self):
+        """The priced plan (what replaced the seeded ranking) is
+        identical across planners: the bound has no random input."""
         graph = GRAPHS["power-law"]
         query = BicliqueQuery(3, 2)
-        first = Planner(graph, seed=7).rank(query)
-        second = Planner(graph, seed=7).rank(query)
-        assert [p.as_dict() for p in first] == [p.as_dict() for p in second]
+        first = Planner(graph).plan(query, deadline=1e3)
+        second = Planner(graph).plan(query, deadline=1e3)
+        assert first.as_dict() == second.as_dict()
+        assert first.predicted_seconds > 0
 
     def test_chosen_plan_stable_across_planners(self):
         graph = GRAPHS["random"]
         query = BicliqueQuery(2, 3)
-        plans = [Planner(graph, seed=0).plan(query) for _ in range(3)]
+        plans = [Planner(graph).plan(query) for _ in range(3)]
         assert all(p == plans[0] for p in plans)
 
-    def test_ranking_is_total_and_sorted(self):
-        ranked = Planner(GRAPHS["random"]).rank(BicliqueQuery(2, 2),
-                                                backend="fast")
-        predictions = [p.predicted_seconds for p in ranked]
-        assert predictions == sorted(predictions)
-        # every exact method appears exactly once, on the named engine
-        assert sorted(p.method for p in ranked) == \
-            ["BCL", "BCLP", "Basic", "GBC", "GBL"]
-        assert {p.backend for p in ranked} == {"fast"}
-
     def test_session_probe_matches_sessionless(self):
+        """A session planner prices from the session's cached arrays,
+        a sessionless one prepares afresh; the price is the same."""
         from repro.query import GraphSession
 
         graph = GRAPHS["power-law"]
-        query = BicliqueQuery(2, 2)
-        bare = Planner(graph, seed=0).plan(query, backend="fast")
-        session = GraphSession(graph)
-        warm = Planner(graph, session=session, seed=0).plan(query,
-                                                            backend="fast")
-        assert warm.as_dict() == bare.as_dict()
+        for query in QUERIES:
+            bare = Planner(graph)
+            warm = Planner(graph, session=GraphSession(graph))
+            assert warm.plan(query, deadline=1e3).as_dict() == \
+                bare.plan(query, deadline=1e3).as_dict()
+            for method in ("BCL", "GBL", "GBC", "approx"):
+                for backend in ("sim", "fast", "native"):
+                    assert warm.predict(query, method, backend=backend) \
+                        == bare.predict(query, method, backend=backend)
 
 
 class TestRoundTrip:
     def test_explain_round_trip(self):
         """A plan survives as_dict -> from_dict exactly (what ``plan
-        explain`` output and BENCH_plan.json rely on)."""
+        explain`` output relies on)."""
         for query in QUERIES:
             plan = plan_query(GRAPHS["random"], query, method="auto")
             assert CountPlan.from_dict(plan.as_dict()) == plan
@@ -119,118 +145,151 @@ class TestEngineChoice:
     def test_free_choice_is_gbc_on_native_without_a_probe(
             self, monkeypatch):
         """On native, and with no engine pinned, auto is one plan:
-        GBC on native, chosen by rule, so the probe never runs."""
-        import repro.core.estimate as estimate
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the native rule must not probe")
-
-        monkeypatch.setattr(estimate, "sample_root_profile", refuse)
+        GBC on native, chosen by rule and unpriced without a deadline,
+        so no search runs to plan it."""
+        _refuse_searches(monkeypatch)
         for query in QUERIES:
             planner = Planner(GRAPHS["power-law"])
-            for ranked in (planner.rank(query, backend="native"),
-                           planner.rank(query)):
-                assert len(ranked) == 1
-                plan = ranked[0]
+            for plan in (planner.plan(query, backend="native"),
+                         planner.plan(query)):
                 assert (plan.method, plan.backend) == ("GBC", "native")
                 assert plan.source == "auto"
                 assert plan.predicted_seconds == 0.0
 
-    def test_sim_backend_prefers_the_device_methods(self):
-        """On the instrumented engine the headline is simulated device
-        seconds — the paper's GBC must dominate the CPU methods."""
-        ranked = Planner(GRAPHS["power-law"]).rank(BicliqueQuery(3, 2),
-                                                   backend="sim")
-        assert ranked[0].method == "GBC"
-        assert ranked[1].method == "GBL"
+    @pytest.mark.parametrize("backend, workers", [
+        ("sim", None), ("fast", None), ("par", None), ("par", 2),
+        (None, 2), ("fast", 2)])
+    def test_auto_off_native_is_a_plan_error(self, backend, workers):
+        """Only native has a rule; pinning another engine (workers=
+        pins par) names the explicit methods instead."""
+        from repro.query import GraphSession
+
+        graph, query = GRAPHS["random"], BicliqueQuery(2, 2)
+        for accuracy in ("exact", "auto"):
+            with pytest.raises(PlanError) as err:
+                Planner(graph).plan(query, backend=backend,
+                                    workers=workers, accuracy=accuracy)
+            for method in ("Basic", "BCL", "BCLP", "GBL", "GBC"):
+                assert method in str(err.value)
+        with pytest.raises(PlanError, match="GBC"):
+            GraphSession(graph).count(query, "auto", backend=backend,
+                                      workers=workers)
 
     def test_workers_imply_par(self):
-        plan = Planner(GRAPHS["random"]).plan(BicliqueQuery(2, 2),
-                                              workers=2)
-        assert plan.backend == "par"
-        assert plan.workers == 2
+        """workers= selects par, so auto (native only) refuses it."""
+        with pytest.raises(PlanError, match="'par'"):
+            Planner(GRAPHS["random"]).plan(BicliqueQuery(2, 2),
+                                           workers=2)
 
     def test_fast_with_workers_priced_as_par(self):
-        """backend='fast' + workers resolves to the sharded engine at
-        execution time (resolve_backend's upgrade), so the planner must
-        price and label it as 'par' — fork overhead included."""
+        """backend='fast' + workers resolves to the sharded engine, which
+        runs fast's kernels, so it is priced at fast's rates."""
         planner = Planner(GRAPHS["random"])
         query = BicliqueQuery(2, 2)
-        upgraded = planner.plan(query, backend="fast", workers=2)
-        serial = planner.plan(query, backend="fast")
-        assert upgraded.backend == "par"
-        assert upgraded.predicted_seconds > serial.predicted_seconds
-        assert execute_plan(upgraded, GRAPHS["random"]).backend == "par"
+        for method in ("BCL", "GBL", "GBC"):
+            sharded = planner.predict(query, method, backend="fast",
+                                      workers=2)
+            assert sharded == planner.predict(query, method,
+                                              backend="par") \
+                == planner.predict(query, method, backend="fast") > 0
 
     def test_sim_with_workers_rejected(self):
         with pytest.raises(QueryError, match="serial"):
-            Planner(GRAPHS["random"]).rank(BicliqueQuery(2, 2),
+            Planner(GRAPHS["random"]).plan(BicliqueQuery(2, 2),
                                            backend="sim", workers=2)
 
     def test_pinned_layer_excludes_basic(self):
-        ranked = Planner(GRAPHS["random"]).rank(BicliqueQuery(2, 2),
-                                                layer="V")
-        assert all(p.method != "Basic" for p in ranked)
-        assert all(p.layer == "V" for p in ranked)
+        """A pinned layer is planned and priced on that layer."""
+        planner = Planner(GRAPHS["random"])
+        query = BicliqueQuery(2, 2)
+        plan = planner.plan(query, layer="V", deadline=1e3)
+        assert (plan.method, plan.layer) == ("GBC", "V")
+        assert all(key.split(":")[1] == "V" for key in plan.prepared)
+        assert plan.signals["bound"] == planner.bound(query, "V")[0]
 
 
-class TestSignalCaches:
-    """Planners memoise per-graph signals and re-sync on content change."""
+class TestPrice:
+    """The one price: bound / rate over the prepared arrays."""
 
-    def test_stats_cached_by_content(self):
-        from repro.graph.stats import cached_stats
-
-        graph = random_bipartite(22, 18, 90, seed=42)
-        assert cached_stats(graph) is cached_stats(graph)
-
-    def test_reused_planner_reprobes_after_in_place_edit(self, monkeypatch):
-        """One planner held across an in-place mutation of its graph's
-        arrays must re-sync: the old probe memo is dropped and the new
-        content is probed exactly once (see also
-        tests/query/test_staleness.py for the full staleness layer)."""
+    def test_edited_graph_gets_a_new_bound(self):
+        """A planner held across an in-place edit of its graph's arrays
+        prices the new content (see also tests/query/test_staleness.py
+        for the full staleness layer)."""
         import numpy as np
-
-        import repro.core.estimate as estimate
 
         graph = random_bipartite(22, 18, 90, seed=44)
         donor = random_bipartite(22, 18, 90, seed=45)
         query = BicliqueQuery(2, 2)
-        calls = {"n": 0}
-        real = estimate.sample_root_profile
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(estimate, "sample_root_profile", counting)
         planner = Planner(graph)
-        planner.plan(query, backend="fast")
-        planner.plan(query, backend="fast")      # memoised: no new probe
-        assert calls["n"] == 1
+        before = planner.bound(query)
         for name in ("u_offsets", "u_neighbors", "v_offsets",
                      "v_neighbors"):
             np.copyto(getattr(graph, name), getattr(donor, name))
-        changed = planner.plan(query, backend="fast")   # re-syncs
-        assert calls["n"] == 2
-        assert changed.as_dict() == \
-            Planner(graph).plan(query, backend="fast").as_dict()
+        after = planner.bound(query)
+        assert after == Planner(donor).bound(query) != before
+        assert planner.predict(query, "GBC", backend="native") == \
+            Planner(donor).predict(query, "GBC", backend="native")
 
-    def test_session_probe_still_warms_prepared_state(self):
-        """A session planner probes through its session, so the probe
-        doubles as the session's prepared-state warmer."""
+    def test_session_price_warms_prepared_state(self):
+        """A session planner prices through its session: the bound
+        reads (and, cold, builds) the priority-order state the count
+        reads, and nothing else — no id-order index, no HTB."""
         from repro.query import GraphSession
 
         graph = random_bipartite(22, 18, 90, seed=43)
         session = GraphSession(graph)
-        Planner(graph, session=session).plan(BicliqueQuery(2, 2),
-                                             backend="fast")
-        assert session.stats.wedge_builds >= 1
+        Planner(graph, session=session).predict(BicliqueQuery(2, 2),
+                                                "GBC", backend="native")
+        stats = session.stats
+        assert (stats.wedge_builds, stats.order_builds,
+                stats.index_builds) == (1, 1, 1)
+        assert stats.htb_adj_builds == stats.htb_two_hop_builds == 0
+
+    def test_pricing_runs_no_search_and_no_id_index(self, monkeypatch):
+        """Pricing reads arrays; it never runs a per-root search or a
+        frontier, and never builds Basic's id-order index."""
+        from repro.dynamic import DynamicGraphSession
+        from repro.obs import tracing
+        from repro.query import GraphSession
+
+        graph = power_law_bipartite(60, 50, 400, seed=9)
+        query = BicliqueQuery(3, 3)
+        # track's baseline count runs GBC on fast, outside both the
+        # frontier and count_root; only its rebuild price is new work
+        dyn = DynamicGraphSession.from_graph(graph)
+        _refuse_searches(monkeypatch)
+        session = GraphSession(graph)
+        planner = Planner(graph, session=session)
+        with tracing() as rec:
+            assert planner.predict(query, "GBC", backend="native") > 0
+            plan = planner.plan(query, deadline=1e3)
+            assert plan.predicted_seconds > 0
+            assert Planner(graph).plan(query, deadline=1e3) == plan
+            dyn.track(3, 3)
+        assert dyn._rebuild_seconds[(3, 3)] > 0
+        assert session.stats.index_builds == 1      # no two_hop_id
+        assert "prepare.two_hop_id" not in rec.names()
+
+    @pytest.mark.parametrize("backend", ["sim", "fast", "native"])
+    def test_price_is_bound_over_rate(self, backend):
+        from repro.plan import get_method
+
+        planner = Planner(GRAPHS["power-law"])
+        for query in QUERIES:
+            bound, _ = planner.bound(query)
+            for method in ("BCL", "BCLP", "GBL", "GBC"):
+                rate = get_method(method).rates[backend]
+                assert planner.predict(query, method, backend=backend) \
+                    == bound / rate
+            # the default engine is the one GraphSession.count runs: sim
+            assert planner.predict(query, "GBC") == \
+                planner.predict(query, "GBC", backend="sim")
 
 
 class TestNativeRule:
     """``auto`` on native is GBC: same work as the explicit request,
-    priced only for a deadline, with the scalar methods at fast's
-    prices."""
+    priced only for a deadline; the scalar methods share one rate, the
+    same on native as on fast, and Basic is unpriced."""
 
     def test_session_auto_does_exactly_what_explicit_gbc_does(self):
         from repro.query import GraphSession
@@ -247,10 +306,19 @@ class TestNativeRule:
 
     @pytest.mark.parametrize("method", ["Basic", "BCL", "BCLP", "approx"])
     def test_scalar_methods_get_fast_prices_on_native(self, method):
+        """BCL, BCLP and the estimator all search with count_root, which
+        runs the same code on native as on fast: one scalar rate."""
+        from repro.core.bcl import SCALAR_RATES
+
         planner = Planner(GRAPHS["power-law"])
         for query in QUERIES:
-            assert planner.predict(query, method, backend="native") == \
-                planner.predict(query, method, backend="fast")
+            native = planner.predict(query, method, backend="native")
+            assert native == planner.predict(query, method, backend="fast")
+            if method == "Basic":
+                assert native == 0.0        # id order: unpriced
+            else:
+                assert native == \
+                    planner.bound(query)[0] / SCALAR_RATES["native"] > 0
 
     def test_deadline_prices_the_rule_plan(self):
         graph = GRAPHS["power-law"]

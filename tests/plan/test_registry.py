@@ -4,9 +4,9 @@ import pytest
 
 from repro.bench.runner import METHODS
 from repro.errors import QueryError, ReproError, UnknownMethodError
-from repro.plan import (MethodSpec, approx_candidates, auto_candidates,
-                        ensure_accuracy, ensure_known, get_method,
-                        method_names, register_method)
+from repro.plan import (MethodSpec, approx_candidates, ensure_accuracy,
+                        ensure_known, get_method, method_names,
+                        register_method)
 
 
 class TestListing:
@@ -23,17 +23,12 @@ class TestListing:
             assert spec.name == name
             assert callable(spec.runner)
 
-    def test_auto_candidates_exclude_ablations_and_approx(self):
-        names = [spec.name for spec in auto_candidates()]
-        assert names == ["Basic", "BCL", "BCLP", "GBL", "GBC"]
-        assert all(spec.cost is not None for spec in auto_candidates())
-
     def test_approx_candidates_are_the_sampling_tier(self):
         names = [spec.name for spec in approx_candidates()]
         assert names == ["approx"]
         spec = approx_candidates()[0]
         assert spec.approximate
-        assert spec.cost is not None
+        assert spec.rates is not None
 
 
 class TestCapabilities:
@@ -45,6 +40,20 @@ class TestCapabilities:
             assert get_method(name).instrumented_metrics
         for name in ("Basic", "BCL", "BCLP"):
             assert not get_method(name).instrumented_metrics
+
+    def test_priced_methods_and_their_rates(self):
+        """Basic and the ablation variants are unpriced; the count_root
+        methods share one rate table; every rate is positive."""
+        priced = {name for name in method_names()
+                  if get_method(name).rates is not None}
+        assert priced == {"BCL", "BCLP", "GBL", "GBC", "approx"}
+        scalar = get_method("BCL").rates
+        assert get_method("BCLP").rates is scalar
+        assert get_method("approx").rates is scalar
+        for name in priced:
+            rates = get_method(name).rates
+            assert set(rates) == {"sim", "fast", "native"}
+            assert all(rate > 0 for rate in rates.values())
 
     def test_gbc_needs_htb_state(self):
         assert "htb" in get_method("GBC").prepared_kinds

@@ -85,34 +85,34 @@ class TestSessionRefresh:
 
 class TestPlannerSync:
     def test_reused_planner_resyncs_by_itself(self):
-        """A planner held across an in-place edit must behave exactly
+        """A planner held across an in-place edit must price exactly
         like a planner built fresh on the mutated graph — no stale
-        stats, no stale probes."""
+        bound, no stale ledger key."""
         graph, donor = make_pair()
-        planner = Planner(graph, seed=0)
-        before = planner.plan(QUERY, backend="fast")
+        planner = Planner(graph)
+        before = planner.plan(QUERY, deadline=1e3)
         overwrite_in_place(graph, donor)
-        after = planner.plan(QUERY, backend="fast")
-        fresh = Planner(graph, seed=0).plan(QUERY, backend="fast")
+        after = planner.plan(QUERY, deadline=1e3)
+        fresh = Planner(graph).plan(QUERY, deadline=1e3)
         assert after.as_dict() == fresh.as_dict()
-        # and the prediction really is about the new content
-        donor_view = Planner(donor, seed=0).plan(QUERY, backend="fast")
+        # and the price really is about the new content
+        donor_view = Planner(donor).plan(QUERY, deadline=1e3)
         assert after.predicted_seconds == donor_view.predicted_seconds
         assert before.as_dict() != after.as_dict() or \
             before.predicted_seconds != after.predicted_seconds
 
     def test_session_planner_follows_refresh(self):
-        """Session-backed planners key on the *session's* fingerprint:
+        """Session-backed planners price from the *session's* arrays:
         stale until the session refreshes, synced right after."""
         graph, donor = make_pair()
         session = GraphSession(graph)
-        planner = Planner(graph, session=session, seed=0)
-        planner.plan(QUERY, backend="fast")
+        planner = Planner(graph, session=session)
+        planner.plan(QUERY, deadline=1e3)
         overwrite_in_place(graph, donor)
         session.refresh()
-        resynced = planner.plan(QUERY, backend="fast")
-        fresh = Planner(graph, session=GraphSession(graph),
-                        seed=0).plan(QUERY, backend="fast")
+        resynced = planner.plan(QUERY, deadline=1e3)
+        fresh = Planner(graph, session=GraphSession(graph)).plan(
+            QUERY, deadline=1e3)
         assert resynced.as_dict() == fresh.as_dict()
 
 

@@ -9,9 +9,9 @@ the same workload must *refuse* rather than silently degrade: every
 request expires with :class:`~repro.errors.DeadlineExceededError`.
 
 The graph/deadline pair is picked so the admission decision is
-deterministic: the best exact plan on the scheduler's ``fast`` engine
-predicts ~65 ms against a 10 ms deadline, a margin over 5x that no
-scheduler jitter can flip.
+deterministic: GBC on the scheduler's ``native`` engine prices about
+1.2 s against a 10 ms deadline, a margin over 5x that no scheduler
+jitter can flip.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.plan import Planner
 from repro.service.pool import SessionPool
 from repro.service.scheduler import Scheduler, SchedulerConfig
 
-#: dense enough that every exact plan predicts far beyond DEADLINE
+#: dense enough that the exact plan prices far beyond DEADLINE
 GRAPH = random_bipartite(200, 150, 4000, seed=3)
 QUERY = BicliqueQuery(3, 3)
 DEADLINE = 0.01
@@ -50,11 +50,11 @@ def scheduler():
 
 
 def test_deadline_is_actually_infeasible_for_exact():
-    """Guard the premise: if the cost model ever gets fast enough to
-    predict this plan under the deadline, the tests below stop testing
-    the fallback path — fail loudly here instead."""
-    best = Planner(GRAPH).rank(QUERY, backend="fast")[0]
-    assert best.predicted_seconds > 5 * DEADLINE
+    """Guard the premise: if the price of GBC on native ever falls
+    under the deadline, the tests below stop testing the fallback path
+    — fail loudly here instead."""
+    assert Planner(GRAPH).predict(QUERY, "GBC", backend="native") \
+        > 5 * DEADLINE
 
 
 class TestSchedulerTiers:

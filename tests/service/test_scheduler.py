@@ -49,6 +49,20 @@ class TestConfig:
         with pytest.raises(TypeError, match=name):
             SchedulerConfig(**{name: 2})
 
+    def test_default_backend_is_native(self):
+        assert SchedulerConfig().backend == "native"
+
+    @pytest.mark.parametrize("backend", ["fast", "par", "sim"])
+    def test_auto_off_native_rejected_at_config(self, backend):
+        """auto is GBC on native: refused once, at construction, rather
+        than on every request."""
+        with pytest.raises(ServiceError, match="native"):
+            SchedulerConfig(method="auto", backend=backend)
+        with pytest.raises(ServiceError, match="native"):
+            Scheduler(make_pool(), method="auto", backend=backend)
+        assert SchedulerConfig(method="GBC", backend=backend).backend \
+            == backend
+
     def test_config_and_overrides_conflict(self):
         pool = make_pool()
         with pytest.raises(ServiceError, match="not both"):

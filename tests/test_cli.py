@@ -92,32 +92,47 @@ class TestCommands:
 
     def test_plan_explain(self, capsys):
         assert main(["plan", "explain", "--dataset", "YT",
-                     "--scale", "tiny", "-p", "2", "-q", "2",
-                     "--backend", "fast"]) == 0
+                     "--scale", "tiny", "-p", "2", "-q", "2"]) == 0
         out = capsys.readouterr().out
-        assert "<- chosen" in out
-        assert "candidate plan(s), cheapest first" in out
+        assert "plan: GBC on native" in out
+        assert "price:" in out and "work bound" in out
         assert "promising roots" in out
-        for method in ("Basic", "BCL", "BCLP", "GBL", "GBC"):
-            assert method in out
+        assert "prepared state: wedges:" in out
 
     def test_plan_explain_free_choice_prints_the_rule(self, capsys):
         assert main(["plan", "explain", "--dataset", "YT",
                      "--scale", "tiny", "-p", "2", "-q", "2"]) == 0
         out = capsys.readouterr().out
-        assert "1 candidate plan(s)" in out
-        assert "chosen: GBC on native — auto on native runs GBC" in out
-        assert "promising roots" not in out     # nothing was probed
+        assert "plan: GBC on native — auto on native runs GBC" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "explain", "--backend", "fast"],
+        ["plan", "explain", "--backend", "sim"],
+        ["plan", "explain", "--workers", "2"],
+        ["count", "--method", "auto", "--backend", "par"],
+        ["count", "--method", "auto", "--backend", "sim"],
+        ["batch", "--method", "auto", "--backend", "fast",
+         "--queries", "2x2"]])
+    def test_auto_off_native_errors(self, argv, capsys):
+        """auto plans GBC on native only; on any other engine the
+        command exits non-zero, naming the explicit methods."""
+        shape = [] if argv[0] == "batch" else ["-p", "2", "-q", "2"]
+        assert main(argv + ["--dataset", "YT", "--scale", "tiny"]
+                    + shape) == 1
+        err = capsys.readouterr().err
+        assert "method='auto' runs GBC on 'native' only" in err
+        for method in ("Basic", "BCL", "BCLP", "GBL", "GBC"):
+            assert method in err
 
     def test_plan_explain_measure(self, capsys):
         assert main(["plan", "explain", "--dataset", "S1",
                      "--scale", "tiny", "-p", "2", "-q", "2",
-                     "--backend", "fast", "--measure"]) == 0
+                     "--measure"]) == 0
         assert "measured" in capsys.readouterr().out
 
     def test_plan_explain_deterministic(self, capsys):
         args = ["plan", "explain", "--dataset", "GH", "--scale", "tiny",
-                "-p", "2", "-q", "2", "--seed", "3", "--backend", "fast"]
+                "-p", "2", "-q", "2"]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert main(args) == 0
@@ -223,13 +238,11 @@ class TestAccuracyTier:
 
     def test_plan_explain_error_column_and_approx_alternative(self, capsys):
         assert main(["plan", "explain", "--dataset", "YT",
-                     "--scale", "tiny", "-p", "2", "-q", "2",
-                     "--backend", "fast"]) == 0
+                     "--scale", "tiny", "-p", "2", "-q", "2"]) == 0
         out = capsys.readouterr().out
-        assert "error" in out                 # the new column
-        assert "exact" in out                 # exact rows say so
         assert "approx tier:" in out          # the what-if footer
-        assert "-sample estimate predicted" in out
+        assert "-sample estimate priced" in out
+        assert "rel. error) on native" in out
 
     def test_plan_explain_accuracy_approx_ranks_the_sampling_tier(
             self, capsys):
@@ -276,8 +289,7 @@ class TestObservability:
             self, tmp_path, capsys):
         ledger = tmp_path / "costs.json"
         argv = ["plan", "explain", "--dataset", "YT", "--scale", "tiny",
-                "-p", "2", "-q", "2", "--backend", "fast",
-                "--ledger", str(ledger)]
+                "-p", "2", "-q", "2", "--ledger", str(ledger)]
         assert main(argv + ["--measure"]) == 0
         first = capsys.readouterr().out
         assert "observed" in first and "calibrated" in first
