@@ -11,12 +11,13 @@ Public API quickstart:
 Every counting entry point accepts ``backend=`` to pick the execution
 engine: ``"sim"`` (default) runs the fully instrumented simulated device,
 ``"fast"`` runs pure vectorised NumPy with the instrumentation compiled
-out, and ``"par"`` shards the root set over forked worker processes —
+out, and ``"native"`` runs one batch kernel per search level;
+``workers=N`` forks ``native``'s root loop over N LPT root shards —
 identical counts in every case:
 
 >>> gbc_count(g, BicliqueQuery(2, 3), backend="fast").count
 528
->>> gbc_count(g, BicliqueQuery(2, 3), workers=2).count  # implies "par"
+>>> gbc_count(g, BicliqueQuery(2, 3), workers=2).count  # implies "native"
 528
 
 Many queries over one graph should share their precomputation (priority
@@ -85,7 +86,6 @@ from repro.engine import (
     FastBackend,
     KernelBackend,
     NativeBackend,
-    ParallelBackend,
     SimulatedDeviceBackend,
     get_backend,
     resolve_backend,
@@ -154,8 +154,7 @@ __all__ = [
     "planted_bicliques", "star_bipartite", "read_edge_list", "write_edge_list",
     "DeviceSpec", "rtx_3090", "small_test_device",
     "KernelBackend", "SimulatedDeviceBackend", "FastBackend",
-    "ParallelBackend", "NativeBackend", "BACKEND_NAMES", "get_backend",
-    "resolve_backend",
+    "NativeBackend", "BACKEND_NAMES", "get_backend", "resolve_backend",
     "CountPlan", "MethodSpec", "Planner", "execute_plan", "method_names",
     "plan_query", "register_method",
     "GraphSession", "BatchResult", "ResultCache", "batch_count",

@@ -95,9 +95,9 @@ def run_method(method: str, graph: BipartiteGraph, query: BicliqueQuery,
     :class:`~repro.errors.UnknownMethodError`, a :class:`ValueError`);
     ``method="auto"`` runs the :class:`~repro.plan.planner.Planner`'s
     plan, GBC on ``native`` (any other engine is a
-    :class:`~repro.errors.PlanError`).  ``workers`` selects sharded
-    multi-process execution (the ``"par"`` backend) with that many
-    processes; see :func:`repro.engine.base.resolve_backend`.
+    :class:`~repro.errors.PlanError`).  ``workers`` forks ``native``'s
+    root loop over that many LPT root shards; see
+    :func:`repro.engine.base.resolve_backend`.
     ``session`` (a :class:`repro.query.GraphSession` over ``graph``)
     lets consecutive runs share the priority order, two-hop index and
     HTB structures.  ``layer`` pins the anchored layer (ignored by

@@ -99,12 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--backend", default=None, choices=list(BACKEND_NAMES),
                    help="kernel execution engine: 'sim' reports simulated "
                         "device metrics, 'fast' skips instrumentation, "
-                        "'par' shards roots over worker processes "
-                        "(default: sim, or par when --workers is given)")
+                        "'native' runs one batch kernel per search level "
+                        "(default: sim, or native when --workers is given)")
     c.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="worker processes for the parallel engine; "
-                        "implies --backend par (default: all usable CPUs "
-                        "when --backend par is chosen explicitly)")
+                   help="fork native's root loop over N LPT root shards; "
+                        "implies --backend native (default: one process)")
     c.add_argument("--accuracy", default="exact", choices=list(ACCURACIES),
                    help="service tier: exact counts, the sampling tier "
                         "(reports a 95%% CI), or auto (exact when it "
@@ -127,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "auto when --accuracy is not exact)")
     b.add_argument("--backend", default=None, choices=list(BACKEND_NAMES),
                    help="kernel execution engine shared by the whole batch "
-                        "(default: sim, or par when --workers is given)")
+                        "(default: sim, or native when --workers is given)")
     b.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="worker processes for the parallel engine; "
-                        "implies --backend par")
+                   help="fork native's root loop over N LPT root shards; "
+                        "implies --backend native")
     b.add_argument("--accuracy", default="exact", choices=list(ACCURACIES),
                    help="service tier for every query in the batch "
                         "(default exact)")
@@ -153,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "free choice, native, where auto is GBC; the "
                          "exact tier plans nothing else)")
     pe.add_argument("--workers", type=int, default=None, metavar="N",
-                    help="worker processes; implies --backend par")
+                    help="forked root shards on native; implies "
+                         "--backend native")
     pe.add_argument("--measure", action="store_true",
                     help="also execute the plan cold and report its "
                          "measured wall seconds")
@@ -213,12 +213,14 @@ def _load(args) -> object:
     return load_dataset(args.dataset, args.scale)
 
 
-def _sim_with_workers(args) -> bool:
-    """The one invalid flag combination shared by count/batch: the
-    simulated engine's accounting is defined serially."""
-    if args.workers is not None and args.backend == "sim":
-        print("error: --workers needs the parallel engine; drop "
-              "--backend sim or use --backend par", file=sys.stderr)
+def _workers_off_native(args) -> bool:
+    """The one invalid flag combination shared by count/batch/plan:
+    only ``native`` forks its root loop (``sim``'s accounting is
+    defined serially, ``fast`` is the one-process recursion)."""
+    if args.workers is not None and args.backend in ("sim", "fast"):
+        print(f"error: --workers forks the native engine; drop "
+              f"--backend {args.backend} or use --backend native",
+              file=sys.stderr)
         return True
     return False
 
@@ -246,7 +248,7 @@ def _print_approx(result) -> None:
 
 
 def _cmd_count(args) -> int:
-    if _sim_with_workers(args):
+    if _workers_off_native(args):
         return 2
     method = _resolve_method(args)
     if method is None:
@@ -295,7 +297,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    if _sim_with_workers(args):
+    if _workers_off_native(args):
         return 2
     method = _resolve_method(args)
     if method is None:
@@ -330,7 +332,7 @@ def _cmd_batch(args) -> int:
 def _cmd_plan(args) -> int:
     if args.plan_command != "explain":   # pragma: no cover - argparse
         return 2
-    if _sim_with_workers(args):
+    if _workers_off_native(args):
         return 2
     graph = _load(args)
     query = BicliqueQuery(args.p, args.q)

@@ -31,10 +31,10 @@ def basic_count(graph: BipartiteGraph, query: BicliqueQuery,
                 session=None) -> CountResult:
     """Count (p, q)-bicliques with the Basic model (anchor fixed on U).
 
-    With the parallel engine (``backend="par"`` or ``workers=``) the root
-    set is sharded over worker processes; the count is identical for any
-    worker count.  ``session=`` (a :class:`repro.query.GraphSession`)
-    serves the id-ordered two-hop index from the per-graph caches.
+    With ``workers=N`` (on ``native``) the root set is sharded over N
+    forked children; the count is identical for any worker count.
+    ``session=`` (a :class:`repro.query.GraphSession`) serves the
+    id-ordered two-hop index from the per-graph caches.
     """
     engine = resolve_backend(backend, workers=workers)
     start = time.perf_counter()

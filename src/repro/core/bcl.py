@@ -141,7 +141,8 @@ def _run_bcl(graph: BipartiteGraph, query: BicliqueQuery,
 
     Preparation is timed as 2-hop search work, which is what it is.
     The promising roots run through ``engine.map_shards`` (one shard on
-    a serial engine, one LPT shard per worker on ``par``; weights:
+    a serial engine, one LPT shard per forked child on ``native`` with
+    ``workers=N``; weights:
     second-level sizes, the paper's edge-oriented proxy), and the
     partial profiles are scattered back into priority order, so
     per-root data and the total are independent of worker count.
@@ -182,9 +183,9 @@ def bcl_count(graph: BipartiteGraph, query: BicliqueQuery,
     ``instrument`` controls the per-call Fig. 1(b) timers and comparison
     cells; it defaults to the backend's ``instrumented`` flag (on for the
     simulated engine, off for the fast one), so an uninstrumented run
-    reports an empty breakdown but an identical count.  With the parallel
-    engine (``backend="par"`` or ``workers=``) the promising roots are
-    sharded over worker processes — the count is identical regardless.
+    reports an empty breakdown but an identical count.  With
+    ``workers=N`` (on ``native``) the promising roots are sharded over N
+    forked children — the count is identical regardless.
     ``session=`` (a :class:`repro.query.GraphSession`) serves the
     priority order and two-hop index from the per-graph caches.
     """

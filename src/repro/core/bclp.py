@@ -53,8 +53,8 @@ def bclp_count(graph, query: BicliqueQuery,
     """BCLP: BCL's per-root work list-scheduled over ``threads`` threads.
 
     ``threads`` is the *modelled* thread count of the paper's CPU
-    parallelisation; ``workers`` (or ``backend="par"``) additionally runs
-    the underlying per-root measurement over real worker processes.
+    parallelisation; ``workers`` (on ``native``) additionally runs the
+    underlying per-root measurement over real forked children.
     Counts are unchanged, but the per-root timings are then measured
     under multi-process contention, so the modelled timing figures
     (``wall_seconds``, ``sequential_seconds``, ``speedup_vs_sequential``)

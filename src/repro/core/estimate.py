@@ -186,10 +186,10 @@ def approx_count(graph: BipartiteGraph, query: BicliqueQuery,
 register_method(MethodSpec(
     name="approx",
     runner=approx_count,
+    # no workers=: the estimator is serial by construction (one rng
+    # stream); sharding it would change which roots are drawn and break
+    # seed-reproducibility
     accepts=("backend", "session", "layer", "samples", "seed"),
-    # the estimator is serial by construction (one rng stream); sharding
-    # it would change which roots are drawn and break seed-reproducibility
-    supports_partitioned=False,
     approximate=True,
     prepared_kinds=("wedges", "order", "two_hop"),
     # each sampled root runs count_root, so BCL's rates price it

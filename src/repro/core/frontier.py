@@ -17,7 +17,9 @@ Counts are bit-identical to the per-root recursion: the same
 by root, and the binomial sum is an exact integer so regrouping cannot
 change it.  The drivers route through here only for engines that
 declare ``frontier = True`` (the native backend); ``sim`` keeps the
-per-root path, whose call-for-call accounting is golden-pinned.
+per-root path, whose call-for-call accounting is golden-pinned.  The
+frontier runs through ``engine.map_shards`` like every root loop
+(:func:`frontier_over_shards`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from repro.core.device_common import comb_sum
 from repro.graph.csr import gather_rows, row_lengths, row_positions
 
 __all__ = ["csr_frontier_count", "htb_frontier_count",
-           "decode_bitmap_rows", "FRONTIER_ROOT_CHUNK"]
+           "frontier_over_shards", "decode_bitmap_rows",
+           "FRONTIER_ROOT_CHUNK"]
 
 #: roots per frontier chunk — bounds the widest level's scratch arrays
 #: (the flat needle gather is proportional to the level's comparison
@@ -87,6 +90,22 @@ def decode_bitmap_rows(off: np.ndarray, idx: np.ndarray, val: np.ndarray,
     csum = np.zeros(len(pops) + 1, dtype=np.int64)
     np.cumsum(pops, out=csum[1:])
     return verts, csum[off[1:]] - csum[off[:-1]]
+
+
+def frontier_over_shards(engine, count, roots,
+                         weights: np.ndarray) -> tuple[int, int]:
+    """Run ``count(shard_roots) -> (total, peak_words)`` over
+    ``engine.map_shards``, each shard's roots in ascending order; sums
+    the totals and keeps the largest peak."""
+    roots = np.asarray(roots, dtype=np.int64)
+    total, peak = 0, 0
+    for _, (part_total, part_peak) in engine.map_shards(
+            lambda idxs: count(roots[np.sort(np.asarray(idxs,
+                                                        dtype=np.int64))]),
+            len(roots), weights=weights):
+        total += part_total
+        peak = max(peak, part_peak)
+    return total, peak
 
 
 def csr_frontier_count(engine, metrics, adj_off, adj_val, idx_off, idx_val,

@@ -29,7 +29,8 @@ from repro.core.device_common import (
     comb_sum,
     prepare_device_inputs,
 )
-from repro.core.frontier import csr_frontier_count, htb_frontier_count
+from repro.core.frontier import (csr_frontier_count, frontier_over_shards,
+                                 htb_frontier_count)
 from repro.graph.csr import row_lengths
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.errors import QueryError
@@ -303,8 +304,8 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
     utilisation/imbalance diagnostics used across §VII.  With
     ``backend="fast"`` the count is identical but all device accounting
     (metrics, makespan, device seconds) stays zero — use ``wall_seconds``.
-    With ``backend="par"`` (or ``workers=``) the root set additionally
-    shards over worker processes, merged deterministically.  With a
+    With ``workers=N`` (on ``native``) the frontier runs over N LPT root
+    shards in forked children, merged deterministically.  With a
     :class:`repro.query.GraphSession` as ``session=``, the priority
     order, two-hop index and both HTBs come from the session's caches —
     built once and shared across every query of a batch.
@@ -336,20 +337,24 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
     stealing = opts.balance in ("runtime", "joint")
     if engine.frontier:
         # level-synchronous traversal (identical counts, one pairwise
-        # kernel call per search level across every root); the hybrid
-        # batching knobs only shape simulated accounting, which the
-        # frontier engines don't collect
+        # kernel call per search level across every root of a shard);
+        # the hybrid batching knobs only shape simulated accounting,
+        # which the frontier engines don't collect
         agg = engine.new_metrics()
         if opts.use_htb:
-            total, peak_words = htb_frontier_count(
-                engine, agg, htb1, htb2, inputs.roots, inputs.p,
-                inputs.q, warps=spec.warps_per_block)
+            def frontier(roots):
+                return htb_frontier_count(
+                    engine, agg, htb1, htb2, roots, inputs.p, inputs.q,
+                    warps=spec.warps_per_block)
         else:
-            total, peak_words = csr_frontier_count(
-                engine, agg, inputs.graph.u_offsets,
-                inputs.graph.u_neighbors, inputs.index.offsets,
-                inputs.index.neighbors, inputs.roots, inputs.p, inputs.q,
-                warps=spec.warps_per_block)
+            def frontier(roots):
+                return csr_frontier_count(
+                    engine, agg, inputs.graph.u_offsets,
+                    inputs.graph.u_neighbors, inputs.index.offsets,
+                    inputs.index.neighbors, roots, inputs.p, inputs.q,
+                    warps=spec.warps_per_block)
+        total, peak_words = frontier_over_shards(engine, frontier,
+                                                 inputs.roots, weights)
         # no per-root cycle profile exists on the frontier path (the
         # engine is uninstrumented and roots run level-batched, not
         # block-by-block), so there is no schedule to simulate
@@ -400,7 +405,6 @@ register_method(MethodSpec(
     name="GBC",
     runner=gbc_count,
     accepts=("spec", "options", "layer", "backend", "workers", "session"),
-    instrumented_metrics=True,
     prepared_kinds=("wedges", "order", "two_hop", "htb"),
     # work-bound units per second of a cold count, per engine: the
     # geometric mean over the bench stand-ins (docs/ARCHITECTURE.md)
@@ -415,7 +419,6 @@ for _variant in ("NH", "NB", "NW"):
         runner=gbc_count,
         accepts=("spec", "options", "layer", "backend", "workers",
                  "session"),
-        instrumented_metrics=True,
         ablation=True,
         # NB intersects CSR rows, so it never reads the HTBs
         prepared_kinds=("wedges", "order", "two_hop")

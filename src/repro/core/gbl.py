@@ -20,7 +20,7 @@ from repro.core.device_common import (
     comb_sum,
     prepare_device_inputs,
 )
-from repro.core.frontier import csr_frontier_count
+from repro.core.frontier import csr_frontier_count, frontier_over_shards
 from repro.graph.csr import row_lengths
 from repro.engine.base import KernelBackend, resolve_backend
 from repro.gpu.costmodel import effective_cycles
@@ -130,10 +130,14 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
         # search level across every root (identical counts, none of the
         # per-node dispatch the recursion pays)
         agg = engine.new_metrics()
-        total, peak_words = csr_frontier_count(
-            engine, agg, inputs.graph.u_offsets, inputs.graph.u_neighbors,
-            inputs.index.offsets, inputs.index.neighbors, inputs.roots,
-            inputs.p, inputs.q, warps=spec.warps_per_block)
+        total, peak_words = frontier_over_shards(
+            engine,
+            lambda roots: csr_frontier_count(
+                engine, agg, inputs.graph.u_offsets,
+                inputs.graph.u_neighbors, inputs.index.offsets,
+                inputs.index.neighbors, roots, inputs.p, inputs.q,
+                warps=spec.warps_per_block),
+            inputs.roots, weights)
         # no per-root cycle profile exists on the frontier path (the
         # engine is uninstrumented and roots run level-batched, not
         # block-by-block), so there is no schedule to simulate
@@ -176,7 +180,6 @@ register_method(MethodSpec(
     name="GBL",
     runner=gbl_count,
     accepts=("spec", "layer", "backend", "workers", "session"),
-    instrumented_metrics=True,
     # work-bound units per second of a cold count, per engine: the
     # geometric mean over the bench stand-ins (docs/ARCHITECTURE.md)
     rates={"sim": 0.27e6, "fast": 1.4e6, "native": 3.8e6},

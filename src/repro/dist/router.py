@@ -20,8 +20,8 @@ router over the same graphs computes the same table:
 * **partitioned** graphs (named in ``partitioned=``) have their U
   roots cut into one shard per worker by
   :func:`~repro.parallel.sharding.plan_shards` — the §V-C pre-runtime
-  LPT split ``par`` uses, weighted by U degree; a query fans out to all
-  owners, each counts its roots
+  LPT split ``workers=N`` uses on ``native``, weighted by U degree; a
+  query fans out to all owners, each counts its roots
   (:func:`~repro.partition.runner.count_roots`), and the router sums —
   bit-identical to a whole-graph count because the priority order
   charges every biclique to exactly one root.  Every worker inherits

@@ -20,10 +20,9 @@ This module closes that gap with two cooperating objects:
   subtracts it.  When an edit lands on a hub pair whose delta would
   cost more than a scoped rebuild — priced deterministically by
   :meth:`repro.plan.Planner.predict` at :meth:`track` time — the shape
-  is marked *dirty* instead and lazily
-  recounted from a pinned snapshot on the next read (the cost
-  cutover).  Either way every read is bit-identical to a fresh
-  recount.
+  is marked *dirty* instead and lazily recounted on the next exact read
+  at the current epoch, through a pinned snapshot (the cost cutover).
+  Either way every read is bit-identical to a fresh recount.
 * :class:`SnapshotSession` — an immutable epoch-pinned read view.
   Adjacency rows are copy-on-write (an edit replaces the two affected
   row objects, never mutates them), so pinning is an O(num_u + num_v)
@@ -160,13 +159,14 @@ class SnapshotSession:
 
     Every :class:`~repro.core.counts.CountResult` it returns carries
     ``extras["epoch"]``, so callers (and the mutate-while-serving
-    stress tests) can verify which version answered.
+    stress tests) can verify which version answered.  ``origin`` is
+    the :class:`DynamicGraphSession` that pinned it.
     """
 
     def __init__(self, *, name: str, epoch: int, num_u: int, num_v: int,
                  num_edges: int, rows_u: list, rows_v: list,
                  counts: dict, spec=None, max_cached_results: int = 256,
-                 stats: DynamicStats | None = None) -> None:
+                 origin: "DynamicGraphSession | None" = None) -> None:
         self.name = name
         self.epoch = int(epoch)
         self.num_u = int(num_u)
@@ -177,7 +177,7 @@ class SnapshotSession:
         self._rows_v = rows_v
         self._counts = dict(counts)    # tracked clean shapes at this epoch
         self._max_cached_results = max_cached_results
-        self._origin_stats = stats
+        self._origin = origin
         self._lock = threading.RLock()
         self._graph: BipartiteGraph | None = None
         self._session: GraphSession | None = None
@@ -215,8 +215,8 @@ class SnapshotSession:
                     self.graph, spec=self.spec,
                     max_cached_results=self._max_cached_results)
                 self._session.epoch = self.epoch
-                if self._origin_stats is not None:
-                    self._origin_stats.snapshots += 1
+                if self._origin is not None:
+                    self._origin.stats.snapshots += 1
             return self._session
 
     @property
@@ -244,6 +244,11 @@ class SnapshotSession:
         shape is exact at zero cost, so it satisfies every accuracy
         tier and any deadline; untracked shapes forward
         ``accuracy``/``deadline`` to the inner session.
+
+        The one path that re-cleans a shape the origin tracks as dirty:
+        an exact answer with no ``layer=``/``options=`` override, while
+        this epoch is still the origin's, is written back to the origin
+        and into this pin's count table.
         """
         if not isinstance(query, BicliqueQuery):
             query = BicliqueQuery(int(query[0]), int(query[1]))
@@ -266,6 +271,10 @@ class SnapshotSession:
         # cached CountResult objects are shared across hits; setdefault
         # keeps the stamp idempotent and thread-safe
         result.extras.setdefault("epoch", float(self.epoch))
+        if (self._origin is not None and layer is None and options is None
+                and result.algorithm != "approx"):
+            self._origin._reclean(self, (query.p, query.q),
+                                  int(result.count))
         return result
 
     def plan(self, query: BicliqueQuery, **kwargs):
@@ -293,8 +302,9 @@ class DynamicGraphSession:
       the planner-predicted rebuild seconds (priced once per shape at
       :meth:`track` time with :meth:`~repro.plan.Planner.predict` for
       the method and engine :meth:`count` recounts with), the shape is
-      marked dirty and the delta skipped; the next :meth:`count` of a
-      dirty shape recounts it from a pinned snapshot and re-cleans it.
+      marked dirty and the delta skipped; the next exact read of the
+      shape at the current epoch (:meth:`SnapshotSession.count`, which
+      :meth:`count` reads through) recounts and re-cleans it.
       A rebuild priced 0.0 (an unpriced method such as Basic, or a
       shape without promising roots) never cuts over.
 
@@ -440,6 +450,8 @@ class DynamicGraphSession:
             self._counts.pop(shape, None)
             self._dirty.discard(shape)
             self._rebuild_seconds.pop(shape, None)
+            if self._pinned is not None:  # so a re-track re-cleans it
+                self._pinned._counts.pop(shape, None)
 
     # -- mutation -------------------------------------------------------
     def insert(self, u: int, v: int) -> int:
@@ -536,9 +548,8 @@ class DynamicGraphSession:
         """The exact (p, q)-biclique count at the current epoch.
 
         A tracked clean shape is the maintained integer (O(1)); a dirty
-        or untracked shape is recounted against an epoch-pinned
-        snapshot (and, if tracked, re-cleaned when no writer advanced
-        the epoch meanwhile).
+        or untracked shape is counted through an epoch-pinned
+        snapshot's :meth:`SnapshotSession.count`, which re-cleans it.
         """
         if isinstance(p, BicliqueQuery):
             query = p
@@ -551,18 +562,22 @@ class DynamicGraphSession:
             if shape in self._counts and shape not in self._dirty:
                 return self._counts[shape]
             view = self._pin_locked()
-        result = view.session.count(query, method or self.method,
-                                    backend=backend or self.backend)
-        value = int(result.count)
+        return int(view.count(query, method or self.method,
+                              backend=backend or self.backend).count)
+
+    def _reclean(self, view: SnapshotSession, shape: tuple[int, int],
+                 value: int) -> None:
+        """Re-clean a dirty ``shape`` with an exact count answered at
+        ``view``'s epoch, unless a writer has moved past it."""
         with self._lock:
-            if shape in self._counts and view.epoch == self._epoch:
-                self._counts[shape] = value
-                self._dirty.discard(shape)
-                self.stats.recounts += 1
-                # the cached pin predates the re-clean; rebuild it so
-                # the next snapshot's count table includes this shape
-                self._pinned = None
-        return value
+            if shape not in self._dirty or view.epoch != self._epoch:
+                return
+            self._counts[shape] = value
+            self._dirty.discard(shape)
+            self.stats.recounts += 1
+            view._counts[shape] = value
+            if self._pinned is not None:
+                self._pinned._counts[shape] = value
 
     def pinned(self) -> SnapshotSession:
         """An immutable :class:`SnapshotSession` at the current epoch.
@@ -584,7 +599,7 @@ class DynamicGraphSession:
                 rows_u=list(self._rows_u), rows_v=list(self._rows_v),
                 counts=clean, spec=self.spec,
                 max_cached_results=self.max_cached_results,
-                stats=self.stats)
+                origin=self)
         return self._pinned
 
     def snapshot(self) -> BipartiteGraph:

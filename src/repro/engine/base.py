@@ -15,20 +15,18 @@ search (which sets intersect, in which order) is separated from its
   and table that plots device metrics.
 * :class:`repro.engine.fast.FastBackend` — pure vectorised NumPy with all
   timing, comparison counting and transaction charging compiled out; the
-  speed path for large graphs.
-* :class:`repro.engine.parallel.ParallelBackend` — the fast kernels
-  sharded over forked worker processes; counts stay bit-identical to a
-  serial fast run while the root set executes in parallel.
+  per-root recursion without the measurement tax.
 * :class:`repro.engine.native.NativeBackend` — the batch-kernel engine:
   every intersection of a search level executes as one vectorised
-  kernel over the flat CSR/HTB arrays.
+  kernel over the flat CSR/HTB arrays; with ``workers=N`` it forks its
+  root loop over N LPT root shards.
 
 Beyond the four scalar primitives the protocol carries two families of
 batch entry points.  The per-node ones (``intersect_many``/
 ``intersect_sizes``, ``bitmap_intersect_many``/
 ``bitmap_intersect_counts``) serve the per-root recursion of GBL and
 GBC; they loop the scalar kernels with exactly the per-call arguments
-the counters used to pass, so ``sim``/``fast``/``par`` account
+the counters used to pass, so ``sim`` and ``fast`` account
 bit-identically to the pre-batch call sites.  The pairwise ones
 (``intersect_pairs``/``intersect_pairs_sizes``, ``bitmap_pairs``/
 ``bitmap_pairs_counts``) serve the level-synchronous frontier
@@ -37,14 +35,14 @@ overrides them.
 
 Every counter runs its root loop through one call,
 :meth:`KernelBackend.map_shards`: all roots as one in-process shard by
-default, one LPT shard per forked worker on ``par`` — no counter forks
-into a serial and a sharded path.
+default, one LPT shard per forked child on ``native`` with ``workers=N``
+— no counter forks into a serial and a sharded path.
 
 Algorithms accept ``backend=`` as an instance, a registry name (``"sim"``
-/ ``"fast"`` / ``"par"`` / ``"native"``), or ``None`` (default:
-simulated, preserving the historical behaviour of every entry point).
-Passing ``workers=`` to :func:`resolve_backend` selects the parallel
-engine with that many processes.
+/ ``"fast"`` / ``"native"``), or ``None`` (default: simulated,
+preserving the historical behaviour of every entry point).  Passing
+``workers=`` to :func:`resolve_backend` selects ``native`` with that
+many forked children.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["KernelBackend", "BACKEND_NAMES", "get_backend", "resolve_backend",
            "resolve_backend_name"]
 
-BACKEND_NAMES = ("sim", "fast", "par", "native")
+BACKEND_NAMES = ("sim", "fast", "native")
 
 
 class KernelBackend(ABC):
@@ -92,8 +90,8 @@ class KernelBackend(ABC):
         Returns ``[(item_indices, result), ...]`` in shard order.  Every
         counter runs its root loop through this one call.  A
         serial engine runs all items as one in-process shard and ignores
-        ``weights``; :class:`repro.engine.parallel.ParallelBackend`
-        overrides it with one LPT shard per forked worker.
+        ``weights``; :class:`repro.engine.native.NativeBackend` with
+        ``workers=N`` overrides it with one LPT shard per forked child.
         """
         items = range(num_items)
         return [(items, fn(items))] if num_items > 0 else []
@@ -323,27 +321,24 @@ class KernelBackend(ABC):
 def get_backend(name: str, spec: "DeviceSpec | None" = None,
                 workers: int | None = None) -> KernelBackend:
     """Construct a backend by registry name
-    (``"sim"``/``"fast"``/``"par"``/``"native"``).
+    (``"sim"``/``"fast"``/``"native"``).
 
-    ``workers`` applies to the parallel engine only (``None`` lets it
-    default to the usable CPU count).
+    ``workers`` forks ``native``'s root loop over that many children;
+    the other engines count in one process and reject it.
     """
     from repro.engine.fast import FastBackend
-    from repro.engine.parallel import ParallelBackend
+    from repro.engine.native import NativeBackend
     from repro.engine.simulated import SimulatedDeviceBackend
 
+    if name not in BACKEND_NAMES:
+        raise QueryError(f"unknown kernel backend {name!r}; "
+                         f"expected one of {BACKEND_NAMES}")
+    resolve_backend_name(name, workers)  # raises for in-process engines
     if name == "sim":
         return SimulatedDeviceBackend(spec)
     if name == "fast":
         return FastBackend()
-    if name == "par":
-        return ParallelBackend(workers)
-    if name == "native":
-        from repro.engine.native import NativeBackend
-
-        return NativeBackend()
-    raise QueryError(f"unknown kernel backend {name!r}; "
-                     f"expected one of {BACKEND_NAMES}")
+    return NativeBackend(workers)
 
 
 def resolve_backend_name(backend: "KernelBackend | str | None",
@@ -352,11 +347,11 @@ def resolve_backend_name(backend: "KernelBackend | str | None",
     leaves the choice to the caller's default), without building an
     engine.
 
-    A non-``None`` ``workers`` requests sharded multi-process execution:
-    it upgrades ``None``, ``"fast"`` and ``"par"`` (names or engine
-    instances) to ``"par"``.  Every other engine counts in one process —
-    the simulated engine's accounting is defined serially — so combining
-    it with ``workers`` raises :class:`~repro.errors.QueryError`.
+    A non-``None`` ``workers`` forks the root loop, which only
+    ``native`` does: it upgrades ``None`` to ``"native"``, and any other
+    engine (name or instance) raises :class:`~repro.errors.QueryError`
+    — ``sim``'s accounting is defined serially, and ``fast`` is the
+    one-process recursion ``native`` is measured against.
     """
     if isinstance(backend, KernelBackend):
         name = backend.name
@@ -367,11 +362,11 @@ def resolve_backend_name(backend: "KernelBackend | str | None",
                          f"{BACKEND_NAMES}, or None; got {backend!r}")
     if workers is None:
         return name
-    if name in (None, "fast", "par"):
-        return "par"
+    if name in (None, "native"):
+        return "native"
     raise QueryError(
-        f"workers={workers!r} requires the parallel engine (backend=None, "
-        f"'fast' or 'par'); {name!r} counts serially")
+        f"workers={workers!r} forks the 'native' frontier (backend=None "
+        f"or 'native'); {name!r} counts in one process")
 
 
 def resolve_backend(backend: "KernelBackend | str | None",
@@ -383,17 +378,16 @@ def resolve_backend(backend: "KernelBackend | str | None",
     every algorithm), a string goes through :func:`get_backend`, and an
     instance is returned as-is — its own device spec wins over ``spec``.
     A non-``None`` ``workers`` selects a
-    :class:`~repro.engine.parallel.ParallelBackend` with that worker
-    count, under the rule of :func:`resolve_backend_name`.
+    :class:`~repro.engine.native.NativeBackend` with that many forked
+    children, under the rule of :func:`resolve_backend_name`; a native
+    instance already configured with that count passes through.
     """
     if workers is not None:
-        from repro.engine.parallel import ParallelBackend
-
-        resolve_backend_name(backend, workers)  # raises for serial engines
-        if isinstance(backend, ParallelBackend) \
-                and backend.workers == int(workers):
+        resolve_backend_name(backend, workers)  # raises off native
+        if isinstance(backend, KernelBackend) \
+                and getattr(backend, "workers", None) == int(workers):
             return backend
-        return ParallelBackend(workers)
+        return get_backend("native", workers=workers)
     if backend is None:
         backend = "sim"
     if isinstance(backend, str):

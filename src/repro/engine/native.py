@@ -24,6 +24,12 @@ across all five algorithms.  Scalar primitives inherit from
 :class:`~repro.engine.fast.FastBackend`, so call sites that intersect
 one pair at a time (enumeration, the estimator) keep working.
 
+``NativeBackend(workers=N)`` forks its root loop,
+:meth:`~NativeBackend.map_shards`, over N §V-C LPT shards of the roots
+(:func:`repro.parallel.sharding.run_sharded`): each child reads the
+prepared arrays through copy-on-write and counts its own roots, and
+the parent merges.  ``workers=None`` (the default) never forks.
+
 The engine keeps no planner state either: ``method="auto"`` on
 ``native`` (or with no engine pinned) always runs GBC here, and a
 deadline prices this frontier as the work bound over GBC's or GBL's
@@ -32,13 +38,17 @@ deadline prices this frontier as the work bound over GBC's or GBL's
 
 from __future__ import annotations
 
+from typing import Any, Callable, Sequence
+
 import numpy as np
 
 from repro.engine.fast import FastBackend
+from repro.errors import QueryError
 from repro.graph.csr import row_positions
 from repro.gpu.metrics import KernelMetrics
 from repro.htb.bitmap import popcount
 from repro.obs import trace as _trace
+from repro.parallel.sharding import run_sharded
 
 __all__ = ["NativeBackend"]
 
@@ -65,8 +75,27 @@ class NativeBackend(FastBackend):
     #: call per search level across every live root
     frontier = True
 
+    def __init__(self, workers: int | None = None) -> None:
+        if workers is not None and int(workers) < 1:
+            raise QueryError(f"workers must be >= 1, got {workers}")
+        #: forked children per root loop (None: one process, no fork)
+        self.workers = None if workers is None else int(workers)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "NativeBackend()"
+        return f"NativeBackend(workers={self.workers})"
+
+    # -- root-set execution --------------------------------------------
+    def map_shards(self, fn: Callable[[Sequence[int]], Any],
+                   num_items: int,
+                   weights: np.ndarray | None = None
+                   ) -> list[tuple[Sequence[int], Any]]:
+        """One in-process shard without ``workers``; otherwise one LPT
+        shard per forked child, in deterministic shard order (see
+        :func:`repro.parallel.sharding.run_sharded`)."""
+        if self.workers is None:
+            return super().map_shards(fn, num_items, weights)
+        return run_sharded(fn, num_items, workers=self.workers,
+                           weights=weights)
 
     # -- pairwise batch kernels (one call per search level) ------------
     @staticmethod

@@ -14,9 +14,10 @@ to the host it runs on.  The ledger closes that loop:
   observed/predicted ratio for executions that carried a price
   (``plan.predicted_seconds > 0``);
 * a :class:`~repro.plan.planner.Planner` constructed with ``ledger=``
-  calibrates each price by its cell's ratio (``calibrated = predicted
-  * ratio``), which is what deadline admission, the approx budget and
-  the dynamic cutover read.  Counts never change — only prices do.
+  calibrates each price through :meth:`CostLedger.calibrated` —
+  ``predicted * ratio`` when the cell has a ratio, the measured seconds
+  when it holds only unpriced runs — which is what deadline admission
+  and the dynamic cutover read.  Counts never change — only prices do.
 
 **Drift invalidates cells.**  Keys embed the graph fingerprint, so any
 content change starts from scratch automatically; within one
@@ -184,10 +185,15 @@ class CostLedger:
     def calibrated(self, fingerprint: str, p: int, q: int, method: str,
                    backend: str,
                    predicted_seconds: float) -> float | None:
-        """``predicted * ratio`` for the cell, or None without a ratio."""
+        """The one calibration rule: ``predicted * ratio`` when the cell
+        has a ratio; its measured ``observed_seconds`` when it holds only
+        unpriced (explicit) runs, which record no ratio; None without a
+        cell."""
         cell = self.lookup(fingerprint, p, q, method, backend)
-        if cell is None or cell.ratio is None:
+        if cell is None:
             return None
+        if cell.ratio is None:
+            return cell.observed_seconds
         return float(predicted_seconds) * cell.ratio
 
     def forget(self, fingerprint: str) -> int:

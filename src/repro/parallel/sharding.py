@@ -8,9 +8,11 @@ splitters — :func:`weighted_greedy_split`, the paper's edge-oriented LPT
 policy, when the caller supplies per-item weights, and
 :func:`contiguous_split` otherwise — and runs a caller-supplied chunk
 function over the shards in a ``multiprocessing.Pool`` forked for the
-call.  The children inherit the chunk function, closures over the
-graph/index/HTB structures included, through the fork, so only shard
-ids and results cross the process boundary.  Where ``fork`` is
+call.  :class:`repro.engine.native.NativeBackend` with ``workers=N``
+runs every counter's root loop through it.  The children inherit the
+chunk function, closures over the graph/index/HTB structures
+included, through the fork, so only shard ids and results cross the
+process boundary.  Where ``fork`` is
 unavailable (or inside a daemonic worker) the shards run in the calling
 process — same results, no speedup.
 
@@ -24,7 +26,6 @@ values (integer sums, maxima) reproduces the serial result bit for bit.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -33,16 +34,7 @@ import numpy as np
 from repro.balance.preruntime import contiguous_split, weighted_greedy_split
 from repro.errors import QueryError
 
-__all__ = ["ShardPlan", "plan_shards", "run_sharded", "default_workers",
-           "fork_available"]
-
-
-def default_workers() -> int:
-    """Worker count when the caller does not pin one: usable CPUs."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
+__all__ = ["ShardPlan", "plan_shards", "run_sharded", "fork_available"]
 
 
 def fork_available() -> bool:
@@ -116,7 +108,7 @@ def _run_shard(shard_id: int) -> Any:
 
 def run_sharded(fn: Callable[[Sequence[int]], Any],
                 num_items: int, *,
-                workers: int | None = None,
+                workers: int,
                 weights: np.ndarray | None = None
                 ) -> list[tuple[tuple[int, ...], Any]]:
     """Run ``fn(item_indices)`` over shards, in worker processes.
@@ -129,7 +121,6 @@ def run_sharded(fn: Callable[[Sequence[int]], Any],
     shard, or no ``fork`` support, everything runs in the calling
     process.
     """
-    workers = default_workers() if workers is None else int(workers)
     shards = plan_shards(num_items, workers, weights).shards
     if workers <= 1 or len(shards) <= 1 or not fork_available():
         return [(shard, fn(shard)) for shard in shards]

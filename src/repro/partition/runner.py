@@ -179,11 +179,10 @@ def run_partitioned_count(graph: BipartiteGraph, query: BicliqueQuery,
     stay exact either way.
 
     The (partition, root) pairs run through ``engine.map_shards``: one
-    shard on a serial engine, one per worker process with the parallel
-    engine (``backend="par"`` or ``workers=``).  Roots of different
-    partitions may then execute concurrently, and every count and
-    transfer-word field merges by exact integer sum, so the report is
-    identical for any worker count.
+    shard in one process, one per forked child on ``native`` with
+    ``workers=N``.  Roots of different partitions may then execute
+    concurrently, and every count and transfer-word field merges by
+    exact integer sum, so the report is identical for any worker count.
     """
     engine = resolve_backend(backend, workers=workers)
     t0 = time.perf_counter()

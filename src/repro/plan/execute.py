@@ -126,7 +126,7 @@ def execute_plan(plan: CountPlan, graph, query=None, *,
     plan's (p, q) when given.  ``backend=`` accepts a ready
     :class:`~repro.engine.base.KernelBackend` *instance* to preserve a
     caller's configured engine (a session-bound simulated device, a
-    tuned :class:`~repro.engine.parallel.ParallelBackend`); otherwise
+    :class:`~repro.engine.native.NativeBackend` with workers); otherwise
     the plan's backend/workers resolve through
     :func:`~repro.engine.base.resolve_backend`.  ``options`` overrides
     the method's registered defaults (the GBC ablation variants carry

@@ -11,7 +11,7 @@ plan explain`` output, benchmark artifacts, and tests can all pin them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import PlanError
 
@@ -26,9 +26,9 @@ class CountPlan:
     method: str
     p: int
     q: int
-    #: kernel engine registry name ("sim" / "fast" / "par")
+    #: kernel engine registry name ("sim" / "fast" / "native")
     backend: str = "sim"
-    #: worker processes for the "par" engine (None = engine default)
+    #: forked children for "native"'s root loop (None = one process)
     workers: int | None = None
     #: pinned anchored layer, or None for the method's degree heuristic
     layer: str | None = None
@@ -42,8 +42,9 @@ class CountPlan:
     #: EWMA-measured seconds from the planner's CostLedger cell, when
     #: one had history for this (fingerprint, shape, method, backend)
     observed_seconds: float | None = None
-    #: ledger-calibrated price (predicted * observed/predicted ratio);
-    #: when set, deadlines are checked against this instead
+    #: ledger-calibrated price (:meth:`repro.obs.ledger.CostLedger
+    #: .calibrated`); when set, deadlines are checked against this
+    #: instead
     calibrated_seconds: float | None = None
     #: how the plan was made: "explicit" or "auto"
     source: str = "explicit"
@@ -71,11 +72,6 @@ class CountPlan:
     def matches(self, query) -> bool:
         """Whether ``query`` is the (p, q) shape this plan was made for."""
         return (self.p, self.q) == (query.p, query.q)
-
-    def with_backend(self, backend: str,
-                     workers: int | None = None) -> "CountPlan":
-        """The same decision re-targeted at another engine."""
-        return replace(self, backend=backend, workers=workers)
 
     # -- serialisation --------------------------------------------------
     def as_dict(self) -> dict:

@@ -3,10 +3,11 @@ deadline reads.
 
 ``auto`` is a rule, not a ranking: on ``native`` — the free choice,
 whenever no engine is pinned — it runs GBC, the paper's method
-(§IV–V) and the fastest exact counter measured on that engine.  With
-``fast``, ``par`` or ``sim`` pinned, or ``workers=`` set, the exact
-tier raises :class:`~repro.errors.PlanError` naming the explicit
-methods, since the rule has nothing to choose there.
+(§IV–V) and the fastest exact counter measured on that engine, forked
+over ``workers=N`` LPT root shards when asked.  With ``fast`` or
+``sim`` pinned, the exact tier raises :class:`~repro.errors.PlanError`
+naming the explicit methods, since the rule has nothing to choose
+there.
 
 Prices come from one work bound over the arrays the count itself
 builds.  :func:`repro.core.device_common.root_work_bound` gives each
@@ -18,12 +19,12 @@ same two-hop size the paper's pre-runtime balancer weights roots by
 with the rate the counter registers
 (:attr:`~repro.plan.registry.MethodSpec.rates`, fitted to cold counts,
 so a price covers prepare and search).  A
-:class:`~repro.obs.ledger.CostLedger` calibrates the price by its
-cell's measured/predicted ratio.  That one price serves deadline
-admission, the approx tier's sample budget, the dynamic-graph cutover
-and ``repro plan explain``; it depends on the graph and the shape only,
-so it is identical run to run, planner to planner, with or without a
-session.
+:class:`~repro.obs.ledger.CostLedger` calibrates the price from its
+cell's measurements (:meth:`~repro.obs.ledger.CostLedger.calibrated`).
+That one price serves deadline admission, the approx tier's sample
+budget, the dynamic-graph cutover and ``repro plan explain``; it
+depends on the graph and the shape only, so it is identical run to
+run, planner to planner, with or without a session.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def prepared_keys(mspec: MethodSpec, graph, query,
 
 def _cost(plan: CountPlan) -> float:
     """What a deadline is checked against: the ledger's calibrated
-    seconds when the cell has a ratio, else the prediction."""
+    seconds when its cell has history, else the prediction."""
     return plan.calibrated_seconds if plan.calibrated_seconds is not None \
         else plan.predicted_seconds
 
@@ -106,8 +107,7 @@ class Planner:
     serves the prepared arrays the work bound reads, so pricing a warm
     session builds nothing; without one, each price prepares afresh.
     ``ledger`` (a :class:`repro.obs.ledger.CostLedger`) calibrates each
-    price by its (fingerprint, shape, method, backend) cell's
-    measured/predicted ratio.
+    price from its (fingerprint, shape, method, backend) cell.
     """
 
     def __init__(self, graph, session=None, ledger=None) -> None:
@@ -128,24 +128,28 @@ class Planner:
         return float(root_work_bound(inputs).sum()), len(inputs.roots)
 
     def _price(self, query, mspec: MethodSpec, engine: str,
-               layer: str | None):
+               layer: str | None) -> tuple[float, dict]:
         """One method's uncalibrated price on one engine: ``(seconds,
-        price inputs, ledger cell or None)``.  Unpriced methods cost
-        0.0 and prepare nothing."""
-        rates = mspec.rates or {}
-        rate = rates.get("fast" if engine == "par" else engine)
+        price inputs)``.  Unpriced methods cost 0.0 and prepare
+        nothing."""
+        rate = (mspec.rates or {}).get(engine)
         if rate is None:
-            return 0.0, {}, None
+            return 0.0, {}
         bound, population = self.bound(query, layer)
-        cell = None
-        if self.ledger is not None:
-            fingerprint = self.session.fingerprint \
-                if self.session is not None \
-                else graph_fingerprint(self.graph)
-            cell = self.ledger.lookup(fingerprint, query.p, query.q,
-                                      mspec.name, engine)
-        inputs = {"bound": bound, "rate": rate, "population": population}
-        return bound / rate, inputs, cell
+        return bound / rate, {"bound": bound, "rate": rate,
+                              "population": population}
+
+    def _calibrate(self, query, method: str, engine: str,
+                   predicted: float):
+        """``(ledger cell, calibrated seconds)`` for one price, both
+        None without a ledger or without history for the cell."""
+        if self.ledger is None:
+            return None, None
+        fingerprint = self.session.fingerprint \
+            if self.session is not None else graph_fingerprint(self.graph)
+        key = (fingerprint, query.p, query.q, method, engine)
+        return (self.ledger.lookup(*key),
+                self.ledger.calibrated(*key, predicted))
 
     # -- planning -------------------------------------------------------
     def plan(self, query, backend=None, workers: int | None = None,
@@ -154,8 +158,9 @@ class Planner:
              deadline: float | None = None) -> CountPlan:
         """The plan ``method="auto"`` executes.
 
-        The exact tier is GBC on ``native``, and ``backend=None`` with no
-        ``workers=`` means ``native``.  It is unpriced
+        The exact tier is GBC on ``native`` (``backend=None`` means
+        ``native``), forked over ``workers=N`` root shards when given.
+        It is unpriced
         (``predicted_seconds`` 0.0) unless a ``deadline`` asks for a
         price; any other engine raises :class:`~repro.errors.PlanError`.
 
@@ -178,7 +183,8 @@ class Planner:
                 plan = self._approx_plan(query, engine, layer, deadline)
                 sp.annotate(chosen=plan.method)
                 return plan
-            plan = self._exact_plan(query, engine, layer, deadline)
+            plan = self._exact_plan(query, engine, workers, layer,
+                                    deadline)
             cost = _cost(plan)
             if deadline is not None and cost > deadline:
                 if accuracy == "auto":
@@ -198,7 +204,8 @@ class Planner:
             sp.annotate(chosen=plan.method)
             return plan
 
-    def _exact_plan(self, query, engine: str, layer: str | None,
+    def _exact_plan(self, query, engine: str, workers: int | None,
+                    layer: str | None,
                     deadline: float | None) -> CountPlan:
         """``auto``'s exact plan: GBC on ``native``, priced only when a
         deadline has to be checked against it."""
@@ -209,7 +216,7 @@ class Planner:
         mspec = get_method("GBC")
         plan = CountPlan(
             method=mspec.name, p=query.p, q=query.q, backend=engine,
-            workers=None, layer=layer,
+            workers=workers, layer=layer,
             prepared=prepared_keys(mspec, self.graph, query, layer),
             source="auto",
             reason="auto on native runs GBC, the paper's method")
@@ -223,12 +230,12 @@ class Planner:
         from repro.core.counts import BicliqueQuery
 
         query = BicliqueQuery(plan.p, plan.q)
-        predicted, inputs, cell = self._price(
+        predicted, inputs = self._price(
             query, get_method(plan.method), plan.backend, plan.layer)
         if not inputs:
             return plan
-        calibrated = None if cell is None or cell.ratio is None \
-            else predicted * cell.ratio
+        cell, calibrated = self._calibrate(query, plan.method,
+                                           plan.backend, predicted)
         reason = (f"{plan.reason}; priced {predicted:.3g}s from a work "
                   f"bound of {inputs['bound']:.3g} at "
                   f"{inputs['rate']:.3g}/s")
@@ -245,19 +252,13 @@ class Planner:
                      deadline: float | None) -> CountPlan:
         from repro.core.estimate import DEFAULT_SAMPLES
 
-        if engine == "par":
-            # the estimator's root loop is serial; pricing it with the
-            # sharded engine's speedup would be a lie
-            raise PlanError("no approximate method can run on backend "
-                            "'par'; the approx tier is serial "
-                            "(fast/sim/native)")
         candidates = [mspec for mspec in approx_candidates()
                       if layer is None or mspec.supports_layer]
         if not candidates:
             raise PlanError(f"no approximate method can run on backend "
                             f"{engine!r} with layer={layer!r}")
         mspec = candidates[0]
-        full, inputs, _ = self._price(query, mspec, engine, layer)
+        full, inputs = self._price(query, mspec, engine, layer)
         population = max(inputs.get("population", 0), 1)
         # each sampled root costs its share of the whole search
         per_root = full / population
@@ -308,10 +309,11 @@ class Planner:
         """
         mspec = get_method(method)
         engine = resolve_backend_name(backend, workers) or "sim"
-        predicted, _, cell = self._price(query, mspec, engine, layer)
-        if cell is not None and cell.ratio is not None:
-            return predicted * cell.ratio
-        return predicted
+        predicted, inputs = self._price(query, mspec, engine, layer)
+        if not inputs:
+            return predicted
+        _, calibrated = self._calibrate(query, method, engine, predicted)
+        return predicted if calibrated is None else calibrated
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Planner({self.graph!r})"

@@ -2,8 +2,8 @@
 
 Each counting module in :mod:`repro.core` registers a
 :class:`MethodSpec` at import time — its entry point, which optional
-keyword arguments it understands, what it can do (sessions? sharded
-``par`` execution? instrumented device metrics?), and the *rates* at
+keyword arguments it understands, what it can do (sessions? a pinned
+anchored layer? sampling?), and the *rates* at
 which a cold count of it clears the planner's work bound on each
 engine.  The registry is the single source of truth every dispatcher
 resolves through: :func:`repro.plan.execute_plan` looks a method up here,
@@ -75,10 +75,6 @@ class MethodSpec:
     accepts: tuple[str, ...] = ("backend", "workers", "session")
     #: can pull prepared state from a repro.query.GraphSession
     supports_sessions: bool = True
-    #: can shard roots over the "par" backend's worker processes
-    supports_partitioned: bool = True
-    #: reports simulated device metrics / device_seconds on "sim"
-    instrumented_metrics: bool = False
     #: honours layer= to pin the anchored layer
     supports_layer: bool = True
     #: prepared-state kinds the method consumes from a GraphSession
@@ -91,9 +87,8 @@ class MethodSpec:
     #: (``accuracy="approx"`` / a deadline no exact plan can meet);
     #: results carry ``extras["ci95"]``-style error reporting
     approximate: bool = False
-    #: work-bound units a cold count clears per second, per engine name
-    #: (``par`` reads ``fast``'s); the planner prices a run as
-    #: bound / rate.  None leaves the method unpriced: its price is
+    #: work-bound units a cold count clears per second, per engine name;
+    #: the planner prices a run as bound / rate.  None leaves the method unpriced: its price is
     #: 0.0, so a deadline always admits it
     rates: Mapping[str, float] | None = None
     #: factory for the method's default options (GBC-* variants)

@@ -534,9 +534,9 @@ class GraphSession:
         else:
             approx_key = None
         key = (self._fingerprint, method, query.p, query.q, engine.name,
-               # "par" results carry worker-dependent timings, so each
-               # worker count is its own cache entry (counts are
-               # worker-invariant, timing/shard fields are not)
+               # sharded results carry worker-dependent timings, so
+               # each worker count is its own cache entry (counts are
+               # worker-invariant, timing fields are not)
                getattr(engine, "workers", None),
                layer, None if options is None else repr(options),
                threads if method == "BCLP" else None,

@@ -42,6 +42,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 
 from repro.core.counts import BicliqueQuery, CountResult
+from repro.engine import BACKEND_NAMES
 from repro.errors import (DeadlineExceededError, QueueFullError,
                           ServiceClosedError, ServiceError)
 from repro.obs import trace as _trace
@@ -65,8 +66,8 @@ class SchedulerConfig:
     max_pending: int = 1024
     #: worker threads executing batches (one batch each, concurrently)
     workers: int = 2
-    #: kernel backend every batch runs on ("sim" / "fast" / "par" /
-    #: "native"); "par" shards over one process per usable CPU
+    #: kernel backend every batch runs on, a name in
+    #: :data:`repro.engine.BACKEND_NAMES`
     backend: str = "native"
     #: default counting method for requests that do not name one;
     #: ``"auto"`` (GBC) needs ``backend="native"``
@@ -80,6 +81,11 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         ensure_known(self.method, allow_auto=True)
         ensure_accuracy(self.accuracy)
+        if self.backend not in BACKEND_NAMES:
+            # refused once here, before any worker starts, rather than
+            # on every request
+            raise ServiceError(f"unknown backend {self.backend!r}; "
+                               f"expected one of {BACKEND_NAMES}")
         if self.method == "auto" and self.backend != "native":
             # the planner's auto is GBC on native only: refuse here
             # rather than fail every request

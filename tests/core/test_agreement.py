@@ -102,13 +102,14 @@ def test_gbc_custom_blocks():
 OVERFLOW_GRAPH = complete_bipartite(68, 68)
 
 
-@pytest.mark.parametrize("engine", ["sim", "fast", "par", "native"])
+@pytest.mark.parametrize("engine", ["sim", "fast", "native", "native-w2"])
 @pytest.mark.parametrize("method", ["Basic", "BCL", "BCLP", "GBL", "GBC"])
 @pytest.mark.parametrize("p,q", [(2, 34), (1, 34)])
 def test_counts_past_int64_stay_exact(p, q, method, engine):
     expected = comb(68, p) * comb(68, q)
     assert expected > 2 ** 63
-    workers = 2 if engine == "par" else None
+    workers = 2 if engine == "native-w2" else None
+    engine = engine.split("-")[0]
     result = run_method(method, OVERFLOW_GRAPH, BicliqueQuery(p, q),
                         backend=engine, workers=workers)
     assert result.backend == engine

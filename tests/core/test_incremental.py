@@ -125,3 +125,77 @@ class TestRebuildPrice:
         dyn.toggle(0, 0)
         assert dyn.stats.cutover_deferrals == 0
         assert dyn.count(2, 2) == dyn.recount(2, 2)
+
+
+class TestReclean:
+    """A shape the cutover left dirty is re-cleaned by the next exact
+    read at the current epoch, whichever path reads it: scheduler
+    reads go through a pinned snapshot, not the dynamic session."""
+
+    @staticmethod
+    def deferred():
+        from repro.bench.datasets import load_dataset
+
+        dyn = DynamicGraphSession.from_graph(
+            load_dataset("GH", "tiny"), track=[(2, 2)], backend="native",
+            cutover_ratio=1e-12)
+        dyn.toggle(0, 0)
+        assert dyn.stats.cutover_deferrals == 1
+        assert (2, 2) in dyn._dirty
+        return dyn
+
+    def test_pinned_read_recleans(self):
+        dyn = self.deferred()
+        expect = dyn.recount(2, 2)
+        assert dyn.pinned().count(BicliqueQuery(2, 2)).count == expect
+        assert (2, 2) not in dyn._dirty
+        assert dyn.stats.recounts == 2
+        # later reads come from the pin's table: no new snapshot session
+        snapshots = dyn.stats.snapshots
+        for _ in range(3):
+            got = dyn.pinned().count(BicliqueQuery(2, 2))
+            assert (got.algorithm, got.count) == ("delta", expect)
+        assert dyn.count(2, 2) == expect
+        assert dyn.stats.snapshots == snapshots
+        # and the next edit takes the delta path again
+        dyn.cutover_ratio = 1.0
+        dyn.toggle(1, 1)
+        assert dyn.stats.delta_updates == 1
+        assert dyn.count(2, 2) == dyn.recount(2, 2)
+
+    def test_dynamic_count_delegates_to_the_pinned_path(self):
+        dyn = self.deferred()
+        assert dyn.count(2, 2) == dyn.recount(2, 2)
+        assert (2, 2) not in dyn._dirty
+        assert dyn.pinned().count(BicliqueQuery(2, 2)).algorithm == "delta"
+
+    def test_retrack_at_the_same_epoch_recleans(self):
+        """The current pin still answers an untracked shape from its
+        table; re-tracking it at that epoch must still come out clean."""
+        dyn = self.deferred()
+        dyn.count(2, 2)
+        dyn.untrack(2, 2)
+        assert dyn.track(2, 2) == dyn.recount(2, 2)
+        assert (2, 2) not in dyn._dirty
+
+    @pytest.mark.parametrize("read", ["approx", "layer", "options",
+                                      "stale"])
+    def test_what_never_recleans(self, read):
+        from repro.core.gbc import GBCOptions
+
+        dyn = self.deferred()
+        view = dyn.pinned()
+        query = BicliqueQuery(2, 2)
+        if read == "approx":
+            got = view.count(query, "auto", accuracy="approx")
+            assert got.algorithm == "approx"
+        elif read == "layer":
+            view.count(query, layer="V")
+        elif read == "options":
+            view.count(query, options=GBCOptions(use_htb=False))
+        else:
+            dyn.toggle(1, 1)          # the writer moves past the pin
+            assert view.count(query).count == view.session.count(
+                query, "GBC", backend="native").count
+        assert (2, 2) in dyn._dirty
+        assert dyn.stats.recounts == 1

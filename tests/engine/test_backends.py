@@ -35,15 +35,15 @@ def _sorted_unique(rng, n, hi):
 
 class TestRegistry:
     def test_names(self):
-        assert set(BACKEND_NAMES) == {"sim", "fast", "par", "native"}
+        assert BACKEND_NAMES == ("sim", "fast", "native")
 
     def test_get_backend(self):
-        from repro.engine import NativeBackend, ParallelBackend
+        from repro.engine import NativeBackend
 
         assert isinstance(get_backend("sim"), SimulatedDeviceBackend)
         assert isinstance(get_backend("fast"), FastBackend)
-        assert isinstance(get_backend("par", workers=2), ParallelBackend)
         assert isinstance(get_backend("native"), NativeBackend)
+        assert get_backend("native", workers=2).workers == 2
         with pytest.raises(QueryError):
             get_backend("cuda")
 

@@ -8,7 +8,8 @@ Four layers of protection:
   including empty keys/rows/selections;
 * **algorithm equivalence** — every counter (ablation variants
   included) produces counts bit-identical to ``fast``, on regular and
-  degenerate graphs, across all four registered engines;
+  degenerate graphs, across the three registered engines and ``native``
+  forked over two workers;
 * **prepared state** — a count on ``native`` builds exactly what the
   same count builds on ``fast``: the engine reads the shared prepared
   arrays and keeps no state of its own;
@@ -26,7 +27,7 @@ import pytest
 from repro.bench.datasets import load_dataset
 from repro.bench.runner import run_method
 from repro.core.counts import BicliqueQuery
-from repro.engine import NativeBackend, ParallelBackend, resolve_backend
+from repro.engine import NativeBackend, resolve_backend
 from repro.engine.fast import FastBackend
 from repro.gpu.metrics import KernelMetrics
 from repro.graph.builders import from_edges
@@ -39,8 +40,8 @@ ALGORITHMS = ("Basic", "BCL", "BCLP", "GBL", "GBC",
 BACKEND_FACTORIES = {
     "sim": lambda: "sim",
     "fast": lambda: "fast",
-    "par": lambda: ParallelBackend(workers=2),
     "native": lambda: NativeBackend(),
+    "native-w2": lambda: NativeBackend(workers=2),
 }
 
 
@@ -157,7 +158,7 @@ class TestAlgorithmEquivalence:
 
 
 class TestDegenerateInputs:
-    """All four engines agree on the pathological shapes."""
+    """Every engine configuration agrees on the pathological shapes."""
 
     CASES = {
         "empty": (from_edges(4, 3, [], name="empty"),
@@ -274,6 +275,5 @@ class TestAutoPlanning:
     def test_resolve_backend_accepts_native(self):
         engine = resolve_backend("native")
         assert isinstance(engine, NativeBackend)
-        assert engine.name == "native"
-        with pytest.raises(Exception):
-            resolve_backend("native", workers=2)
+        assert engine.name == "native" and engine.workers is None
+        assert resolve_backend("native", workers=2).workers == 2

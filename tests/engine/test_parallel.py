@@ -1,9 +1,9 @@
-"""The sharded multi-process engine: planning, execution, determinism.
+"""``native`` forked over root shards: planning, execution, determinism.
 
-The hard guarantee under test: ``ParallelBackend`` merges per-shard
-results so that counts are bit-identical to a serial ``fast`` run for
-*any* worker count — and metric aggregation is stable (all-zero, like
-the fast engine it wraps).
+The hard guarantee under test: ``NativeBackend(workers=N)`` merges
+per-shard results so that counts are bit-identical to one ``native``
+process (and to ``fast``) for *any* worker count — and metric
+aggregation is stable (all-zero, like the serial engine).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.engine import (
     FastBackend,
     KernelBackend,
     NativeBackend,
-    ParallelBackend,
     get_backend,
     resolve_backend,
 )
@@ -37,13 +36,14 @@ ALGORITHMS = [basic_count, bcl_count, bclp_count, gbl_count, gbc_count]
 
 
 class TestRegistry:
-    def test_par_is_registered(self):
-        engine = get_backend("par", workers=3)
-        assert isinstance(engine, ParallelBackend)
+    def test_workers_configure_native(self):
+        engine = get_backend("native", workers=3)
+        assert isinstance(engine, NativeBackend)
         assert isinstance(engine, KernelBackend)
-        assert engine.name == "par"
+        assert engine.name == "native"
         assert engine.workers == 3
         assert not engine.instrumented
+        assert NativeBackend().workers is None
 
     def test_serial_engines_run_one_shard(self):
         """Every engine has ``map_shards``; a serial one runs all items
@@ -56,25 +56,25 @@ class TestRegistry:
                 [([0, 1, 2, 3], [0, 2, 4, 6])]
             assert engine.map_shards(list, 0) == []
         assert not hasattr(KernelBackend, "parallel")
-        assert not hasattr(ParallelBackend(2), "parallel")
+        assert not hasattr(NativeBackend(2), "parallel")
 
     def test_resolve_workers_selects_parallel(self):
-        for backend in (None, "fast", "par", FastBackend()):
+        for backend in (None, "native", NativeBackend()):
             engine = resolve_backend(backend, workers=2)
-            assert isinstance(engine, ParallelBackend)
+            assert isinstance(engine, NativeBackend)
             assert engine.workers == 2
 
     def test_resolve_workers_rejects_sim(self):
         with pytest.raises(QueryError):
             resolve_backend("sim", workers=2)
 
-    def test_workers_reject_a_native_instance_like_the_name(self):
-        """NativeBackend subclasses FastBackend, but workers= must not
-        quietly swap it for the sharded fast kernels: every layer raises,
-        as it does for the name "native"."""
+    def test_workers_reject_fast_like_sim(self):
+        """Only native forks: the name "fast" and a FastBackend instance
+        (which NativeBackend subclasses) raise in every layer, as "sim"
+        does, instead of quietly swapping engines."""
         graph = random_bipartite(20, 20, 90, seed=5)
         query = BicliqueQuery(2, 2)
-        for backend in ("native", NativeBackend()):
+        for backend in ("fast", FastBackend()):
             with pytest.raises(QueryError):
                 resolve_backend(backend, workers=2)
             with pytest.raises(QueryError):
@@ -87,17 +87,31 @@ class TestRegistry:
                                           workers=2)
 
     def test_resolve_keeps_configured_instance(self):
-        engine = ParallelBackend(2)
+        engine = NativeBackend(2)
         assert resolve_backend(engine, workers=2) is engine
         assert resolve_backend(engine, workers=4).workers == 4
 
-    def test_without_workers_nothing_changes(self):
+    def test_without_workers_nothing_changes(self, monkeypatch):
+        """workers=None is one process: native never reaches the fork
+        path, and every default stays as it was."""
+        from repro.engine import native
+
         assert resolve_backend(None).name == "sim"
         assert resolve_backend("fast").name == "fast"
+        assert resolve_backend("native").workers is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("workers=None must not shard")
+
+        monkeypatch.setattr(native, "run_sharded", refuse)
+        graph = power_law_bipartite(40, 30, 200, seed=9)
+        for fn in ALGORITHMS:
+            assert fn(graph, BicliqueQuery(2, 2), backend="native").count \
+                == fn(graph, BicliqueQuery(2, 2), backend="fast").count
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(QueryError):
-            ParallelBackend(0)
+            NativeBackend(0)
 
 
 class TestShardPlanning:
@@ -173,7 +187,8 @@ class TestRunSharded:
 
 
 class TestAlgorithmEquivalence:
-    """par == fast == sim counts, for every algorithm and worker count."""
+    """Sharded native == one native process == fast == sim counts, for
+    every algorithm and worker count."""
 
     @pytest.mark.parametrize("fn", ALGORITHMS,
                              ids=lambda f: f.__name__)
@@ -182,13 +197,29 @@ class TestAlgorithmEquivalence:
         query = BicliqueQuery(3, 2)
         expect = fn(graph, query, backend="fast").count
         assert fn(graph, query).count == expect
-        for workers in (1, 2, 4):
+        assert fn(graph, query, backend="native").count == expect
+        for workers in (1, 2, 3):
             assert fn(graph, query, workers=workers).count == expect
 
-    def test_result_records_par_backend(self):
+    @pytest.mark.parametrize("variant", ["GBC-NB", "GBC-NH", "GBC-NW"])
+    def test_frontier_variants_match_one_process(self, variant):
+        """Both frontier kernels (HTB and, for NB, CSR) shard."""
+        from repro.bench.runner import run_method
+
+        graph = power_law_bipartite(60, 45, 300, seed=21)
+        query = BicliqueQuery(3, 3)
+        serial = run_method(variant, graph, query, backend="native")
+        for workers in (1, 2, 3):
+            got = run_method(variant, graph, query, backend="native",
+                             workers=workers)
+            assert got.count == serial.count
+            assert got.peak_working_set_bytes \
+                <= serial.peak_working_set_bytes
+
+    def test_result_records_native_backend(self):
         graph = random_bipartite(20, 20, 90, seed=5)
         res = gbc_count(graph, BicliqueQuery(2, 2), workers=2)
-        assert res.backend == "par"
+        assert res.backend == "native"
         assert not res.backend_instrumented
 
 
@@ -198,12 +229,13 @@ class TestDeterminism:
     def test_counts_and_metrics_stable_across_workers(self):
         graph = power_law_bipartite(60, 45, 300, seed=21)
         query = BicliqueQuery(3, 3)
-        serial = gbc_count(graph, query, backend="fast")
-        runs = [gbc_count(graph, query, workers=w) for w in (1, 2, 4)] \
+        serial = gbc_count(graph, query, backend="native")
+        runs = [gbc_count(graph, query, workers=w) for w in (1, 2, 3)] \
             + [gbc_count(graph, query, workers=2)]  # repeat: run-to-run too
-        counts = {r.count for r in runs} | {serial.count}
+        counts = {r.count for r in runs} | {serial.count} \
+            | {gbc_count(graph, query, backend="fast").count}
         assert len(counts) == 1
-        # stable metric aggregation: identical to the serial fast run
+        # stable metric aggregation: identical to one native process
         # (all-zero counters, and the same zero-cost schedule) for any
         # worker count
         for r in runs:
@@ -216,33 +248,35 @@ class TestDeterminism:
         query = BicliqueQuery(3, 2)
         serial = bcl_per_root_profile(graph, query, backend="fast")
         for workers in (2, 4):
-            par = bcl_per_root_profile(graph, query, workers=workers)
-            assert par.root_ids == serial.root_ids
-            assert par.per_root_counts == serial.per_root_counts
+            sharded = bcl_per_root_profile(graph, query, workers=workers)
+            assert sharded.root_ids == serial.root_ids
+            assert sharded.per_root_counts == serial.per_root_counts
 
     def test_bclp_schedule_inputs_survive_sharding(self):
         graph = random_bipartite(30, 25, 150, seed=2)
         query = BicliqueQuery(2, 2)
         serial = bclp_count(graph, query, threads=4, backend="fast")
-        par = bclp_count(graph, query, threads=4, workers=2)
-        assert par.count == serial.count
-        assert par.breakdown["threads"] == 4.0
+        sharded = bclp_count(graph, query, threads=4, workers=2)
+        assert sharded.count == serial.count
+        assert sharded.breakdown["threads"] == 4.0
 
 
 class TestPrimitiveDelegation:
-    """As a plain KernelBackend, par behaves exactly like fast."""
+    """As a plain KernelBackend, sharded native behaves exactly like
+    fast."""
 
     def test_primitives_match_fast(self):
         rng = np.random.default_rng(31)
-        fast, par = FastBackend(), ParallelBackend(2)
+        fast, sharded = FastBackend(), NativeBackend(2)
         for _ in range(10):
             a = np.unique(rng.integers(0, 80, size=30).astype(np.int64))
             b = np.unique(rng.integers(0, 80, size=50).astype(np.int64))
             m = KernelMetrics()
-            np.testing.assert_array_equal(par.merge(a, b), fast.merge(a, b))
-            np.testing.assert_array_equal(par.intersect(a, b, m),
+            np.testing.assert_array_equal(sharded.merge(a, b),
+                                          fast.merge(a, b))
+            np.testing.assert_array_equal(sharded.intersect(a, b, m),
                                           fast.intersect(a, b, m))
-            np.testing.assert_array_equal(par.membership(a, b),
+            np.testing.assert_array_equal(sharded.membership(a, b),
                                           fast.membership(a, b))
             assert m == KernelMetrics()
 
@@ -257,7 +291,7 @@ class TestBenchAndRunnerThreading:
         for method in ("Basic", "BCL", "BCLP", "GBL", "GBC"):
             res = run_method(method, graph, query, workers=2)
             assert res.count == expect
-            assert res.backend == "par"
+            assert res.backend == "native"
 
     def test_run_matrix_accepts_workers(self):
         from repro.bench.runner import run_matrix

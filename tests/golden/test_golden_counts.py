@@ -1,6 +1,6 @@
 """Golden-count regression harness.
 
-Five algorithms x four kernel backends x three graph shapes, each
+Five algorithms x four engine configurations x three graph shapes, each
 asserted against the pinned count in ``golden_counts.json``.  The shapes
 stress different engine paths:
 
@@ -11,8 +11,8 @@ stress different engine paths:
 * **star-heavy** — a few hub vertices adjacent to most of V over sparse
   noise, the extreme-imbalance case load balancing exists for.
 
-The parallel backend runs with two real worker processes so the sharded
-merge path itself is under golden protection.
+``native-w2`` is ``native`` forked over two real worker processes, so
+the sharded merge path itself is under golden protection.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ import pytest
 
 from repro.bench.runner import run_method
 from repro.core.counts import BicliqueQuery
-from repro.engine import ParallelBackend
+from repro.engine import NativeBackend
 from repro.graph.builders import from_edges
 from repro.graph.generators import power_law_bipartite, random_bipartite
 
 ALGORITHMS = ("Basic", "GBC", "GBL", "BCL", "BCLP")
-BACKENDS = ("sim", "fast", "par", "native")
+BACKENDS = ("sim", "fast", "native", "native-w2")
 
 
 def _star_heavy():
@@ -63,8 +63,8 @@ def graphs():
 @pytest.mark.parametrize("shape", sorted(GRAPHS))
 def test_golden_count(golden, graphs, shape, algorithm, backend):
     graph, query = graphs[shape]
-    engine = ParallelBackend(workers=2) if backend == "par" else backend
+    engine = NativeBackend(workers=2) if backend == "native-w2" else backend
     result = run_method(algorithm, graph, query, backend=engine)
-    assert result.backend == backend
+    assert result.backend == backend.split("-")[0]
     golden.check(f"{shape}/{query}", result.count,
                  source=f"{algorithm}[{backend}]")

@@ -33,10 +33,12 @@ class TestRecording:
         assert led.lookup("fp", 3, 3, "GBC", "fast").observed_seconds == 1.0
 
     def test_no_prediction_keeps_ratio_unset(self):
+        """An unpriced run sets no ratio; the cell's measured seconds
+        are then its calibrated price, whatever the prediction."""
         led = CostLedger()
         cell = led.record("fp", 2, 2, "Basic", "fast", 0.1)
         assert cell.ratio is None
-        assert led.calibrated("fp", 2, 2, "Basic", "fast", 1.0) is None
+        assert led.calibrated("fp", 2, 2, "Basic", "fast", 1.0) == 0.1
 
     def test_drift_outside_the_band_resets_the_cell(self):
         led = CostLedger(drift_band=4.0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.counts import BicliqueQuery
 from repro.core.verify import brute_force_count
+from repro.engine import NativeBackend
 from repro.gpu.device import rtx_3090
 from repro.graph.generators import power_law_bipartite
 from repro.partition.runner import run_bcpar, run_metis_like
@@ -61,10 +62,10 @@ class TestMetisLikeRun:
 
 class TestCrossBackendMetamorphic:
     """Partitioned totals are invariant under the execution engine:
-    identical across sim/fast/par, across worker counts, and for both
+    identical across sim/fast/native, across worker counts, and for both
     partitioners — only the accounting may differ."""
 
-    BACKENDS = ("sim", "fast", "par")
+    BACKENDS = ("sim", "fast", "native", NativeBackend(workers=2))
 
     @staticmethod
     def _signature(report):
@@ -93,15 +94,16 @@ class TestCrossBackendMetamorphic:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_worker_count_invariance(self, graph, query, truth, workers):
         bc, _ = run_bcpar(graph, query, budget_words=1200,
-                          backend="par", workers=workers)
+                          backend="native", workers=workers)
         me, _ = run_metis_like(graph, query, num_parts=4,
-                               backend="par", workers=workers)
+                               workers=workers)
         assert bc.total_count == me.total_count == truth
 
-    def test_par_comparisons_uninstrumented(self, graph, query):
-        """Like fast, the parallel engine charges no comparisons."""
+    def test_sharded_comparisons_uninstrumented(self, graph, query):
+        """Like fast, native forked over workers charges no
+        comparisons."""
         report, _ = run_bcpar(graph, query, budget_words=1200,
-                              backend="par", workers=2)
+                              backend="native", workers=2)
         assert report.comparisons == 0
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.counts import BicliqueQuery
-from repro.errors import PlanError, UnknownMethodError
+from repro.errors import PlanError, QueryError, UnknownMethodError
 from repro.graph.generators import random_bipartite
 from repro.plan import (CountPlan, execute_plan, explicit_plan, plan_query,
                         warm_session)
@@ -19,15 +19,14 @@ class TestExplicitPlans:
         assert plan.source == "explicit"
         assert plan.predicted_seconds == 0.0
 
-    def test_workers_imply_par(self):
+    def test_workers_imply_native(self):
         plan = explicit_plan(GRAPH, QUERY, "BCL", workers=2)
-        assert plan.backend == "par" and plan.workers == 2
+        assert plan.backend == "native" and plan.workers == 2
+        assert execute_plan(plan, GRAPH).backend == "native"
 
-    def test_fast_with_workers_recorded_as_par(self):
-        plan = explicit_plan(GRAPH, QUERY, "BCL", backend="fast",
-                             workers=2)
-        assert plan.backend == "par"
-        assert execute_plan(plan, GRAPH).backend == "par"
+    def test_fast_with_workers_rejected(self):
+        with pytest.raises(QueryError, match="forks the 'native'"):
+            explicit_plan(GRAPH, QUERY, "BCL", backend="fast", workers=2)
 
     def test_unknown_method_fails_before_execution(self):
         with pytest.raises(UnknownMethodError):

@@ -93,8 +93,8 @@ class TestCalibration:
                                                              rel=0.05)
 
     def test_explicit_plan_execution_records_without_a_ratio(self):
-        # explicit plans carry no prediction: the cell exists (observed
-        # seconds are still useful) but cannot calibrate anything
+        # explicit plans carry no prediction: the cell has no ratio, so
+        # its observed seconds are what calibrates the next price
         graph = GRAPHS["random"]
         query = QUERIES[0]
         ledger = CostLedger()
@@ -104,6 +104,41 @@ class TestCalibration:
                              "GBC", "fast")
         assert cell is not None
         assert cell.ratio is None
+        assert Planner(graph, ledger=ledger).predict(
+            query, "GBC", backend="fast") == cell.observed_seconds
+
+    def test_explicit_runs_alone_correct_an_over_price(self):
+        """A cell holding only explicit runs (no ratio) still calibrates:
+        a deadline the raw price blows but the measured seconds fit is
+        admitted, by the plan and by a pinned-method count alike."""
+        graph = random_bipartite(200, 150, 4000, seed=3)
+        query = BicliqueQuery(3, 3)
+        raw = Planner(graph).predict(query, "GBC", backend="native")
+        deadline = raw / 2
+        with pytest.raises(DeadlineExceededError):
+            GraphSession(graph, ledger=CostLedger()).count(
+                query, "auto", deadline=deadline)
+
+        def seeded() -> CostLedger:
+            # a fresh ledger per check: each executed count records its
+            # own wall seconds, and no assertion may depend on those
+            ledger = CostLedger()
+            ledger.record(graph_fingerprint(graph), query.p, query.q,
+                          "GBC", "native", raw / 8)
+            return ledger
+
+        plan = Planner(graph, ledger=seeded()).plan(query,
+                                                    deadline=deadline)
+        assert plan.predicted_seconds == pytest.approx(raw)
+        assert plan.calibrated_seconds == pytest.approx(raw / 8)
+        assert "ledger-calibrated" in plan.reason
+        expect = GraphSession(graph).count(query, "GBC",
+                                           backend="native").count
+        assert GraphSession(graph, ledger=seeded()).count(
+            query, "auto", deadline=deadline).count == expect
+        assert GraphSession(graph, ledger=seeded()).count(
+            query, "GBC", backend="native", deadline=deadline).count \
+            == expect
 
     def test_ledger_records_wall_seconds(self):
         """The ledger learns the wall seconds a deadline budgets, not

@@ -50,21 +50,25 @@ def _refuse_searches(monkeypatch):
 
 class TestAutoMatchesExplicit:
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-    @pytest.mark.parametrize("backend", ["sim", "fast", "par", "native"])
+    @pytest.mark.parametrize("backend", ["sim", "fast", "native",
+                                         "native-w2"])
     def test_auto_count_bit_identical(self, graph_name, backend):
-        """On native auto counts exactly what every explicit method
-        counts; on any other engine it refuses, naming the methods."""
+        """On native, with or without workers, auto counts exactly what
+        every explicit method counts; on any other engine it refuses,
+        naming the methods."""
         graph = GRAPHS[graph_name]
-        workers = 2 if backend == "par" else None
+        workers = 2 if backend == "native-w2" else None
+        backend = backend.split("-")[0]
         for query in QUERIES:
             if backend != "native":
                 with pytest.raises(PlanError, match="GBC"):
-                    run_method("auto", graph, query, backend=backend,
-                               workers=workers)
+                    run_method("auto", graph, query, backend=backend)
                 continue
-            auto = run_method("auto", graph, query, backend=backend)
+            auto = run_method("auto", graph, query, backend=backend,
+                              workers=workers)
             for method in ("Basic", "BCL", "BCLP", "GBL", "GBC"):
-                explicit = run_method(method, graph, query, backend=backend)
+                explicit = run_method(method, graph, query, backend=backend,
+                                      workers=workers)
                 assert auto.count == explicit.count, (
                     f"auto ({auto.algorithm}) disagrees with {method} on "
                     f"{graph_name} {query} [{backend}]")
@@ -157,11 +161,10 @@ class TestEngineChoice:
                 assert plan.predicted_seconds == 0.0
 
     @pytest.mark.parametrize("backend, workers", [
-        ("sim", None), ("fast", None), ("par", None), ("par", 2),
-        (None, 2), ("fast", 2)])
+        ("sim", None), ("fast", None)])
     def test_auto_off_native_is_a_plan_error(self, backend, workers):
-        """Only native has a rule; pinning another engine (workers=
-        pins par) names the explicit methods instead."""
+        """Only native has a rule; pinning another engine names the
+        explicit methods instead."""
         from repro.query import GraphSession
 
         graph, query = GRAPHS["random"], BicliqueQuery(2, 2)
@@ -175,28 +178,33 @@ class TestEngineChoice:
             GraphSession(graph).count(query, "auto", backend=backend,
                                       workers=workers)
 
-    def test_workers_imply_par(self):
-        """workers= selects par, so auto (native only) refuses it."""
-        with pytest.raises(PlanError, match="'par'"):
-            Planner(GRAPHS["random"]).plan(BicliqueQuery(2, 2),
-                                           workers=2)
-
-    def test_fast_with_workers_priced_as_par(self):
-        """backend='fast' + workers resolves to the sharded engine, which
-        runs fast's kernels, so it is priced at fast's rates."""
+    def test_workers_imply_native(self):
+        """workers= forks native, so auto plans GBC there with those
+        workers, at native's price."""
         planner = Planner(GRAPHS["random"])
         query = BicliqueQuery(2, 2)
-        for method in ("BCL", "GBL", "GBC"):
-            sharded = planner.predict(query, method, backend="fast",
-                                      workers=2)
-            assert sharded == planner.predict(query, method,
-                                              backend="par") \
-                == planner.predict(query, method, backend="fast") > 0
+        for backend in (None, "native"):
+            plan = planner.plan(query, backend=backend, workers=2,
+                                deadline=1e3)
+            assert (plan.method, plan.backend, plan.workers) \
+                == ("GBC", "native", 2)
+            assert plan.predicted_seconds == planner.predict(
+                query, "GBC", backend="native") > 0
 
     def test_sim_with_workers_rejected(self):
-        with pytest.raises(QueryError, match="serial"):
+        with pytest.raises(QueryError, match="one process"):
             Planner(GRAPHS["random"]).plan(BicliqueQuery(2, 2),
                                            backend="sim", workers=2)
+
+    def test_fast_with_workers_rejected(self):
+        """Only native forks: fast is the one-process recursion, so
+        neither the plan nor the price accepts workers= with it."""
+        planner = Planner(GRAPHS["random"])
+        query = BicliqueQuery(2, 2)
+        with pytest.raises(QueryError, match="one process"):
+            planner.plan(query, backend="fast", workers=2)
+        with pytest.raises(QueryError, match="one process"):
+            planner.predict(query, "GBC", backend="fast", workers=2)
 
     def test_pinned_layer_excludes_basic(self):
         """A pinned layer is planned and priced on that layer."""

@@ -35,12 +35,6 @@ class TestCapabilities:
     def test_basic_cannot_pin_a_layer(self):
         assert not get_method("Basic").supports_layer
 
-    def test_device_methods_report_metrics(self):
-        for name in ("GBL", "GBC", "GBC-NH"):
-            assert get_method(name).instrumented_metrics
-        for name in ("Basic", "BCL", "BCLP"):
-            assert not get_method(name).instrumented_metrics
-
     def test_priced_methods_and_their_rates(self):
         """Basic and the ablation variants are unpriced; the count_root
         methods share one rate table; every rate is positive."""

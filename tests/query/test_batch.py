@@ -98,7 +98,7 @@ class TestBatchCount:
         serial = batch_count(g, "2x2,3x3", backend="fast")
         sharded = batch_count(g, "2x2,3x3", workers=2)
         assert sharded.counts == serial.counts
-        assert all(r.backend == "par" for r in sharded.results)
+        assert all(r.backend == "native" for r in sharded.results)
 
     def test_conflicting_spec_with_existing_session_raises(self):
         from repro.gpu.device import small_test_device

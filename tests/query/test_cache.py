@@ -59,8 +59,8 @@ class TestSessionResultCaching:
         assert len({r.count for r in runs[:3]}) == 1  # same (2,2) count
 
     def test_key_distinguishes_worker_counts(self):
-        # "par" timings/shard fields are worker-dependent even though
-        # counts are not, so each worker count gets its own entry
+        # sharded timings are worker-dependent even though counts are
+        # not, so each worker count gets its own entry
         g = random_bipartite(30, 20, 120, seed=3)
         session = GraphSession(g)
         query = BicliqueQuery(2, 2)

@@ -21,7 +21,7 @@ from repro.graph.priority import priority_order, rank_from_order
 from repro.graph.twohop import build_two_hop_index
 from repro.query import GraphSession, batch_count
 
-BACKENDS = [("sim", None), ("fast", None), ("par", 2)]
+BACKENDS = [("sim", None), ("fast", None), ("native", 2)]
 
 
 @pytest.fixture(scope="module")

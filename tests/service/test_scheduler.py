@@ -52,7 +52,25 @@ class TestConfig:
     def test_default_backend_is_native(self):
         assert SchedulerConfig().backend == "native"
 
-    @pytest.mark.parametrize("backend", ["fast", "par", "sim"])
+    @pytest.mark.parametrize("backend", ["par", "natve"])
+    def test_retired_or_misspelt_backend_refused_at_config(self, backend):
+        """An engine outside BACKEND_NAMES — the retired "par", or a
+        typo — fails once, at construction and before any worker
+        process forks, naming the valid engines."""
+        import multiprocessing as mp
+
+        from repro.dist import DistRouter
+
+        before = mp.active_children()
+        with pytest.raises(ServiceError, match="'sim', 'fast', 'native'"):
+            SchedulerConfig(backend=backend)
+        with pytest.raises(ServiceError, match="unknown backend"):
+            Scheduler(make_pool(), backend=backend)
+        with pytest.raises(ServiceError, match="unknown backend"):
+            DistRouter(dict(GRAPHS), workers=2, backend=backend)
+        assert mp.active_children() == before
+
+    @pytest.mark.parametrize("backend", ["fast", "sim"])
     def test_auto_off_native_rejected_at_config(self, backend):
         """auto is GBC on native: refused once, at construction, rather
         than on every request."""
@@ -98,7 +116,7 @@ class TestServing:
         assert snap["completed"] == len(served) + len(parked)
         assert snap["batches"]["mean_size"] > 1.0   # coalescing happened
 
-    @pytest.mark.parametrize("backend", ["sim", "fast", "par"])
+    @pytest.mark.parametrize("backend", ["sim", "fast", "native"])
     def test_backends_all_serve_identical_counts(self, backend):
         with Scheduler(make_pool(), backend=backend) as sched:
             count = sched.count("b", 2, 2, timeout=120).count

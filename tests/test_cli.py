@@ -108,10 +108,11 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["plan", "explain", "--backend", "fast"],
         ["plan", "explain", "--backend", "sim"],
-        ["plan", "explain", "--workers", "2"],
-        ["count", "--method", "auto", "--backend", "par"],
+        ["count", "--method", "auto", "--backend", "fast"],
         ["count", "--method", "auto", "--backend", "sim"],
         ["batch", "--method", "auto", "--backend", "fast",
+         "--queries", "2x2"],
+        ["batch", "--method", "auto", "--backend", "sim",
          "--queries", "2x2"]])
     def test_auto_off_native_errors(self, argv, capsys):
         """auto plans GBC on native only; on any other engine the
@@ -143,6 +144,30 @@ class TestCommands:
                      "--queries", "2x2", "--backend", "sim",
                      "--workers", "2"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["count", "plan"])
+    @pytest.mark.parametrize("backend", ["fast", "sim"])
+    def test_workers_off_native_exit_2(self, command, backend, capsys):
+        argv = ["plan", "explain"] if command == "plan" else [command]
+        assert main(argv + ["--dataset", "YT", "--scale", "tiny",
+                            "-p", "2", "-q", "2", "--backend", backend,
+                            "--workers", "2"]) == 2
+        assert "--workers forks the native engine" in \
+            capsys.readouterr().err
+
+    def test_workers_shard_native(self, capsys):
+        """--workers forks native's root loop; auto plans GBC there."""
+        graph = ["--dataset", "YT", "--scale", "tiny", "-p", "2", "-q", "2"]
+        assert main(["count", "--backend", "native"] + graph) == 0
+        serial = capsys.readouterr().out.splitlines()[1]
+        for method in ("GBL", "auto"):
+            assert main(["count", "--method", method, "--workers", "2"]
+                        + graph) == 0
+            out = capsys.readouterr().out
+            assert serial in out.splitlines()
+            assert "backend: native" in out
+        assert main(["plan", "explain", "--workers", "2"] + graph) == 0
+        assert "plan: GBC on native" in capsys.readouterr().out
 
     def test_enumerate(self, capsys):
         assert main(["enumerate", "--dataset", "S1", "--scale", "tiny",
