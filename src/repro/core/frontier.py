@@ -1,25 +1,36 @@
-"""Level-synchronous frontier traversal for the batch-kernel engine.
+"""Hybrid DFS-BFS frontier traversal for the batch-kernel engine.
 
 The per-root recursion in :mod:`repro.core.gbl` / :mod:`repro.core.gbc`
 batches one recursion node at a time, so a sparse graph hands the
 engine frontiers of two or three candidates — far too little work to
-amortise a kernel dispatch.  This module restores the paper's real
-launch shape: **one call per search level across every root of a
-chunk**.  The whole level lives in ragged CSR-style arrays (an
-``offsets`` array delimiting one row per live task), candidates carry
-their task id, and each level issues a constant number of pairwise
-batch kernels (:meth:`repro.engine.base.KernelBackend.intersect_pairs`
-and friends) regardless of how many roots or candidates are in flight.
+amortise a kernel dispatch.  This module restores the paper's launch
+shape, and its memory bound (§IV, Fig. 11): **BFS inside a word
+budget, DFS across budgets**.  A level lives in ragged CSR-style arrays
+(an ``offsets`` array delimiting one row per live task), candidates
+carry their task id, and each batch of a level goes to a constant
+number of pairwise kernels (:meth:`repro.engine.base.KernelBackend
+.intersect_pairs` and friends) however many roots or candidates it
+holds.  What a batch may hold is :data:`FRONTIER_WORD_BUDGET` words:
 
-Counts are bit-identical to the per-root recursion: the same
-(candidate, adjacency-row) intersections run with the same ``>= q`` /
-``>= p - depth - 1`` survivor guards, only grouped by level instead of
-by root, and the binomial sum is an exact integer so regrouping cannot
-change it.  The drivers route through here only for engines that
-declare ``frontier = True`` (the native backend); ``sim`` keeps the
-per-root path, whose call-for-call accounting is golden-pinned.  The
-frontier runs through ``engine.map_shards`` like every root loop
-(:func:`frontier_over_shards`).
+* the roots are cut into chunks whose first-level rows fit the budget;
+* at every level, each (task, candidate) pair's gather words follow
+  from the probed row lengths before any kernel call, and the level's
+  pairs are cut into consecutive slices that fit the budget (at least
+  one pair each, so a single wide pair still runs);
+* each slice's kernels see only the key rows of the tasks it touches,
+  and the traversal descends into a slice's live children before it
+  starts the next slice.
+
+So the live arrays are one budget-sized slice per search depth, not a
+whole level.  Counts are bit-identical to the per-root recursion: the
+same (candidate, adjacency-row) intersections run with the same
+``>= q`` / ``>= p - depth - 1`` survivor guards, only grouped by slice
+instead of by root, and the binomial sum is an exact integer so
+regrouping cannot change it.  The drivers route through here only for
+engines that declare ``frontier = True`` (the native backend); ``sim``
+keeps the per-root path, whose call-for-call accounting is
+golden-pinned.  The frontier runs through ``engine.map_shards`` like
+every root loop (:func:`frontier_over_shards`).
 """
 
 from __future__ import annotations
@@ -31,21 +42,24 @@ from repro.graph.csr import gather_rows, row_lengths, row_positions
 
 __all__ = ["csr_frontier_count", "htb_frontier_count",
            "frontier_over_shards", "decode_bitmap_rows",
-           "FRONTIER_ROOT_CHUNK"]
+           "FRONTIER_WORD_BUDGET"]
 
-#: roots per frontier chunk — bounds the widest level's scratch arrays
-#: (the flat needle gather is proportional to the level's comparison
-#: count) while keeping enough tasks in flight to amortise dispatch
-FRONTIER_ROOT_CHUNK = 4096
+#: 4-byte words one frontier batch may hold: a root chunk's first-level
+#: rows, or one level slice's gathered rows (plus, on HTBs, the decode
+#: its children's candidate rows will need).  Picked from a sweep over
+#: 2^16-2^22 on the full and bench stand-ins (docs/ARCHITECTURE.md):
+#: smaller budgets pay dispatch per slice, larger ones give back RSS
+FRONTIER_WORD_BUDGET = 1 << 18
 
-#: footprint, in 4-byte words, of one element a pairwise kernel gathers
-#: from its probed rows: an int64 value per CSR element, an int64 idx
-#: plus a uint64 val per HTB word
-_CSR_GATHER_WORDS = 2
-_HTB_GATHER_WORDS = 4
+#: footprint, in 4-byte words, of one element of a live or gathered
+#: row: an int64 per CSR element, an int64 idx plus a uint64 val per
+#: HTB word
+_CSR_WORDS = 2
+_HTB_WORDS = 4
+#: ``decode_bitmap_rows`` unpacks each stored CL word into 64 flag bytes
+_DECODE_WORDS = 16
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_U64 = np.empty(0, dtype=np.uint64)
 
 
 def _offsets(lens: np.ndarray) -> np.ndarray:
@@ -55,18 +69,39 @@ def _offsets(lens: np.ndarray) -> np.ndarray:
     return off
 
 
-def _select_rows(off: np.ndarray, flat: np.ndarray,
-                 keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keep a subset of ragged rows: new offsets plus the masked flat."""
+def _select_rows(off: np.ndarray, flats: tuple, keep: np.ndarray) -> tuple:
+    """Keep a subset of ragged rows: new offsets plus each masked flat."""
     lens = np.diff(off)
-    return _offsets(lens[keep]), flat[np.repeat(keep, lens)]
+    mask = np.repeat(keep, lens)
+    return (_offsets(lens[keep]), *(flat[mask] for flat in flats))
 
 
-def _gathered_words(off: np.ndarray, rows: np.ndarray,
-                    words_per_element: int) -> int:
-    """Words one pairwise kernel call gathers: the total length of the
-    rows it probes, at ``words_per_element`` words each."""
-    return words_per_element * int(row_lengths(off, rows).sum())
+def _window(off: np.ndarray, flats: tuple, t0: int, t1: int) -> tuple:
+    """Rows ``t0 .. t1 - 1`` of a ragged level as views: rebased offsets
+    plus each flat array's span."""
+    lo, hi = off[t0], off[t1]
+    return (off[t0:t1 + 1] - lo, *(flat[lo:hi] for flat in flats))
+
+
+def _slices(words: np.ndarray, budget: int):
+    """Cut items with per-item ``words`` into consecutive ``(start,
+    stop)`` ranges whose words sum to at most ``budget``; an item that
+    alone exceeds the budget gets a range of its own.  The one cutting
+    rule of both traversals, for root chunks and level slices alike."""
+    n = len(words)
+    if n == 0:
+        return
+    csum = np.cumsum(words)
+    if csum[-1] <= budget:
+        yield 0, n
+        return
+    start, base = 0, 0
+    while start < n:
+        stop = max(int(csum.searchsorted(base + budget, side="right")),
+                   start + 1)
+        yield start, stop
+        base = int(csum[stop - 1])
+        start = stop
 
 
 def decode_bitmap_rows(off: np.ndarray, idx: np.ndarray, val: np.ndarray,
@@ -108,78 +143,214 @@ def frontier_over_shards(engine, count, roots,
     return total, peak
 
 
+class _Walk:
+    """Shared state of one budgeted traversal: the running total and
+    the peak, in words, of live rows on the DFS stack plus one slice's
+    gathered and staged rows."""
+
+    def __init__(self, engine, metrics, p: int, q: int, warps: int,
+                 budget: int) -> None:
+        self.engine, self.metrics = engine, metrics
+        self.p, self.q, self.warps = p, q, warps
+        self.budget = budget
+        self.total, self.peak = 0, 0
+
+    def note(self, words: int) -> None:
+        self.peak = max(self.peak, int(words))
+
+    def run(self, roots: np.ndarray, root_words: np.ndarray, first_level
+            ) -> tuple[int, int]:
+        """Walk every root chunk whose first-level rows fit the budget,
+        ``first_level(chunk)`` gathering those rows."""
+        for r0, r1 in _slices(root_words, self.budget):
+            self.level(*first_level(roots[r0:r1]), depth=1, held=0)
+        return self.total, self.peak
+
+
+class _CsrWalk(_Walk):
+    """Levels of CSR candidate sets: CR rows (common neighbours) and CL
+    rows (candidates) per task, both sorted vertex ids."""
+
+    def __init__(self, engine, metrics, adj_off, adj_val, idx_off, idx_val,
+                 p, q, warps, budget) -> None:
+        super().__init__(engine, metrics, p, q, warps, budget)
+        self.adj_off, self.adj_val = adj_off, adj_val
+        self.idx_off, self.idx_val = idx_off, idx_val
+
+    def level(self, cr_off, cr_val, cl_off, cl_val, *, depth: int,
+              held: int) -> None:
+        held += _CSR_WORDS * (len(cr_val) + len(cl_val))
+        self.note(held)
+        leaf = depth + 1 == self.p
+        task_of = np.repeat(np.arange(len(cl_off) - 1, dtype=np.int64),
+                            np.diff(cl_off))
+        # the first pairwise call, leaf or not, gathers the adjacency
+        # row of every candidate; an inner level's second call gathers
+        # the two-hop rows of the candidates that survive it
+        adj_words = _CSR_WORDS * row_lengths(self.adj_off, cl_val)
+        words = adj_words if leaf else (
+            adj_words + _CSR_WORDS * row_lengths(self.idx_off, cl_val))
+        for s0, s1 in _slices(words, self.budget):
+            child = self._slice(cr_off, cr_val, cl_off, cl_val, task_of,
+                                adj_words, s0, s1, leaf, depth, held)
+            if child is not None:
+                self.level(*child, depth=depth + 1, held=held)
+                del child   # free this slice's children before the next
+
+    def _slice(self, cr_off, cr_val, cl_off, cl_val, task_of, adj_words,
+               s0, s1, leaf, depth, held):
+        """Run pairs ``s0 .. s1 - 1`` against their tasks' key rows;
+        returns the live children's level, or None."""
+        engine, metrics, warps = self.engine, self.metrics, self.warps
+        t0, t1 = int(task_of[s0]), int(task_of[s1 - 1]) + 1
+        ids = task_of[s0:s1] - t0
+        cand = cl_val[s0:s1]
+        cr = _window(cr_off, (cr_val,), t0, t1)
+        gathered = int(adj_words[s0:s1].sum())
+        if leaf:
+            sizes = engine.intersect_pairs_sizes(
+                *cr, ids, self.adj_off, self.adj_val, cand, metrics,
+                warps=warps)
+            self.total += comb_sum(sizes, self.q)
+            self.note(held + gathered)
+            return None
+        ncr_off, ncr_val = engine.intersect_pairs(
+            *cr, ids, self.adj_off, self.adj_val, cand, metrics,
+            warps=warps)
+        keep = np.diff(ncr_off) >= self.q
+        if not keep.any():
+            self.note(held + gathered + _CSR_WORDS * len(ncr_val))
+            return None
+        ncl_off, ncl_val = engine.intersect_pairs(
+            *_window(cl_off, (cl_val,), t0, t1), ids[keep], self.idx_off,
+            self.idx_val, cand[keep], metrics, warps=warps)
+        gathered += _CSR_WORDS * int(row_lengths(self.idx_off,
+                                                 cand[keep]).sum())
+        self.note(held + gathered
+                  + _CSR_WORDS * (len(ncr_val) + len(ncl_val)))
+        live = np.diff(ncl_off) >= self.p - depth - 1
+        if not live.any():
+            return None
+        survivors = np.zeros(len(keep), dtype=bool)
+        survivors[np.flatnonzero(keep)[live]] = True
+        return (*_select_rows(ncr_off, (ncr_val,), survivors),
+                *_select_rows(ncl_off, (ncl_val,), live))
+
+
+class _HtbWalk(_Walk):
+    """Levels of truncated-bitmap candidate sets: CR rows over ``htb1``
+    (anchored adjacency) and CL rows over ``htb2`` (rank-filtered two
+    hop), each an (idx, val) word pair per stored word."""
+
+    def __init__(self, engine, metrics, htb1, htb2, p, q, warps,
+                 budget) -> None:
+        super().__init__(engine, metrics, p, q, warps, budget)
+        self.htb1, self.htb2 = htb1, htb2
+
+    def level(self, cr_off, cr_idx, cr_val, cl_off, cl_idx, cl_val, *,
+              depth: int, held: int) -> None:
+        held += _HTB_WORDS * (len(cr_idx) + len(cl_idx))
+        self.note(held + _DECODE_WORDS * len(cl_idx))
+        cand, cand_lens = decode_bitmap_rows(cl_off, cl_idx, cl_val,
+                                             self.htb1.word_bits)
+        held += _CSR_WORDS * len(cand)
+        leaf = depth + 1 == self.p
+        task_of = np.repeat(np.arange(len(cl_off) - 1, dtype=np.int64),
+                            cand_lens)
+        # the first call gathers each candidate's adjacency bitmap row;
+        # an inner level's second call gathers its two-hop row, and a
+        # child's CL row (a subset of it) is decoded one level down
+        cr_words = _HTB_WORDS * row_lengths(self.htb1.off, cand)
+        words = cr_words if leaf else (
+            cr_words + (_HTB_WORDS + _DECODE_WORDS)
+            * row_lengths(self.htb2.off, cand))
+        for s0, s1 in _slices(words, self.budget):
+            child = self._slice(cr_off, cr_idx, cr_val, cl_off, cl_idx,
+                                cl_val, cand, task_of, cr_words, s0, s1,
+                                leaf, depth, held)
+            if child is not None:
+                self.level(*child, depth=depth + 1, held=held)
+                del child   # free this slice's children before the next
+
+    def _slice(self, cr_off, cr_idx, cr_val, cl_off, cl_idx, cl_val, cand,
+               task_of, cr_words, s0, s1, leaf, depth, held):
+        """Run pairs ``s0 .. s1 - 1`` against their tasks' key rows;
+        returns the live children's level, or None."""
+        engine, metrics, warps = self.engine, self.metrics, self.warps
+        htb1, htb2 = self.htb1, self.htb2
+        t0, t1 = int(task_of[s0]), int(task_of[s1 - 1]) + 1
+        ids = task_of[s0:s1] - t0
+        cand = cand[s0:s1]
+        cr = _window(cr_off, (cr_idx, cr_val), t0, t1)
+        gathered = int(cr_words[s0:s1].sum())
+        if leaf:
+            counts = engine.bitmap_pairs_counts(*cr, ids, htb1, cand,
+                                                metrics, warps=warps)
+            self.total += comb_sum(counts, self.q)
+            self.note(held + gathered)
+            return None
+        ncr_off, ncr_idx, ncr_val, ncr_counts = engine.bitmap_pairs(
+            *cr, ids, htb1, cand, metrics, warps=warps)
+        keep = ncr_counts >= self.q
+        if not keep.any():
+            self.note(held + gathered + _HTB_WORDS * len(ncr_idx))
+            return None
+        ncl_off, ncl_idx, ncl_val, ncl_counts = engine.bitmap_pairs(
+            *_window(cl_off, (cl_idx, cl_val), t0, t1), ids[keep], htb2,
+            cand[keep], metrics, warps=warps)
+        gathered += _HTB_WORDS * int(row_lengths(htb2.off,
+                                                 cand[keep]).sum())
+        self.note(held + gathered
+                  + _HTB_WORDS * (len(ncr_idx) + len(ncl_idx)))
+        live = ncl_counts >= self.p - depth - 1
+        if not live.any():
+            return None
+        survivors = np.zeros(len(keep), dtype=bool)
+        survivors[np.flatnonzero(keep)[live]] = True
+        return (*_select_rows(ncr_off, (ncr_idx, ncr_val), survivors),
+                *_select_rows(ncl_off, (ncl_idx, ncl_val), live))
+
+
 def csr_frontier_count(engine, metrics, adj_off, adj_val, idx_off, idx_val,
                        roots, p: int, q: int, *, warps: int = 1,
-                       root_chunk: int = FRONTIER_ROOT_CHUNK
+                       budget_words: int = FRONTIER_WORD_BUDGET
                        ) -> tuple[int, int]:
-    """Count over CSR candidate sets, one kernel call per search level.
+    """Count over CSR candidate sets, slice by budgeted slice.
 
     Returns ``(total, peak_words)`` where ``peak_words`` is the largest
-    level footprint (live CL/CR rows, the rows each kernel call gathers,
-    and staged children) in words — the BFS analogue of the recursion's
-    working-set peak.
+    footprint the walk held at once, in words: the live CR/CL rows of
+    every level on the DFS stack, plus one slice's gathered and staged
+    rows — the hybrid analogue of the recursion's working-set peak.
     """
     roots = np.asarray(roots, dtype=np.int64)
     if p == 1:
         return int(comb_sum(row_lengths(adj_off, roots), q)), 0
-    total, peak = 0, 0
-    for start in range(0, len(roots), root_chunk):
-        chunk = roots[start:start + root_chunk]
+
+    def first_level(chunk):
         cr_val, cr_lens = gather_rows(adj_val, adj_off, chunk)
         cl_val, cl_lens = gather_rows(idx_val, idx_off, chunk)
-        cr_off, cl_off = _offsets(cr_lens), _offsets(cl_lens)
-        depth = 1
-        while len(cl_off) > 1:
-            # the first pairwise call, leaf or not, gathers the
-            # adjacency rows of every candidate
-            level_words = len(cl_val) + len(cr_val) + _gathered_words(
-                adj_off, cl_val, _CSR_GATHER_WORDS)
-            task_of = np.repeat(np.arange(len(cl_off) - 1, dtype=np.int64),
-                                np.diff(cl_off))
-            if depth + 1 == p:
-                sizes = engine.intersect_pairs_sizes(
-                    cr_off, cr_val, task_of, adj_off, adj_val, cl_val,
-                    metrics, warps=warps)
-                total += comb_sum(sizes, q)
-                peak = max(peak, level_words)
-                break
-            new_cr_off, new_cr_val = engine.intersect_pairs(
-                cr_off, cr_val, task_of, adj_off, adj_val, cl_val,
-                metrics, warps=warps)
-            keep = np.diff(new_cr_off) >= q
-            if not keep.any():
-                peak = max(peak, level_words + len(new_cr_val))
-                break
-            new_cl_off, new_cl_val = engine.intersect_pairs(
-                cl_off, cl_val, task_of[keep], idx_off, idx_val,
-                cl_val[keep], metrics, warps=warps)
-            level_words += _gathered_words(idx_off, cl_val[keep],
-                                           _CSR_GATHER_WORDS)
-            peak = max(peak, level_words + len(new_cr_val)
-                       + len(new_cl_val))
-            live = np.diff(new_cl_off) >= p - depth - 1
-            cl_off, cl_val = _select_rows(new_cl_off, new_cl_val, live)
-            cr_off, cr_val = _select_rows(
-                *_select_rows(new_cr_off, new_cr_val, keep), live)
-            depth += 1
-    return total, peak
+        return _offsets(cr_lens), cr_val, _offsets(cl_lens), cl_val
+
+    walk = _CsrWalk(engine, metrics, adj_off, adj_val, idx_off, idx_val,
+                    p, q, warps, budget_words)
+    root_words = _CSR_WORDS * (row_lengths(adj_off, roots)
+                               + row_lengths(idx_off, roots))
+    return walk.run(roots, root_words, first_level)
 
 
 def htb_frontier_count(engine, metrics, htb1, htb2, roots, p: int, q: int,
                        *, warps: int = 1,
-                       root_chunk: int = FRONTIER_ROOT_CHUNK
+                       budget_words: int = FRONTIER_WORD_BUDGET
                        ) -> tuple[int, int]:
-    """Count over truncated-bitmap candidate sets, one call per level.
+    """Count over truncated-bitmap candidate sets, slice by slice.
 
     ``htb1`` holds the anchored adjacency bitmaps (the CR side),
     ``htb2`` the rank-filtered two-hop bitmaps (the CL side) — the same
     pair the per-root HTB kernel walks.  Returns ``(total,
-    peak_words)`` with the live rows measured in stored (idx, val)
-    word pairs, matching the recursion's 2-words-per-stored-word rule,
-    plus the rows each kernel call gathers.
+    peak_words)`` as :func:`csr_frontier_count` does, with a level's
+    candidate decode (``decode_bitmap_rows``' unpack) counted too.
     """
     roots = np.asarray(roots, dtype=np.int64)
-    word_bits = htb1.word_bits
     if p == 1:
         flat_val, lens = gather_rows(htb1.val, htb1.off, roots)
         pops = np.bitwise_count(flat_val).astype(np.int64)
@@ -187,51 +358,15 @@ def htb_frontier_count(engine, metrics, htb1, htb2, roots, p: int, q: int,
         np.cumsum(pops, out=csum[1:])
         ends = np.cumsum(lens)
         return int(comb_sum(csum[ends] - csum[ends - lens], q)), 0
-    total, peak = 0, 0
-    for start in range(0, len(roots), root_chunk):
-        chunk = roots[start:start + root_chunk]
+
+    def first_level(chunk):
         cr_pos, cr_lens = row_positions(htb1.off, chunk)
-        cr_idx, cr_val = htb1.idx[cr_pos], htb1.val[cr_pos]
         cl_pos, cl_lens = row_positions(htb2.off, chunk)
-        cl_idx, cl_val = htb2.idx[cl_pos], htb2.val[cl_pos]
-        cr_off, cl_off = _offsets(cr_lens), _offsets(cl_lens)
-        depth = 1
-        while len(cl_off) > 1:
-            cand, cand_lens = decode_bitmap_rows(cl_off, cl_idx, cl_val,
-                                                 word_bits)
-            # the first pairwise call, leaf or not, gathers the
-            # adjacency bitmap rows of every candidate
-            level_words = 2 * (len(cl_idx) + len(cr_idx)) + _gathered_words(
-                htb1.off, cand, _HTB_GATHER_WORDS)
-            task_of = np.repeat(np.arange(len(cl_off) - 1, dtype=np.int64),
-                                cand_lens)
-            if depth + 1 == p:
-                counts = engine.bitmap_pairs_counts(
-                    cr_off, cr_idx, cr_val, task_of, htb1, cand,
-                    metrics, warps=warps)
-                total += comb_sum(counts, q)
-                peak = max(peak, level_words)
-                break
-            ncr_off, ncr_idx, ncr_val, ncr_counts = engine.bitmap_pairs(
-                cr_off, cr_idx, cr_val, task_of, htb1, cand,
-                metrics, warps=warps)
-            keep = ncr_counts >= q
-            if not keep.any():
-                peak = max(peak, level_words + 2 * len(ncr_idx))
-                break
-            ncl_off, ncl_idx, ncl_val, ncl_counts = engine.bitmap_pairs(
-                cl_off, cl_idx, cl_val, task_of[keep], htb2, cand[keep],
-                metrics, warps=warps)
-            level_words += _gathered_words(htb2.off, cand[keep],
-                                           _HTB_GATHER_WORDS)
-            peak = max(peak, level_words + 2 * len(ncr_idx)
-                       + 2 * len(ncl_idx))
-            live = ncl_counts >= p - depth - 1
-            cl_off, cl_idx = _select_rows(ncl_off, ncl_idx, live)
-            _, cl_val = _select_rows(ncl_off, ncl_val, live)
-            kept_off, kept_idx = _select_rows(ncr_off, ncr_idx, keep)
-            _, kept_val = _select_rows(ncr_off, ncr_val, keep)
-            cr_off, cr_idx = _select_rows(kept_off, kept_idx, live)
-            _, cr_val = _select_rows(kept_off, kept_val, live)
-            depth += 1
-    return total, peak
+        return (_offsets(cr_lens), htb1.idx[cr_pos], htb1.val[cr_pos],
+                _offsets(cl_lens), htb2.idx[cl_pos], htb2.val[cl_pos])
+
+    walk = _HtbWalk(engine, metrics, htb1, htb2, p, q, warps, budget_words)
+    root_words = (_HTB_WORDS * row_lengths(htb1.off, roots)
+                  + (_HTB_WORDS + _DECODE_WORDS)
+                  * row_lengths(htb2.off, roots))
+    return walk.run(roots, root_words, first_level)

@@ -336,8 +336,8 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
     peak_words = 0
     stealing = opts.balance in ("runtime", "joint")
     if engine.frontier:
-        # level-synchronous traversal (identical counts, one pairwise
-        # kernel call per search level across every root of a shard);
+        # hybrid DFS-BFS traversal (identical counts, one pairwise
+        # kernel call per word-budgeted slice of a search level);
         # the hybrid batching knobs only shape simulated accounting,
         # which the frontier engines don't collect
         agg = engine.new_metrics()

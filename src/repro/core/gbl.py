@@ -126,9 +126,9 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
     agg = KernelMetrics()
     peak_words = 0
     if engine.frontier:
-        # level-synchronous traversal: one pairwise kernel call per
-        # search level across every root (identical counts, none of the
-        # per-node dispatch the recursion pays)
+        # hybrid DFS-BFS traversal: one pairwise kernel call per
+        # word-budgeted slice of a search level (identical counts, none
+        # of the per-node dispatch the recursion pays)
         agg = engine.new_metrics()
         total, peak_words = frontier_over_shards(
             engine,

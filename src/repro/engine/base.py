@@ -29,7 +29,7 @@ GBC; they loop the scalar kernels with exactly the per-call arguments
 the counters used to pass, so ``sim`` and ``fast`` account
 bit-identically to the pre-batch call sites.  The pairwise ones
 (``intersect_pairs``/``intersect_pairs_sizes``, ``bitmap_pairs``/
-``bitmap_pairs_counts``) serve the level-synchronous frontier
+``bitmap_pairs_counts``) serve the hybrid DFS-BFS frontier
 traversal; a backend that can amortise per-call dispatch (``native``)
 overrides them.
 
@@ -212,7 +212,7 @@ class KernelBackend(ABC):
     # drives engines that set ``frontier = True`` through these; the
     # defaults loop the scalar primitives so any engine answers them.
 
-    #: whether the counting drivers should run the level-synchronous
+    #: whether the counting drivers should run the hybrid DFS-BFS
     #: frontier traversal on this engine instead of the per-root
     #: recursion (counts are identical either way)
     frontier: bool = False

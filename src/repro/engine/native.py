@@ -1,4 +1,4 @@
-"""The native batch-kernel engine: whole search levels per kernel call.
+"""The native batch-kernel engine: a frontier slice per kernel call.
 
 The paper's GPU kernels win because one launch processes an entire
 frontier of (candidate, adjacency-row) pairs; the Python reproduction
@@ -6,13 +6,15 @@ lost that shape by issuing one ``backend.intersect`` per candidate, so
 interpreter and numpy *dispatch* — not the intersections themselves —
 dominate even :class:`~repro.engine.fast.FastBackend` wall time.
 :class:`NativeBackend` restores the batch shape on the host: it
-declares ``frontier = True``, which routes the device counters through :mod:`repro.core.frontier` — a level-synchronous
-traversal that submits **every (candidate, row) pair of a search level
-across all roots of a chunk in one call** to the four pairwise kernels
-below.  Each kernel keys the concatenated sorted rows by their pair id
-(``value + pair * span``) so a single ``searchsorted`` resolves
+declares ``frontier = True``, which routes the device counters through
+:mod:`repro.core.frontier` — a hybrid DFS-BFS traversal that submits
+**a word-budgeted slice of a search level, up to thousands of
+(candidate, row) pairs across many roots, in one call** to the four
+pairwise kernels below, and descends depth-first into each slice's
+children.  Each kernel keys the concatenated sorted rows by their pair
+id (``value + pair * span``) so a single ``searchsorted`` resolves
 thousands of independent intersections, probing whichever side of the
-level holds fewer elements; the alternative is one numpy dispatch per
+slice holds fewer elements; the alternative is one numpy dispatch per
 recursion node, which a sparse graph's 2–4-row frontiers can never
 amortise.  The kernels read the CSR arrays
 :func:`~repro.core.device_common.prepare_device_inputs` returns and
@@ -70,9 +72,9 @@ class NativeBackend(FastBackend):
 
     name = "native"
     instrumented = False
-    #: the counting drivers run the level-synchronous frontier traversal
+    #: the counting drivers run the hybrid DFS-BFS frontier traversal
     #: (:mod:`repro.core.frontier`) on this engine: one pairwise kernel
-    #: call per search level across every live root
+    #: call per word-budgeted slice of a search level
     frontier = True
 
     def __init__(self, workers: int | None = None) -> None:

@@ -13,7 +13,10 @@ The span model is deliberately small:
 * :func:`tally_kernel` increments kernel-call counters on the nearest
   enclosing span — the kernel seam's batch entry points fire thousands
   of times per count, so they aggregate into their parent span instead
-  of emitting one record each.
+  of emitting one record each.  A forked shard collects its bumps
+  under :class:`kernel_tallies` and the parent merges them with
+  :func:`add_tallies`, so a sharded count tallies what a serial one
+  does.
 
 Tracing is **off by default**.  Disabled, :func:`span` returns a
 module-level null singleton and :func:`event`/:func:`tally_kernel`
@@ -32,10 +35,10 @@ import json
 import threading
 import time
 
-__all__ = ["Span", "TraceRecorder", "current_span", "disable_tracing",
-           "enable_tracing", "enabled", "event", "load_records",
-           "render_summary", "span", "summarize", "tally_kernel",
-           "tracing", "tracing_enabled"]
+__all__ = ["Span", "TraceRecorder", "add_tallies", "current_span",
+           "disable_tracing", "enable_tracing", "enabled", "event",
+           "kernel_tallies", "load_records", "render_summary", "span",
+           "summarize", "tally_kernel", "tracing", "tracing_enabled"]
 
 #: module-global fast flag — the ONLY thing a disabled hot path reads
 enabled = False
@@ -234,6 +237,36 @@ def tally_kernel(kernel: str, calls: int = 1, items: int = 0,
     if bytes_touched:
         sp.tally("kernel_bytes", bytes_touched)
     sp.tally(f"calls.{kernel}", calls)
+
+
+class kernel_tallies:
+    """Collect the :func:`tally_kernel` bumps made inside the block into
+    a plain dict instead of the enclosing span.
+
+    A forked child's span stack is a copy of its parent's, so bumps on
+    it never reach the parent's trace; the child runs its work under
+    this sink, ships the dict home beside its result, and the parent
+    hands it to :func:`add_tallies`.  The sink itself is never
+    recorded.
+    """
+
+    def __enter__(self) -> dict:
+        self._sink = Span("kernel.tallies", {})
+        _ambient.stack.append(self._sink)
+        return self._sink.attrs
+
+    def __exit__(self, *exc) -> bool:
+        _ambient.stack.remove(self._sink)
+        return False
+
+
+def add_tallies(tallies: dict) -> None:
+    """Add :class:`kernel_tallies` counts to the innermost open span."""
+    sp = current_span()
+    if sp is None:
+        return
+    for key, n in tallies.items():
+        sp.tally(key, n)
 
 
 def enable_tracing(recorder: TraceRecorder | None = None) -> TraceRecorder:

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.balance.preruntime import contiguous_split, weighted_greedy_split
 from repro.errors import QueryError
+from repro.obs import trace as _trace
 
 __all__ = ["ShardPlan", "plan_shards", "run_sharded", "fork_available"]
 
@@ -101,9 +102,15 @@ def _init_worker(state) -> None:
     _FORK_STATE = state
 
 
-def _run_shard(shard_id: int) -> Any:
+def _run_shard(shard_id: int) -> tuple[Any, dict | None]:
+    """``(fn's result, kernel tallies)``; the tallies are None unless
+    tracing is on, since the child's spans never reach the parent."""
     fn, shards = _FORK_STATE
-    return fn(shards[shard_id])
+    if not _trace.enabled:
+        return fn(shards[shard_id]), None
+    with _trace.kernel_tallies() as tallies:
+        result = fn(shards[shard_id])
+    return result, tallies
 
 
 def run_sharded(fn: Callable[[Sequence[int]], Any],
@@ -116,7 +123,9 @@ def run_sharded(fn: Callable[[Sequence[int]], Any],
     Returns ``[(item_indices, result), ...]`` in shard order — a
     deterministic order independent of which worker finished first.
     ``fn`` may be any callable (closures included); it executes in a
-    forked child and its return value must be picklable.  An exception
+    forked child and its return value must be picklable.  Under
+    tracing, each child's kernel tallies are added to the caller's open
+    span, as if ``fn`` had run in-process.  An exception
     ``fn`` raises propagates to the caller.  With one worker, a single
     shard, or no ``fork`` support, everything runs in the calling
     process.
@@ -127,5 +136,8 @@ def run_sharded(fn: Callable[[Sequence[int]], Any],
     ctx = mp.get_context("fork")
     with ctx.Pool(processes=len(shards), initializer=_init_worker,
                   initargs=((fn, shards),)) as pool:
-        results = pool.map(_run_shard, range(len(shards)), chunksize=1)
-    return list(zip(shards, results))
+        outcomes = pool.map(_run_shard, range(len(shards)), chunksize=1)
+    for _, tallies in outcomes:
+        if tallies:
+            _trace.add_tallies(tallies)
+    return [(shard, result) for shard, (result, _) in zip(shards, outcomes)]

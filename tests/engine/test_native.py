@@ -1,6 +1,6 @@
 """The native batch-kernel backend: equivalence and prepared state.
 
-Four layers of protection:
+Five layers of protection:
 
 * **pairwise-kernel equivalence** — each of the frontier's four
   pairwise kernels against the protocol's default implementation (a
@@ -14,23 +14,32 @@ Four layers of protection:
   same count builds on ``fast``: the engine reads the shared prepared
   arrays and keeps no state of its own;
 * **reported peak** — the frontier's ``peak_working_set_bytes`` counts
-  the rows each pairwise kernel gathers, not only a level's live rows.
+  the rows each pairwise kernel gathers, not only a level's live rows;
+* **word budget** — at any budget the hybrid traversal counts what
+  ``fast`` counts, and no pairwise call gathers more than the budget
+  unless one pair's row alone does, even inside one root's level.
 """
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from repro.bench.datasets import load_dataset
 from repro.bench.runner import run_method
+from repro.core import frontier, gbc, gbl
 from repro.core.counts import BicliqueQuery
+from repro.core.device_common import prepare_device_inputs
+from repro.core.frontier import FRONTIER_WORD_BUDGET
 from repro.engine import NativeBackend, resolve_backend
 from repro.engine.fast import FastBackend
 from repro.gpu.metrics import KernelMetrics
-from repro.graph.builders import from_edges
+from repro.graph.builders import complete_bipartite, from_edges
 from repro.graph.csr import row_lengths
 from repro.graph.generators import power_law_bipartite, random_bipartite
 from repro.htb.htb import BitmapSet, build_htb_from_rows
@@ -260,6 +269,109 @@ class TestFrontierPeak:
                             BicliqueQuery(p, q), backend=engine)
         assert engine.gathered
         assert result.peak_working_set_bytes >= 8 * max(engine.gathered)
+
+
+class _Call(NamedTuple):
+    gathered: int   # words of the probed rows
+    widest: int     # words of the widest single probed row
+    pairs: int
+    tasks: int      # key rows handed to the call
+
+
+class _SliceRecorder(NativeBackend):
+    """Records what each pairwise call gathers, in words: an int64 per
+    CSR element, an int64 idx plus a uint64 val per HTB word."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: list[_Call] = []
+
+    def _record(self, a_off, offsets, rows, words_per_element):
+        lens = row_lengths(offsets, rows)
+        self.calls.append(_Call(words_per_element * int(lens.sum()),
+                                words_per_element * int(lens.max(initial=0)),
+                                len(rows), len(a_off) - 1))
+
+    def intersect_pairs(self, a_off, a_val, a_ids, offsets, values, rows,
+                        metrics, **kwargs):
+        self._record(a_off, offsets, rows, 2)
+        return super().intersect_pairs(a_off, a_val, a_ids, offsets,
+                                       values, rows, metrics, **kwargs)
+
+    def intersect_pairs_sizes(self, a_off, a_val, a_ids, offsets, values,
+                              rows, metrics, **kwargs):
+        self._record(a_off, offsets, rows, 2)
+        return super().intersect_pairs_sizes(a_off, a_val, a_ids, offsets,
+                                             values, rows, metrics,
+                                             **kwargs)
+
+    def bitmap_pairs(self, a_off, a_idx, a_val, a_ids, htb, rows, metrics,
+                     **kwargs):
+        self._record(a_off, htb.off, rows, 4)
+        return super().bitmap_pairs(a_off, a_idx, a_val, a_ids, htb, rows,
+                                    metrics, **kwargs)
+
+    def bitmap_pairs_counts(self, a_off, a_idx, a_val, a_ids, htb, rows,
+                            metrics, **kwargs):
+        self._record(a_off, htb.off, rows, 4)
+        return super().bitmap_pairs_counts(a_off, a_idx, a_val, a_ids, htb,
+                                           rows, metrics, **kwargs)
+
+
+@pytest.fixture()
+def budgeted(monkeypatch):
+    """Point the counters' frontier calls at a given word budget."""
+    def _set(budget):
+        for module, name in ((gbc, "csr_frontier_count"),
+                             (gbc, "htb_frontier_count"),
+                             (gbl, "csr_frontier_count")):
+            monkeypatch.setattr(module, name, functools.partial(
+                getattr(frontier, name), budget_words=budget))
+    return _set
+
+
+@functools.lru_cache(maxsize=None)
+def _fast_count(dataset, p, q):
+    return run_method("GBC", load_dataset(dataset, "bench"),
+                      BicliqueQuery(p, q), backend="fast").count
+
+
+class TestWordBudget:
+    """The hybrid DFS-BFS split: slices of any budget count exactly, and
+    each pairwise call stays within the budget or one pair's row."""
+
+    @pytest.mark.parametrize("budget", [1, 64, FRONTIER_WORD_BUDGET])
+    @pytest.mark.parametrize("method", ["GBC", "GBL", "GBC-NB"])
+    @pytest.mark.parametrize("dataset,p,q", [("SO", 2, 3), ("ID", 3, 3),
+                                             ("LF", 3, 3)])
+    def test_any_budget_counts_what_fast_counts(self, budgeted, dataset, p,
+                                                q, method, budget):
+        budgeted(budget)
+        engine = _SliceRecorder()
+        got = run_method(method, load_dataset(dataset, "bench"),
+                         BicliqueQuery(p, q), backend=engine)
+        assert got.count == _fast_count(dataset, p, q)
+        assert engine.calls
+        for call in engine.calls:
+            assert call.gathered <= max(budget, call.widest), call
+
+    @pytest.mark.parametrize("method", ["GBC", "GBL", "GBC-NB"])
+    def test_one_roots_level_splits(self, budgeted, method):
+        """K_{40,40}: one root's first level alone exceeds the budget, so
+        its pairs run in several slices against that one root's rows."""
+        graph, query = complete_bipartite(40, 40), BicliqueQuery(3, 3)
+        inputs = prepare_device_inputs(graph, query)
+        first_root_pairs = int(row_lengths(inputs.index.offsets,
+                                           inputs.roots[:1])[0])
+        assert first_root_pairs > 1
+        budgeted(64)
+        engine = _SliceRecorder()
+        got = run_method(method, graph, query, backend=engine)
+        assert got.count == comb(40, 3) ** 2
+        first = engine.calls[0]
+        assert first.tasks == 1 and first.pairs < first_root_pairs, first
+        for call in engine.calls:
+            assert call.gathered <= max(64, call.widest), call
 
 
 class TestAutoPlanning:

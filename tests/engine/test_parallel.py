@@ -223,6 +223,27 @@ class TestAlgorithmEquivalence:
         assert not res.backend_instrumented
 
 
+class TestShardTallies:
+    def test_forked_shards_bring_kernel_tallies_home(self):
+        """Under tracing, a sharded count's ``kernel.batch`` span tallies
+        the items and bytes a one-process count tallies (calls may
+        differ: each shard slices its own levels)."""
+        from repro.bench.runner import run_method
+        from repro.obs.trace import tracing
+
+        graph = power_law_bipartite(300, 250, 3000, seed=5)
+        tallies = {}
+        for workers in (None, 2):
+            with tracing() as rec:
+                run_method("GBC", graph, BicliqueQuery(3, 3),
+                           backend="native", workers=workers)
+            (batch,) = [r["attrs"] for r in rec.records
+                        if r["name"] == "kernel.batch"]
+            tallies[workers] = batch
+        for key in ("kernel_items", "kernel_bytes"):
+            assert tallies[2].get(key) == tallies[None][key] > 0, key
+
+
 class TestDeterminism:
     """Same inputs, different worker counts -> byte-identical outputs."""
 
