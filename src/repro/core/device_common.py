@@ -73,7 +73,8 @@ def prepare_device_inputs(graph: BipartiteGraph, query: BicliqueQuery,
                           session=None) -> DeviceInputs:
     """Anchor, rank, build the 2-hop index and filter unpromising roots.
 
-    Without a session one wedge pass over the anchored layer yields the
+    Without a session one wedge pass over the anchored layer, keeping
+    only the pairs with q or more common neighbours, yields the
     Definition-2 order, its rank and the rank-filtered N2^q index.  With
     a :class:`repro.query.GraphSession` the order/rank/index come from
     the session's caches (built at most once per anchored layer and k),
@@ -92,7 +93,7 @@ def prepare_device_inputs(graph: BipartiteGraph, query: BicliqueQuery,
         index = session.two_hop_index(anchored, q)
         session.stats.prepare_calls += 1
     else:
-        wedges = build_wedge_index(g, LAYER_U)
+        wedges = build_wedge_index(g, LAYER_U, floor=q)
         order = priority_order_from_sizes(wedges.n2k_sizes(q))
         rank = rank_from_order(order)
         index = wedges.two_hop_index(q, min_priority_rank=rank)

@@ -437,7 +437,7 @@ class DynamicGraphSession:
             if method == AUTO:
                 plan = session.plan(query, backend=backend)
                 method, backend = plan.method, plan.backend
-            seconds = session._get_planner().predict(query, method,
+            seconds = session._new_planner().predict(query, method,
                                                      backend=backend)
             with self._lock:
                 self._rebuild_seconds[shape] = float(seconds) \

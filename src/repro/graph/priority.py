@@ -28,11 +28,11 @@ def priority_order(graph: BipartiteGraph, layer: str, k: int) -> np.ndarray:
 
     Position 0 holds the highest-priority vertex: the one with the fewest
     qualified 2-hop neighbours (|N2^k|), ties broken by smaller id
-    (Definition 2).  The sizes come from one wedge pass
+    (Definition 2).  The sizes come from one wedge pass at floor ``k``
     (:func:`~repro.graph.twohop.build_wedge_index`).
     """
     return priority_order_from_sizes(
-        build_wedge_index(graph, layer).n2k_sizes(k))
+        build_wedge_index(graph, layer, floor=k).n2k_sizes(k))
 
 
 def priority_order_from_sizes(sizes: np.ndarray) -> np.ndarray:

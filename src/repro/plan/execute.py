@@ -95,11 +95,14 @@ def warm_session(session, plan: CountPlan) -> None:
     warming is idempotent and a batch that shares one session pays each
     structure at most once regardless of how many plans require it.
     """
-    for key in plan.prepared:
-        parts = key.split(":")
+    keys = [key.split(":") for key in plan.prepared]
+    for parts in keys:
         kind, layer = parts[0], parts[1]
         if kind == "wedges":
-            session.wedges(layer)
+            # the pass serves the smallest k the plan reads on its layer
+            ks = [int(other[2]) for other in keys
+                  if other[1] == layer and len(other) == 3]
+            session.wedges(layer, min(ks, default=2))
             continue
         k = int(parts[2])
         if kind == "order":
@@ -113,7 +116,7 @@ def warm_session(session, plan: CountPlan) -> None:
             session.htb_pair(layer, k)
         else:
             raise PlanError(f"unknown prepared-state kind in plan "
-                            f"requirement {key!r}")
+                            f"requirement {':'.join(parts)!r}")
 
 
 def execute_plan(plan: CountPlan, graph, query=None, *,

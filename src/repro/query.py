@@ -8,12 +8,16 @@ and amortise them, which is exactly what this module provides:
 
 * :class:`GraphSession` owns the prepared state of one
   :class:`~repro.graph.bipartite.BipartiteGraph`: the wedge-enumeration
-  pass (shared across *all* q values), per-(layer, k) priority orders
-  and rank-filtered two-hop indexes, HTB materialisations, and an LRU
-  :class:`ResultCache` keyed by ``(graph fingerprint, method, p, q,
-  backend)``.  Everything is built lazily and cached; construction
-  counts are exposed on :attr:`GraphSession.stats` so build-once
-  behaviour is testable, not aspirational.
+  pass per layer (kept at multiplicity 2 or more, so one pass serves
+  every q >= 2; the first k = 1 structure rebuilds it in full), per-
+  (layer, k) priority orders and rank-filtered two-hop indexes, HTB
+  materialisations, and an LRU :class:`ResultCache` keyed by ``(graph
+  fingerprint, method, p, q, backend)``.  Everything is built lazily
+  and cached; construction counts are exposed on
+  :attr:`GraphSession.stats` so build-once behaviour is testable, not
+  aspirational.  Nothing the session holds points back at it, so a
+  session nobody references (one a pool evicted) is freed at once, by
+  reference counting.
 * :func:`batch_count` evaluates a list of queries against one shared
   session and reports the cache traffic of the batch.
 
@@ -137,7 +141,7 @@ class SessionStats:
     asserted against these counters in ``tests/query/``.
     """
 
-    wedge_builds: int = 0       #: full wedge-enumeration passes (per layer)
+    wedge_builds: int = 0       #: wedge-enumeration passes (per layer)
     order_builds: int = 0      #: priority (reorder) permutations built
     index_builds: int = 0      #: N2^k two-hop indexes materialised
     htb_adj_builds: int = 0    #: HTBs over 1-hop adjacency (per layer)
@@ -204,6 +208,11 @@ class ResultCache:
             self._data.clear()
 
 
+def _host_bytes(htb: HTB) -> int:
+    """Host bytes held by one HTB's three arrays."""
+    return htb.off.nbytes + htb.idx.nbytes + htb.val.nbytes
+
+
 class GraphSession:
     """Prepared, shareable counting state for one bipartite graph.
 
@@ -211,8 +220,8 @@ class GraphSession:
     once, and hands it to any counter that asks (every entry point in
     :mod:`repro.core` takes ``session=``):
 
-    * :meth:`wedges` — the full two-hop multiset of a layer (one wedge
-      pass, shared by *every* k);
+    * :meth:`wedges` — the two-hop multiset of a layer (one wedge
+      pass at multiplicity 2 or more, shared by every k >= 2);
     * :meth:`priority_order` / :meth:`priority_rank` — the Definition-2
       reorder permutation per (layer, k);
     * :meth:`two_hop_index` — the rank-filtered N2^k index per
@@ -245,8 +254,8 @@ class GraphSession:
         self._graph = graph
         self.spec = spec
         #: optional :class:`repro.obs.ledger.CostLedger` — executions
-        #: report measured seconds into it, and the session's planner
-        #: calibrates its prices from it
+        #: report measured seconds into it, and the session's planners
+        #: calibrate their prices from it
         self.ledger = ledger
         self._lock = threading.RLock()
         self._fingerprint = graph_fingerprint(graph)
@@ -260,7 +269,6 @@ class GraphSession:
         self._htb_adj: dict[str, HTB] = {}
         self._htb_two_hop: dict[tuple, HTB] = {}
         self._plans: dict[tuple, CountPlan] = {}
-        self._planner: Planner | None = None
 
     @property
     def graph(self) -> BipartiteGraph:
@@ -295,14 +303,24 @@ class GraphSession:
                 self._anchored[layer] = got = self._graph.swapped()
             return got
 
-    def wedges(self, layer: str) -> WedgeIndex:
-        """The full two-hop multiset of ``layer`` (one pass, any k)."""
+    def wedges(self, layer: str, k: int = 2) -> WedgeIndex:
+        """The two-hop multiset of ``layer`` that serves threshold ``k``.
+
+        The pass keeps the pairs with 2 or more common neighbours, so one
+        pass per layer serves every k >= 2.  The first k = 1 request
+        rebuilds the layer's pass at floor 1 (the full multiset) and
+        replaces it; that pass then serves any k.
+        """
+        floor = min(int(k), 2)
         with self._lock:
             got = self._wedges.get(layer)
-            if got is None:
-                with _trace.span("prepare.wedges", layer=layer):
+            if got is None or got.floor > floor:
+                with _trace.span("prepare.wedges", layer=layer,
+                                 floor=floor) as sp:
                     self.stats.wedge_builds += 1
-                    got = build_wedge_index(self.anchored(layer), LAYER_U)
+                    got = build_wedge_index(self.anchored(layer), LAYER_U,
+                                            floor=floor)
+                    sp.annotate(pairs=len(got.neighbors), bytes=got.nbytes)
                 self._wedges[layer] = got
             return got
 
@@ -315,7 +333,7 @@ class GraphSession:
                 with _trace.span("prepare.order", layer=layer, k=int(k)):
                     self.stats.order_builds += 1
                     got = priority_order_from_sizes(
-                        self.wedges(layer).n2k_sizes(k))
+                        self.wedges(layer, k).n2k_sizes(k))
                 self._orders[key] = got
             return got
 
@@ -336,10 +354,11 @@ class GraphSession:
             got = self._indexes.get(key)
             if got is None:
                 with _trace.span("prepare.two_hop", layer=layer,
-                                 k=int(k)):
+                                 k=int(k)) as sp:
                     self.stats.index_builds += 1
-                    got = self.wedges(layer).two_hop_index(
+                    got = self.wedges(layer, k).two_hop_index(
                         k, min_priority_rank=self.priority_rank(layer, k))
+                    sp.annotate(bytes=got.nbytes)
                 self._indexes[key] = got
             return got
 
@@ -350,11 +369,12 @@ class GraphSession:
             key = (LAYER_U, int(k), "id")
             got = self._indexes.get(key)
             if got is None:
-                with _trace.span("prepare.two_hop_id", k=int(k)):
+                with _trace.span("prepare.two_hop_id", k=int(k)) as sp:
                     self.stats.index_builds += 1
                     ids = np.arange(self._graph.num_u, dtype=np.int64)
-                    got = self.wedges(LAYER_U).two_hop_index(
+                    got = self.wedges(LAYER_U, k).two_hop_index(
                         k, min_priority_rank=ids)
+                    sp.annotate(bytes=got.nbytes)
                 self._indexes[key] = got
             return got
 
@@ -364,17 +384,19 @@ class GraphSession:
         with self._lock:
             htb1 = self._htb_adj.get(layer)
             if htb1 is None:
-                with _trace.span("prepare.htb_adj", layer=layer):
+                with _trace.span("prepare.htb_adj", layer=layer) as sp:
                     self.stats.htb_adj_builds += 1
                     htb1 = htb_from_graph(self.anchored(layer), LAYER_U)
+                    sp.annotate(bytes=_host_bytes(htb1))
                 self._htb_adj[layer] = htb1
             key = (layer, int(k))
             htb2 = self._htb_two_hop.get(key)
             if htb2 is None:
                 with _trace.span("prepare.htb_two_hop", layer=layer,
-                                 k=int(k)):
+                                 k=int(k)) as sp:
                     self.stats.htb_two_hop_builds += 1
                     htb2 = htb_from_two_hop(self.two_hop_index(layer, k))
+                    sp.annotate(bytes=_host_bytes(htb2))
                 self._htb_two_hop[key] = htb2
             return htb1, htb2
 
@@ -405,17 +427,15 @@ class GraphSession:
             self._htb_adj.clear()
             self._htb_two_hop.clear()
             self._plans.clear()
-            self._planner = None
             self.results.clear()
             return True
 
     # -- planning ------------------------------------------------------
-    def _get_planner(self) -> Planner:
-        with self._lock:
-            if self._planner is None:
-                self._planner = Planner(self._graph, session=self,
-                                        ledger=self.ledger)
-            return self._planner
+    def _new_planner(self) -> Planner:
+        # built per call: a cached planner would point back at the
+        # session, and that cycle would keep an evicted session alive
+        # until the cyclic garbage collector ran
+        return Planner(self._graph, session=self, ledger=self.ledger)
 
     def plan(self, query: BicliqueQuery, *,
              backend: KernelBackend | str | None = None,
@@ -435,21 +455,21 @@ class GraphSession:
         """
         backend_key = backend.name if isinstance(backend, KernelBackend) \
             else backend
-        planner = self._get_planner()
         if deadline is not None:
             # a deadline is per-request: what fits one request's budget
             # must not decide another's, so no cache on either side
-            return planner.plan(query, backend=backend, workers=workers,
-                                layer=layer, accuracy=accuracy,
-                                deadline=deadline)
+            return self._new_planner().plan(
+                query, backend=backend, workers=workers, layer=layer,
+                accuracy=accuracy, deadline=deadline)
         key = (query.p, query.q, backend_key, workers, layer, accuracy)
         with self._lock:
             got = self._plans.get(key)
             if got is not None:
                 return got
         # plan outside the lock: an approx plan prepares to price
-        plan = planner.plan(query, backend=backend, workers=workers,
-                            layer=layer, accuracy=accuracy)
+        plan = self._new_planner().plan(query, backend=backend,
+                                        workers=workers, layer=layer,
+                                        accuracy=accuracy)
         with self._lock:
             return self._plans.setdefault(key, plan)
 
@@ -505,7 +525,7 @@ class GraphSession:
                                layer=layer, accuracy=accuracy,
                                deadline=deadline)
         elif deadline is not None:
-            predicted = self._get_planner().predict(
+            predicted = self._new_planner().predict(
                 query, method, backend=backend, workers=workers,
                 layer=layer)
             if predicted > deadline:

@@ -3,14 +3,41 @@
 import numpy as np
 import pytest
 
+from repro.bench.datasets import list_datasets, load_dataset
+from repro.graph import twohop
 from repro.graph.bipartite import LAYER_U, LAYER_V
 from repro.graph.builders import complete_bipartite, from_adjacency
+from repro.graph.priority import priority_rank
 from repro.graph.twohop import (
     build_two_hop_index,
     build_wedge_index,
     n2k,
     two_hop_multiset,
 )
+
+FIXTURES = ("paper_graph", "small_random", "medium_power_law",
+            "synthetic_graph", "planted_graph")
+
+
+@pytest.fixture(params=FIXTURES + tuple(f"tiny-{name}"
+                                        for name in list_datasets()))
+def any_graph(request):
+    """Every shared fixture graph and every tiny stand-in."""
+    if request.param.startswith("tiny-"):
+        return load_dataset(request.param[len("tiny-"):], "tiny")
+    return request.getfixturevalue(request.param)
+
+
+def _filtered_full_pass(graph, layer, floor):
+    """The floor-1 pass's (offsets, neighbors, counts) restricted to
+    multiplicity >= floor, row by row."""
+    full = build_wedge_index(graph, layer)
+    keep = full.counts >= floor
+    offsets = np.zeros_like(full.offsets)
+    for u in range(full.num_vertices):
+        lo, hi = full.offsets[u], full.offsets[u + 1]
+        offsets[u + 1] = offsets[u] + int(keep[lo:hi].sum())
+    return offsets, full.neighbors[keep], full.counts[keep]
 
 
 class TestTwoHopMultiset:
@@ -139,3 +166,64 @@ class TestWedgeIndex:
         assert wedges.n2k_sizes(1).tolist() == [0, 0, 0]
         idx = wedges.two_hop_index(1)
         assert idx.total_entries() == 0
+
+
+class TestCompactPass:
+    """A pass at ``floor=f`` is the full pass filtered to counts >= f."""
+
+    @pytest.mark.parametrize("floor", [1, 2, 3])
+    @pytest.mark.parametrize("layer", [LAYER_U, LAYER_V])
+    def test_equals_filtered_full_pass(self, any_graph, layer, floor):
+        got = build_wedge_index(any_graph, layer, floor=floor)
+        offsets, neighbors, counts = _filtered_full_pass(any_graph, layer,
+                                                         floor)
+        assert got.floor == floor and got.layer == layer
+        assert got.offsets.dtype == np.int64
+        assert got.neighbors.dtype == got.counts.dtype == np.int32
+        assert np.array_equal(got.offsets, offsets)
+        assert np.array_equal(got.neighbors, neighbors)
+        assert np.array_equal(got.counts, counts)
+        assert got.nbytes == (got.offsets.nbytes + got.neighbors.nbytes
+                              + got.counts.nbytes)
+
+    @pytest.mark.parametrize("floor", [1, 2, 3])
+    def test_k_structures_match_floor_one(self, any_graph, floor):
+        full = build_wedge_index(any_graph, LAYER_U)
+        compact = build_wedge_index(any_graph, LAYER_U, floor=floor)
+        rank = priority_rank(any_graph, LAYER_U, 2)
+        for k in range(floor, floor + 3):
+            assert np.array_equal(compact.n2k_sizes(k), full.n2k_sizes(k))
+            assert compact.n2k_sizes(k).dtype == np.int64
+            for r in (None, rank):
+                got = compact.two_hop_index(k, min_priority_rank=r)
+                want = full.two_hop_index(k, min_priority_rank=r)
+                assert got.offsets.dtype == want.offsets.dtype == np.int64
+                assert got.neighbors.dtype == want.neighbors.dtype == \
+                    np.int64
+                assert np.array_equal(got.offsets, want.offsets)
+                assert np.array_equal(got.neighbors, want.neighbors)
+        with pytest.raises(ValueError, match="floor"):
+            compact.n2k_sizes(floor - 1)
+        with pytest.raises(ValueError, match="floor"):
+            compact.two_hop_index(floor - 1, min_priority_rank=rank)
+
+    def test_floor_below_one_rejected(self, paper_graph):
+        with pytest.raises(ValueError, match="floor"):
+            build_wedge_index(paper_graph, LAYER_U, floor=0)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_size_never_changes_the_arrays(self, monkeypatch,
+                                                 medium_power_law, chunk):
+        """With a chunk of a few wedges, one pass runs as dozens to
+        thousands of batches whose rows are stitched back together."""
+        whole = {f: build_wedge_index(medium_power_law, LAYER_U, floor=f)
+                 for f in (1, 2, 3)}
+        wedges = int((medium_power_law.degrees(LAYER_V) ** 2).sum())
+        assert wedges > 50 * chunk
+        monkeypatch.setattr(twohop, "_WEDGE_CHUNK", chunk)
+        for f, want in whole.items():
+            got = build_wedge_index(medium_power_law, LAYER_U, floor=f)
+            assert np.array_equal(got.offsets, want.offsets)
+            assert np.array_equal(got.neighbors, want.neighbors)
+            assert np.array_equal(got.counts, want.counts)
+            assert got.neighbors.dtype == got.counts.dtype == np.int32

@@ -132,6 +132,37 @@ class TestRecording:
         assert rec.names() == {"inside"}
 
 
+class TestPrepareSpans:
+    def test_prepare_spans_record_the_bytes_they_built(self):
+        """Each prepared structure's memory is on its span: the wedge
+        pass's floor, kept pairs and bytes, and every index's and HTB's
+        bytes."""
+        from repro.core.counts import BicliqueQuery
+        from repro.graph.generators import power_law_bipartite
+        from repro.query import GraphSession
+
+        session = GraphSession(power_law_bipartite(60, 40, 300, seed=4))
+        with tracing() as rec:
+            session.count(BicliqueQuery(3, 3), "GBC", backend="native",
+                          layer="U")
+            session.id_order_index(3)
+        attrs = {r["name"]: r["attrs"] for r in rec.records
+                 if r["name"].startswith("prepare.")}
+        wedges = session.wedges("U")
+        assert attrs["prepare.wedges"]["floor"] == wedges.floor == 2
+        assert attrs["prepare.wedges"]["pairs"] == len(wedges.neighbors)
+        assert attrs["prepare.wedges"]["bytes"] == wedges.nbytes > 0
+        assert attrs["prepare.two_hop"]["bytes"] == \
+            session.two_hop_index("U", 3).nbytes
+        assert attrs["prepare.two_hop_id"]["bytes"] == \
+            session.id_order_index(3).nbytes
+        htb_adj, htb_two_hop = session.htb_pair("U", 3)
+        for name, htb in (("prepare.htb_adj", htb_adj),
+                          ("prepare.htb_two_hop", htb_two_hop)):
+            assert attrs[name]["bytes"] == \
+                htb.off.nbytes + htb.idx.nbytes + htb.val.nbytes
+
+
 class TestExport:
     def test_dump_and_load_roundtrip(self, tmp_path):
         rec = enable_tracing()

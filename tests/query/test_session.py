@@ -97,6 +97,42 @@ class TestBuildOnce:
         assert s.index_builds == 1
 
 
+class TestCompactWedgePass:
+    """The session keeps pairs with 2 or more common neighbours; the
+    first k = 1 structure rebuilds the layer's pass in full."""
+
+    def test_k_one_rebuilds_once_and_counts_match(self, graph):
+        session = GraphSession(graph)
+        shapes = [(3, 3), (3, 1), (1, 3), (2, 2)]
+        builds = []
+        for p, q in shapes:
+            query = BicliqueQuery(p, q)
+            got = session.count(query, "GBC", backend="native")
+            assert got.count == gbc_count(graph, query,
+                                          backend="fast").count
+            builds.append(session.stats.wedge_builds)
+        # (3,3) builds the floor-2 pass; the shape with k = 1 after
+        # anchoring rebuilds it at floor 1, which then serves the rest
+        assert builds == [1, 2, 2, 2]
+        assert session.wedges(LAYER_U).floor == 1
+
+    def test_floor_two_pass_serves_every_k_from_two(self, graph):
+        session = GraphSession(graph)
+        for k in (2, 3, 4):
+            session.two_hop_index(LAYER_U, k)
+        assert session.stats.wedge_builds == 1
+        assert session.wedges(LAYER_U).floor == 2
+
+    def test_k_one_plan_warms_one_pass(self, graph):
+        from repro.plan import explicit_plan, warm_session
+
+        session = GraphSession(graph)
+        warm_session(session, explicit_plan(graph, BicliqueQuery(3, 1),
+                                            "GBC", layer=LAYER_U))
+        assert session.stats.wedge_builds == 1
+        assert session.wedges(LAYER_U).floor == 1
+
+
 class TestStructuresMatchClassicBuilders:
     def test_order_rank_index_identical(self):
         g = random_bipartite(60, 45, 260, seed=3)

@@ -1,11 +1,16 @@
 """SessionPool: LRU eviction, budgets, loaders, concurrency."""
 
+import gc
 import threading
+import weakref
+from contextlib import contextmanager
 
 import pytest
 
+from repro.core.counts import BicliqueQuery
+from repro.dynamic import DynamicGraphSession, EdgeMutation
 from repro.errors import ServiceError
-from repro.graph.generators import random_bipartite
+from repro.graph.generators import power_law_bipartite, random_bipartite
 from repro.query import GraphSession
 from repro.service.pool import SessionPool, graph_resident_bytes
 
@@ -108,6 +113,60 @@ class TestLRU:
         pool.session("g1")              # evicts g0 from the pool
         # a request mid-flight still holds the object; counting works
         assert held.count(BicliqueQuery(2, 2), backend="fast").count >= 0
+
+
+@contextmanager
+def cyclic_gc_off():
+    """Only reference counting frees objects inside the block."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def serve_auto_and_deadline(session) -> None:
+    """An ``auto`` count, and an explicit count whose deadline makes
+    the session price it (the path that builds a planner)."""
+    session.count(BicliqueQuery(2, 2), "auto")
+    session.count(BicliqueQuery(2, 3), "GBC", backend="native",
+                  deadline=600.0)
+
+
+class TestEvictionFreesSessions:
+    """An evicted session's prepared state goes when the pool drops it,
+    not at the next run of the cyclic garbage collector."""
+
+    def test_evicted_session_is_freed_by_reference_counting(self):
+        pool = SessionPool(max_sessions=1)
+        pool.register("a", power_law_bipartite(60, 40, 300, seed=1))
+        pool.register("b", power_law_bipartite(60, 40, 300, seed=2))
+        with cyclic_gc_off():
+            session = pool.session("a")
+            serve_auto_and_deadline(session)
+            ref = weakref.ref(session)
+            del session
+            pool.session("b")               # evicts "a"
+            assert pool.live_names() == ["b"]
+            assert ref() is None
+
+    def test_replaced_snapshot_session_is_freed(self):
+        graph = power_law_bipartite(60, 40, 300, seed=3)
+        pool = SessionPool(max_sessions=1)
+        pool.register("d", DynamicGraphSession.from_graph(
+            graph, backend="native"))
+        with cyclic_gc_off():
+            inner = pool.session("d").session
+            serve_auto_and_deadline(inner)
+            ref = weakref.ref(inner)
+            del inner
+            u, v = 0, int(graph.neighbors("U", 0)[0])
+            pool.mutate("d", [EdgeMutation.delete(u, v)])
+            fresh = pool.session("d")
+            assert fresh.epoch == 1
+            fresh.count(BicliqueQuery(2, 2), "GBC", backend="native")
+            assert ref() is None
 
 
 class TestLifecycleAndConcurrency:
