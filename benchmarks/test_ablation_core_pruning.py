@@ -22,9 +22,9 @@ def test_core_pruning(benchmark, bench_scale, save_artifact):
         data = {}
         for name in DATASETS:
             graph = load_dataset(name, bench_scale)
-            full = gbc_count(graph, QUERY)
+            full = gbc_count(graph, QUERY, backend="sim")
             core = prune_for_query(graph, QUERY.p, QUERY.q)
-            pruned = gbc_count(core.subgraph, QUERY)
+            pruned = gbc_count(core.subgraph, QUERY, backend="sim")
             assert pruned.count == full.count, name
             data[name] = {
                 "edge_reduction": core.reduction(graph),

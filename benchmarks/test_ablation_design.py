@@ -36,7 +36,7 @@ def test_ablation_shared_memory(benchmark, bench_scale, save_artifact):
         counts = set()
         for sm in sizes:
             spec = replace(rtx_3090(), shared_mem_per_block=sm)
-            res = gbc_count(graph, QUERY, spec=spec)
+            res = gbc_count(graph, QUERY, spec=spec, backend="sim")
             counts.add(res.count)
             out[sm] = res
             rows.append([f"{sm}B", f"{res.metrics.utilization * 100:.1f}%",
@@ -88,7 +88,7 @@ def test_ablation_warp_width(benchmark, bench_scale, save_artifact):
             spec = replace(rtx_3090(), warp_size=w,
                            transaction_bytes=4 * w)
             res = gbc_count(graph, BicliqueQuery(3, 3), spec=spec,
-                            options=None)
+                            options=None, backend="sim")
             counts.add(res.count)
             utils[w] = res.metrics.utilization
             rows.append([w, f"{res.metrics.utilization * 100:.1f}%",

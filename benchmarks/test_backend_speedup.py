@@ -30,7 +30,7 @@ def _measure():
     rows = []
     for name, fn in (("GBC", gbc_count), ("BCL", bcl_count)):
         t0 = time.perf_counter()
-        sim = fn(graph, QUERY)
+        sim = fn(graph, QUERY, backend="sim")
         sim_secs = time.perf_counter() - t0
         t0 = time.perf_counter()
         fast = fn(graph, QUERY, backend="fast")

@@ -43,7 +43,7 @@ SHAPES = ((2, 2), (2, 3), (3, 3))
 EDITS = 200
 REBUILD_EDITS = 8
 METHOD = "GBC"
-BACKEND = "fast"
+BACKEND = "native"
 SEED = 5
 
 

@@ -33,7 +33,10 @@ def main() -> None:
     print(f"full footprint: {graph.num_edges + index.total_entries()} words; "
           f"budget: {budget} words\n")
 
-    bc_report, pset = run_bcpar(graph, query, budget_words=budget)
+    # throughputs are modelled from merge comparisons, which only the
+    # instrumented sim engine counts
+    bc_report, pset = run_bcpar(graph, query, budget_words=budget,
+                                backend="sim")
     pset.validate(index)  # the communication-free invariant, checked
     print(f"BCPar: {pset.num_partitions} autonomous partitions, "
           f"replication factor {pset.replication_factor():.2f}")
@@ -43,7 +46,8 @@ def main() -> None:
           "(always zero for BCPar)")
 
     me_report, mres = run_metis_like(graph, query,
-                                     num_parts=max(pset.num_partitions, 2))
+                                     num_parts=max(pset.num_partitions, 2),
+                                     backend="sim")
     assert me_report.total_count == bc_report.total_count
     print(f"\nMETIS-like: {mres.num_parts} parts, "
           f"{mres.cut_edges} cut 2-hop edges")

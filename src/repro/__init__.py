@@ -9,15 +9,18 @@ Public API quickstart:
 528
 
 Every counting entry point accepts ``backend=`` to pick the execution
-engine: ``"sim"`` (default) runs the fully instrumented simulated device,
-``"fast"`` runs pure vectorised NumPy with the instrumentation compiled
-out, and ``"native"`` runs one batch kernel per search level;
-``workers=N`` forks ``native``'s root loop over N LPT root shards —
-identical counts in every case:
+engine: ``"native"`` (the default, ``DEFAULT_BACKEND``) runs one batch
+kernel per search level, ``"sim"`` runs the fully instrumented simulated
+device that reports the paper's device metrics, and ``"fast"`` runs pure
+vectorised NumPy with the instrumentation compiled out; ``workers=N``
+forks ``native``'s root loop over N LPT root shards — identical counts
+in every case:
 
->>> gbc_count(g, BicliqueQuery(2, 3), backend="fast").count
+>>> result.backend
+'native'
+>>> gbc_count(g, BicliqueQuery(2, 3), backend="sim").count
 528
->>> gbc_count(g, BicliqueQuery(2, 3), workers=2).count  # implies "native"
+>>> gbc_count(g, BicliqueQuery(2, 3), workers=2).count  # native, forked
 528
 
 Many queries over one graph should share their precomputation (priority
@@ -83,11 +86,11 @@ from repro.core import (
 )
 from repro.engine import (
     BACKEND_NAMES,
+    DEFAULT_BACKEND,
     FastBackend,
     KernelBackend,
     NativeBackend,
     SimulatedDeviceBackend,
-    get_backend,
     resolve_backend,
 )
 from repro.graph import (
@@ -154,7 +157,7 @@ __all__ = [
     "planted_bicliques", "star_bipartite", "read_edge_list", "write_edge_list",
     "DeviceSpec", "rtx_3090", "small_test_device",
     "KernelBackend", "SimulatedDeviceBackend", "FastBackend",
-    "NativeBackend", "BACKEND_NAMES", "get_backend", "resolve_backend",
+    "NativeBackend", "BACKEND_NAMES", "DEFAULT_BACKEND", "resolve_backend",
     "CountPlan", "MethodSpec", "Planner", "execute_plan", "method_names",
     "plan_query", "register_method",
     "GraphSession", "BatchResult", "ResultCache", "batch_count",

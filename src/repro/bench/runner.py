@@ -12,10 +12,11 @@ wrapper, so a newly registered counter shows up here (and in the CLI,
 batch engine, and serving scheduler) without touching this module.
 ``method="auto"`` runs the planner's rule: GBC on ``native``.
 
-Backend selection rides along: experiments that plot transactions or
-simulated device time must force ``backend="sim"`` (the default), while
-pure wall-clock or correctness sweeps can pass ``backend="fast"`` to skip
-the instrumentation tax entirely.
+Backend selection rides along: ``backend=None`` runs ``native``, as at
+every entry point, so experiments that plot transactions or simulated
+device time name ``backend="sim"`` themselves, while wall-clock or
+correctness sweeps keep the default (or pass ``"fast"``) and skip the
+instrumentation tax entirely.
 """
 
 from __future__ import annotations

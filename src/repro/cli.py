@@ -79,6 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "lifecycle) to a JSONL file; inspect with "
                             "'repro trace summarize PATH'")
 
+    def add_engine_args(p, workers: bool = True):
+        p.add_argument("--backend", default=None,
+                       choices=list(BACKEND_NAMES),
+                       help="kernel execution engine: 'native' (default) "
+                            "runs one batch kernel per search level, "
+                            "'sim' reports simulated device metrics, "
+                            "'fast' skips instrumentation")
+        if workers:
+            p.add_argument("--workers", type=int, default=None,
+                           metavar="N",
+                           help="fork native's root loop over N LPT root "
+                                "shards (default: one process)")
+
     def add_graph_args(p):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--graph", help="edge-list file (plain or KONECT)")
@@ -96,14 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="counting algorithm; 'auto' is GBC on native "
                         "(default GBC, or auto when --accuracy is not "
                         "exact)")
-    c.add_argument("--backend", default=None, choices=list(BACKEND_NAMES),
-                   help="kernel execution engine: 'sim' reports simulated "
-                        "device metrics, 'fast' skips instrumentation, "
-                        "'native' runs one batch kernel per search level "
-                        "(default: sim, or native when --workers is given)")
-    c.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="fork native's root loop over N LPT root shards; "
-                        "implies --backend native (default: one process)")
+    add_engine_args(c)
     c.add_argument("--accuracy", default="exact", choices=list(ACCURACIES),
                    help="service tier: exact counts, the sampling tier "
                         "(reports a 95%% CI), or auto (exact when it "
@@ -124,12 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="counting algorithm; 'auto' is GBC on native, "
                         "planned once per query shape (default GBC, or "
                         "auto when --accuracy is not exact)")
-    b.add_argument("--backend", default=None, choices=list(BACKEND_NAMES),
-                   help="kernel execution engine shared by the whole batch "
-                        "(default: sim, or native when --workers is given)")
-    b.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="fork native's root loop over N LPT root shards; "
-                        "implies --backend native")
+    add_engine_args(b)
     b.add_argument("--accuracy", default="exact", choices=list(ACCURACIES),
                    help="service tier for every query in the batch "
                         "(default exact)")
@@ -147,13 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_args(pe)
     pe.add_argument("-p", type=int, required=True)
     pe.add_argument("-q", type=int, required=True)
-    pe.add_argument("--backend", default=None, choices=list(BACKEND_NAMES),
-                    help="engine to plan for (default: the planner's "
-                         "free choice, native, where auto is GBC; the "
-                         "exact tier plans nothing else)")
-    pe.add_argument("--workers", type=int, default=None, metavar="N",
-                    help="forked root shards on native; implies "
-                         "--backend native")
+    add_engine_args(pe)
     pe.add_argument("--measure", action="store_true",
                     help="also execute the plan cold and report its "
                          "measured wall seconds")
@@ -183,9 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("-p", type=int, required=True)
     e.add_argument("-q", type=int, required=True)
     e.add_argument("--limit", type=int, default=20)
-    e.add_argument("--backend", default="fast", choices=list(BACKEND_NAMES),
-                   help="kernel execution engine (enumeration needs no "
-                        "metrics, so the default is fast)")
+    add_engine_args(e, workers=False)
 
     s = sub.add_parser("estimate", help="sampled approximate count")
     add_graph_args(s)
@@ -193,9 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-q", type=int, required=True)
     s.add_argument("--samples", type=int, default=64)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--backend", default="fast", choices=list(BACKEND_NAMES),
-                   help="kernel engine the estimator's subtree "
-                        "enumeration runs on (default fast)")
+    add_engine_args(s, workers=False)
 
     sub.add_parser("datasets", help="list the Table II stand-ins")
 

@@ -11,9 +11,10 @@ neighbours, so each L is generated exactly once in priority order.
 The Fig. 1(b) breakdown (wall time and comparison counts split into the
 2-hop candidate intersections — ``comp_s``: CL updates + N2^q
 construction — and the 1-hop intersections — ``comp_h``: CR updates, with
-everything else under ``other``) is *opt-in*: it runs by default on the
-instrumented simulated backend, and is compiled out entirely when the
-caller only wants a count (``backend="fast"`` or ``instrument=False``).
+everything else under ``other``) is *opt-in*: it runs on the
+instrumented simulated backend (``backend="sim"``), and is compiled out
+entirely when the caller only wants a count (the default ``native``,
+``fast``, or ``instrument=False``).
 """
 
 from __future__ import annotations

@@ -297,13 +297,14 @@ def gbc_count(graph: BipartiteGraph, query: BicliqueQuery,
               backend: KernelBackend | str | None = None,
               workers: int | None = None,
               session=None) -> DeviceRunResult:
-    """Count (p, q)-bicliques with GBC on the simulated device.
+    """Count (p, q)-bicliques with GBC.
 
-    Returns a :class:`DeviceRunResult` whose ``breakdown`` carries the
-    Table V components (HTB transform seconds, counting makespan) and the
-    utilisation/imbalance diagnostics used across §VII.  With
-    ``backend="fast"`` the count is identical but all device accounting
-    (metrics, makespan, device seconds) stays zero — use ``wall_seconds``.
+    Returns a :class:`DeviceRunResult`.  On ``backend="sim"`` its
+    ``breakdown`` carries the Table V components (HTB transform seconds,
+    counting makespan) and the utilisation/imbalance diagnostics used
+    across §VII.  On the default ``native`` (or on ``fast``) the count
+    is identical but all device accounting (metrics, makespan, device
+    seconds) stays zero — use ``wall_seconds``.
     With ``workers=N`` (on ``native``) the frontier runs over N LPT root
     shards in forked children, merged deterministically.  With a
     :class:`repro.query.GraphSession` as ``session=``, the priority

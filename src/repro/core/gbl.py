@@ -108,7 +108,8 @@ def gbl_count(graph: BipartiteGraph, query: BicliqueQuery,
               backend: KernelBackend | str | None = None,
               workers: int | None = None,
               session=None) -> DeviceRunResult:
-    """Count (p, q)-bicliques with the GPU baseline on the simulator.
+    """Count (p, q)-bicliques with the GPU baseline (simulated device
+    metrics on ``backend="sim"``).
 
     ``session=`` (a :class:`repro.query.GraphSession`) serves the
     priority order and two-hop index from the per-graph caches.

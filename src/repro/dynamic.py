@@ -64,6 +64,7 @@ import numpy as np
 
 from repro.core.counts import BicliqueQuery, CountResult
 from repro.core.delta import bicliques_containing_edge, delta_work_estimate
+from repro.engine.base import resolve_backend
 from repro.errors import GraphValidationError, QueryError
 from repro.graph.bipartite import (BipartiteGraph, LAYER_U, LAYER_V,
                                    _csr_from_adjacency, _transpose_csr)
@@ -254,14 +255,11 @@ class SnapshotSession:
             query = BicliqueQuery(int(query[0]), int(query[1]))
         pinned = self._counts.get((query.p, query.q))
         if pinned is not None and layer is None and options is None:
-            if isinstance(backend, str) or backend is None:
-                backend_name = backend or "fast"
-            else:
-                backend_name = getattr(backend, "name", "fast")
             return CountResult(
                 algorithm="delta", query=query, count=pinned,
                 wall_seconds=0.0, anchored_layer=LAYER_U,
-                backend=backend_name, backend_instrumented=False,
+                backend=resolve_backend(backend, workers=workers).name,
+                backend_instrumented=False,
                 extras={"epoch": float(self.epoch)})
         result = self.session.count(query, method, backend=backend,
                                     workers=workers, layer=layer,
@@ -308,6 +306,9 @@ class DynamicGraphSession:
       A rebuild priced 0.0 (an unpriced method such as Basic, or a
       shape without promising roots) never cuts over.
 
+    :attr:`method` and :attr:`backend` are what a recount runs with;
+    ``backend=None`` is ``native``, as at every entry point.
+
     Both paths are exact, so reads are bit-identical to
     :meth:`recount` at every prefix of any mutation stream — the
     property/golden suites in ``tests/property`` and ``tests/golden``
@@ -319,7 +320,7 @@ class DynamicGraphSession:
     """
 
     def __init__(self, num_u: int, num_v: int, *, name: str = "dynamic",
-                 spec=None, backend="fast", method: str = "GBC",
+                 spec=None, backend=None, method: str = "GBC",
                  cutover_ratio: float = 1.0,
                  seconds_per_work_unit: float = SECONDS_PER_WORK_UNIT,
                  max_cached_results: int = 256) -> None:

@@ -11,21 +11,22 @@ Planning/definition (which sets intersect, in which order) lives in
   batch-kernel engine: every intersection of a search level per
   vectorised kernel call, counts bit-identical to ``fast``.  With
   ``workers=N`` it forks its root loop over N LPT root shards (counts
-  identical for any worker count).  It is also where ``method="auto"``
-  runs when no engine is named: GBC, by rule
-  (:mod:`repro.plan.planner`).
+  identical for any worker count).  It is :data:`DEFAULT_BACKEND`:
+  every entry point runs it when no engine is named, and
+  ``method="auto"`` runs GBC on it (:mod:`repro.plan.planner`).
 
 Select one via the ``backend=`` argument of any counting entry point, the
-``--backend``/``--workers`` CLI flags, or construct an engine directly:
+``--backend``/``--workers`` CLI flags, or construct an engine directly;
+:func:`resolve_backend` is the one place the choice is made:
 
 >>> from repro.engine import BACKEND_NAMES, FastBackend, resolve_backend
 >>> BACKEND_NAMES
 ('sim', 'fast', 'native')
->>> resolve_backend(None).name          # the historical default
-'sim'
->>> resolve_backend("fast").instrumented
-False
->>> engine = resolve_backend(None, workers=2)  # workers= implies "native"
+>>> resolve_backend(None).name          # DEFAULT_BACKEND
+'native'
+>>> resolve_backend("sim").instrumented
+True
+>>> engine = resolve_backend(None, workers=2)  # forked root shards
 >>> engine.name, engine.workers
 ('native', 2)
 >>> resolve_backend(FastBackend()).name    # instances pass through
@@ -34,8 +35,8 @@ False
 
 from repro.engine.base import (
     BACKEND_NAMES,
+    DEFAULT_BACKEND,
     KernelBackend,
-    get_backend,
     resolve_backend,
 )
 from repro.engine.fast import FastBackend
@@ -44,5 +45,5 @@ from repro.engine.simulated import SimulatedDeviceBackend
 
 __all__ = [
     "KernelBackend", "SimulatedDeviceBackend", "FastBackend",
-    "NativeBackend", "BACKEND_NAMES", "get_backend", "resolve_backend",
+    "NativeBackend", "BACKEND_NAMES", "DEFAULT_BACKEND", "resolve_backend",
 ]

@@ -39,10 +39,10 @@ default, one LPT shard per forked child on ``native`` with ``workers=N``
 — no counter forks into a serial and a sharded path.
 
 Algorithms accept ``backend=`` as an instance, a registry name (``"sim"``
-/ ``"fast"`` / ``"native"``), or ``None`` (default: simulated,
-preserving the historical behaviour of every entry point).  Passing
-``workers=`` to :func:`resolve_backend` selects ``native`` with that
-many forked children.
+/ ``"fast"`` / ``"native"``), or ``None``, which is
+:data:`DEFAULT_BACKEND` (``native``) at every entry point.
+:func:`resolve_backend` makes that choice, and makes it alone;
+``workers=`` forks ``native``'s root loop over that many children.
 """
 
 from __future__ import annotations
@@ -60,10 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gpu.device import DeviceSpec
     from repro.htb.htb import BitmapSet
 
-__all__ = ["KernelBackend", "BACKEND_NAMES", "get_backend", "resolve_backend",
-           "resolve_backend_name"]
+__all__ = ["KernelBackend", "BACKEND_NAMES", "DEFAULT_BACKEND",
+           "resolve_backend"]
 
 BACKEND_NAMES = ("sim", "fast", "native")
+#: the engine every entry point runs when no ``backend=`` is named
+DEFAULT_BACKEND = "native"
 
 
 class KernelBackend(ABC):
@@ -318,81 +320,45 @@ class KernelBackend(ABC):
         """Track the largest shared-memory footprint seen."""
 
 
-def get_backend(name: str, spec: "DeviceSpec | None" = None,
-                workers: int | None = None) -> KernelBackend:
-    """Construct a backend by registry name
-    (``"sim"``/``"fast"``/``"native"``).
+def resolve_backend(backend: "KernelBackend | str | None" = None,
+                    spec: "DeviceSpec | None" = None,
+                    workers: int | None = None) -> KernelBackend:
+    """The engine ``backend=``/``workers=`` select: the one place an
+    engine is chosen.
 
-    ``workers`` forks ``native``'s root loop over that many children;
-    the other engines count in one process and reject it.
+    ``None`` is :data:`DEFAULT_BACKEND`; a registry name builds that
+    engine (``spec`` configures ``sim``); an instance passes through,
+    its own device spec winning over ``spec``.  A caller that needs
+    only the engine's name takes ``.name``.
+
+    A non-``None`` ``workers`` forks the root loop, which only
+    ``native`` does: a native instance already configured with that
+    count passes through, and any other engine (name or instance)
+    raises :class:`~repro.errors.QueryError` — ``sim``'s accounting is
+    defined serially, and ``fast`` is the one-process recursion
+    ``native`` is measured against.
     """
+    if backend is None:
+        backend = DEFAULT_BACKEND
+    instance = isinstance(backend, KernelBackend)
+    if not instance and backend not in BACKEND_NAMES:
+        raise QueryError(f"backend must be a KernelBackend, a name in "
+                         f"{BACKEND_NAMES}, or None; got {backend!r}")
+    name = backend.name if instance else backend
+    if workers is not None and name != "native":
+        raise QueryError(
+            f"workers={workers!r} forks the 'native' frontier; {name!r} "
+            f"counts in one process")
+    if instance and (workers is None
+                     or getattr(backend, "workers", None) == int(workers)):
+        return backend
+    # deferred: the engine modules import this one
     from repro.engine.fast import FastBackend
     from repro.engine.native import NativeBackend
     from repro.engine.simulated import SimulatedDeviceBackend
 
-    if name not in BACKEND_NAMES:
-        raise QueryError(f"unknown kernel backend {name!r}; "
-                         f"expected one of {BACKEND_NAMES}")
-    resolve_backend_name(name, workers)  # raises for in-process engines
     if name == "sim":
         return SimulatedDeviceBackend(spec)
     if name == "fast":
         return FastBackend()
     return NativeBackend(workers)
-
-
-def resolve_backend_name(backend: "KernelBackend | str | None",
-                         workers: int | None = None) -> str | None:
-    """The registry name ``backend=``/``workers=`` select (``None``
-    leaves the choice to the caller's default), without building an
-    engine.
-
-    A non-``None`` ``workers`` forks the root loop, which only
-    ``native`` does: it upgrades ``None`` to ``"native"``, and any other
-    engine (name or instance) raises :class:`~repro.errors.QueryError`
-    — ``sim``'s accounting is defined serially, and ``fast`` is the
-    one-process recursion ``native`` is measured against.
-    """
-    if isinstance(backend, KernelBackend):
-        name = backend.name
-    elif backend is None or backend in BACKEND_NAMES:
-        name = backend
-    else:
-        raise QueryError(f"backend must be a KernelBackend, a name in "
-                         f"{BACKEND_NAMES}, or None; got {backend!r}")
-    if workers is None:
-        return name
-    if name in (None, "native"):
-        return "native"
-    raise QueryError(
-        f"workers={workers!r} forks the 'native' frontier (backend=None "
-        f"or 'native'); {name!r} counts in one process")
-
-
-def resolve_backend(backend: "KernelBackend | str | None",
-                    spec: "DeviceSpec | None" = None,
-                    workers: int | None = None) -> KernelBackend:
-    """Normalise ``backend=``/``workers=`` arguments to a :class:`KernelBackend`.
-
-    ``None`` resolves to the simulated engine (the historical default of
-    every algorithm), a string goes through :func:`get_backend`, and an
-    instance is returned as-is — its own device spec wins over ``spec``.
-    A non-``None`` ``workers`` selects a
-    :class:`~repro.engine.native.NativeBackend` with that many forked
-    children, under the rule of :func:`resolve_backend_name`; a native
-    instance already configured with that count passes through.
-    """
-    if workers is not None:
-        resolve_backend_name(backend, workers)  # raises off native
-        if isinstance(backend, KernelBackend) \
-                and getattr(backend, "workers", None) == int(workers):
-            return backend
-        return get_backend("native", workers=workers)
-    if backend is None:
-        backend = "sim"
-    if isinstance(backend, str):
-        return get_backend(backend, spec)
-    if isinstance(backend, KernelBackend):
-        return backend
-    raise QueryError(f"backend must be a KernelBackend, a name in "
-                     f"{BACKEND_NAMES}, or None; got {backend!r}")

@@ -135,10 +135,12 @@ def build_htb_from_csr(offsets: np.ndarray, values: np.ndarray,
                        word_bits: int = WORD_BITS) -> HTB:
     """Build an HTB from a whole CSR layer in one vectorised pass.
 
-    Combined ``row * span + word`` keys let a single ``unique`` find the
-    non-zero words of every row at once (sorted row-major, exactly the
-    order per-row :func:`repro.htb.bitmap.encode` calls would emit), and
-    one ``bitwise_or.at`` scatter ORs all neighbour bits into them.
+    Rows arrive sorted, so each stored word is one contiguous run of
+    ``values``: a run starts wherever the word changes or a new row
+    begins, and one ``bitwise_or.reduceat`` over the run starts ORs all
+    neighbour bits into their words, in row-major order (exactly what
+    per-row :func:`repro.htb.bitmap.encode` calls would emit).  A row
+    whose values descend raises :class:`ValueError`.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n = len(offsets) - 1
@@ -147,17 +149,18 @@ def build_htb_from_csr(offsets: np.ndarray, values: np.ndarray,
         return HTB(off=np.zeros(n + 1, dtype=np.int64),
                    idx=np.empty(0, dtype=np.int64),
                    val=np.empty(0, dtype=np.uint64), word_bits=word_bits)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    # a stored word's run starts at a row start or at a word change
+    first = np.zeros(len(values), dtype=bool)
+    first[offsets[:-1][np.diff(offsets) > 0]] = True
+    if np.any((values[1:] < values[:-1]) & ~first[1:]):
+        raise ValueError("HTB rows must be sorted ascending")
     words = values // word_bits
-    bits = (values % word_bits).astype(np.uint64)
-    span = int(words.max()) + 1
-    uniq, inverse = np.unique(rows * span + words, return_inverse=True)
-    val = np.zeros(len(uniq), dtype=np.uint64)
-    np.bitwise_or.at(val, inverse, np.uint64(1) << bits)
-    word_rows = uniq // span
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(word_rows, minlength=n), out=off[1:])
-    return HTB(off=off, idx=uniq - word_rows * span, val=val,
+    first[1:] |= words[1:] != words[:-1]
+    starts = np.flatnonzero(first)
+    bits = np.uint64(1) << (values % word_bits).astype(np.uint64)
+    return HTB(off=np.searchsorted(starts, offsets),
+               idx=words[starts],
+               val=np.bitwise_or.reduceat(bits, starts),
                word_bits=word_bits)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from repro.engine.base import resolve_backend, resolve_backend_name
+from repro.engine.base import resolve_backend
 from repro.errors import PlanError, QueryError
 from repro.graph.stats import graph_fingerprint
 from repro.obs import trace as _trace
@@ -31,20 +31,19 @@ def explicit_plan(graph, query, method: str, *,
                   seed: int | None = None) -> CountPlan:
     """A plan for an explicitly named method, unpriced.
 
-    ``backend=None`` keeps the historical default of every entry point
-    (the instrumented simulated engine); ``workers=`` selects the
-    engine :func:`repro.engine.base.resolve_backend_name` names, so the
-    plan records the engine that will actually run.  ``samples``/
+    The plan records the engine :func:`repro.engine.base.resolve_backend`
+    selects for ``backend=``/``workers=`` (``None`` is ``native``), so
+    it names the engine that will actually run.  ``samples``/
     ``seed`` pin the approx tier's estimator budget and stream on the
     plan (exact methods ignore them).  Raises
     :class:`~repro.errors.UnknownMethodError` for names not in the
     registry.
     """
     mspec = get_method(method)
-    backend_name = resolve_backend_name(backend, workers) or "sim"
     return CountPlan(
         method=method, p=query.p, q=query.q,
-        backend=backend_name, workers=workers, layer=layer,
+        backend=resolve_backend(backend, workers=workers).name,
+        workers=workers, layer=layer,
         prepared=prepared_keys(mspec, graph, query, layer),
         source="explicit",
         reason=f"explicitly requested {method}",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.engine.base import DEFAULT_BACKEND
 from repro.errors import PlanError
 
 __all__ = ["CountPlan"]
@@ -27,7 +28,7 @@ class CountPlan:
     p: int
     q: int
     #: kernel engine registry name ("sim" / "fast" / "native")
-    backend: str = "sim"
+    backend: str = DEFAULT_BACKEND
     #: forked children for "native"'s root loop (None = one process)
     workers: int | None = None
     #: pinned anchored layer, or None for the method's degree heuristic

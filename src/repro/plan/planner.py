@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.engine.base import resolve_backend_name
+from repro.engine.base import resolve_backend
 from repro.errors import DeadlineExceededError, PlanError
 from repro.graph.bipartite import LAYER_U
 from repro.graph.priority import select_layer
@@ -158,11 +158,11 @@ class Planner:
              deadline: float | None = None) -> CountPlan:
         """The plan ``method="auto"`` executes.
 
-        The exact tier is GBC on ``native`` (``backend=None`` means
-        ``native``), forked over ``workers=N`` root shards when given.
-        It is unpriced
-        (``predicted_seconds`` 0.0) unless a ``deadline`` asks for a
-        price; any other engine raises :class:`~repro.errors.PlanError`.
+        The exact tier is GBC on ``native`` (``backend=None``, as
+        everywhere), forked over ``workers=N`` root shards when given.
+        It is unpriced (``predicted_seconds`` 0.0) unless a ``deadline``
+        asks for a price; any other engine raises
+        :class:`~repro.errors.PlanError`.
 
         ``accuracy`` selects the tier: ``"exact"`` (default) raises
         :class:`~repro.errors.DeadlineExceededError` when the price
@@ -175,7 +175,7 @@ class Planner:
         ensure_accuracy(accuracy)
         if deadline is not None and deadline <= 0:
             raise PlanError(f"deadline must be > 0 seconds, got {deadline}")
-        engine = resolve_backend_name(backend, workers) or "native"
+        engine = resolve_backend(backend, workers=workers).name
         # the span keeps its historical name: trace consumers key on it
         with _trace.span("plan.rank", p=query.p, q=query.q,
                          accuracy=accuracy) as sp:
@@ -299,8 +299,8 @@ class Planner:
                 layer: str | None = None) -> float:
         """Priced seconds for one explicitly named method on the engine
         :meth:`repro.query.GraphSession.count` would run it on
-        (``backend=None`` is ``sim``, as there), ledger-calibrated when
-        its cell has history.
+        (``backend=None`` is ``native``, as there and everywhere),
+        ledger-calibrated when its cell has history.
 
         What deadline admission uses for requests that pin a method,
         and what prices a dynamic graph's rebuild.  Unpriced methods
@@ -308,7 +308,7 @@ class Planner:
         always admits them.
         """
         mspec = get_method(method)
-        engine = resolve_backend_name(backend, workers) or "sim"
+        engine = resolve_backend(backend, workers=workers).name
         predicted, inputs = self._price(query, mspec, engine, layer)
         if not inputs:
             return predicted

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -497,9 +497,10 @@ class GraphSession:
         asked for.
 
         ``method="auto"`` resolves through :meth:`plan` first (cached
-        per query shape); the resolved plan supplies the
-        method — and, when no backend was named, the engine — so auto
-        runs share the result cache with their explicit equivalents.
+        per query shape) and executes that plan.  It runs on the engine
+        an explicit request runs on (``backend=None`` is ``native``), so
+        auto runs share the result cache with their explicit
+        equivalents.
 
         ``accuracy="approx"`` plans the sampling tier (the result's
         ``extras`` carry ``estimate``/``std_error``/``ci95``/
@@ -541,10 +542,6 @@ class GraphSession:
                         f"accuracy='approx' or 'auto'")
         if chosen is not None:
             method = chosen.method
-            if backend is None:
-                backend = chosen.backend
-                workers = chosen.workers if workers is None \
-                    else workers
         engine = resolve_backend(backend, self.spec, workers=workers)
         if method == "approx":
             # estimates are keyed by their (samples, seed) budget: two
@@ -565,38 +562,20 @@ class GraphSession:
             hit = self.results.get(key)
             if hit is not None:
                 return hit
-        result = self._dispatch(method, query, engine, layer, options,
-                                threads,
-                                samples=None if chosen is None
-                                else chosen.samples,
-                                seed=None if chosen is None
-                                else chosen.seed,
-                                predicted=0.0 if chosen is None
-                                else chosen.predicted_seconds)
+        # a planned run executes the plan it made, price included, so
+        # the ledger learns its observed/predicted ratio; an unplanned
+        # one plans explicitly here (repro.plan.execute_plan is the one
+        # dispatch site, and explicit_plan raises UnknownMethodError for
+        # an unregistered name before anything runs)
+        plan = chosen if chosen is not None else explicit_plan(
+            self._graph, query, method, backend=engine,
+            workers=getattr(engine, "workers", None), layer=layer)
+        result = execute_plan(plan, self._graph, query, session=self,
+                              spec=self.spec, backend=engine,
+                              options=options, threads=threads)
         if use_cache:
             self.results.put(key, result)
         return result
-
-    def _dispatch(self, method: str, query: BicliqueQuery,
-                  engine: KernelBackend, layer: str | None,
-                  options: GBCOptions | None, threads: int,
-                  samples: int | None = None,
-                  seed: int | None = None,
-                  predicted: float = 0.0) -> CountResult:
-        # repro.plan.execute_plan is the one dispatch site for the whole
-        # repo; an unregistered name raises UnknownMethodError (a
-        # QueryError) from explicit_plan before anything runs
-        plan = explicit_plan(self._graph, query, method,
-                             backend=engine,
-                             workers=getattr(engine, "workers", None),
-                             layer=layer, samples=samples, seed=seed)
-        if predicted > 0.0:
-            # auto runs keep the planner's prediction on the executed
-            # plan, so the ledger can learn the observed/predicted ratio
-            plan = replace(plan, predicted_seconds=predicted)
-        return execute_plan(plan, self._graph, query, session=self,
-                            spec=self.spec, backend=engine,
-                            options=options, threads=threads)
 
 
 @dataclass

@@ -42,7 +42,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 
 from repro.core.counts import BicliqueQuery, CountResult
-from repro.engine import BACKEND_NAMES
+from repro.engine import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.errors import (DeadlineExceededError, QueueFullError,
                           ServiceClosedError, ServiceError)
 from repro.obs import trace as _trace
@@ -68,7 +68,7 @@ class SchedulerConfig:
     workers: int = 2
     #: kernel backend every batch runs on, a name in
     #: :data:`repro.engine.BACKEND_NAMES`
-    backend: str = "native"
+    backend: str = DEFAULT_BACKEND
     #: default counting method for requests that do not name one;
     #: ``"auto"`` (GBC) needs ``backend="native"``
     method: str = "GBC"

@@ -38,7 +38,8 @@ class TestRunMethod:
 
 class TestHeadlineSeconds:
     def test_device_result_uses_device_seconds(self, small_random):
-        res = run_method("GBC", small_random, BicliqueQuery(2, 2))
+        res = run_method("GBC", small_random, BicliqueQuery(2, 2),
+                         backend="sim")
         assert headline_seconds(res) == res.device_seconds
 
     def test_cpu_result_uses_wall(self, small_random):

@@ -12,13 +12,13 @@ class TestBCLResult:
         assert bcl_count(paper_graph, BicliqueQuery(3, 2)).count == 2
 
     def test_breakdown_keys(self, medium_power_law):
-        res = bcl_count(medium_power_law, BicliqueQuery(3, 3))
+        res = bcl_count(medium_power_law, BicliqueQuery(3, 3), backend="sim")
         for key in ("comp_s_seconds", "comp_h_seconds", "other_seconds",
                     "intersection_fraction"):
             assert key in res.breakdown
 
     def test_breakdown_sums_to_total(self, medium_power_law):
-        res = bcl_count(medium_power_law, BicliqueQuery(3, 3))
+        res = bcl_count(medium_power_law, BicliqueQuery(3, 3), backend="sim")
         total = (res.breakdown["comp_s_seconds"]
                  + res.breakdown["comp_h_seconds"]
                  + res.breakdown["other_seconds"])
@@ -26,11 +26,11 @@ class TestBCLResult:
 
     def test_intersections_dominate(self, medium_power_law):
         """The Fig. 1(b) claim: intersections are the bulk of BCL time."""
-        res = bcl_count(medium_power_law, BicliqueQuery(3, 3))
+        res = bcl_count(medium_power_law, BicliqueQuery(3, 3), backend="sim")
         assert res.breakdown["intersection_fraction"] > 0.5
 
     def test_comparison_counts_positive(self, medium_power_law):
-        res = bcl_count(medium_power_law, BicliqueQuery(3, 3))
+        res = bcl_count(medium_power_law, BicliqueQuery(3, 3), backend="sim")
         assert res.extras["comparisons_two_hop"] > 0
         assert res.extras["comparisons_one_hop"] > 0
 

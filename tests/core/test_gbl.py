@@ -12,28 +12,29 @@ class TestGBL:
         assert gbl_count(paper_graph, BicliqueQuery(3, 2)).count == 2
 
     def test_metrics_populated(self, medium_power_law):
-        res = gbl_count(medium_power_law, BicliqueQuery(3, 2))
+        res = gbl_count(medium_power_law, BicliqueQuery(3, 2), backend="sim")
         assert res.metrics.global_transactions > 0
         assert res.metrics.comparisons > 0
         assert res.device_seconds > 0
 
     def test_no_stealing(self, medium_power_law):
-        res = gbl_count(medium_power_law, BicliqueQuery(3, 2))
+        res = gbl_count(medium_power_law, BicliqueQuery(3, 2), backend="sim")
         assert res.steals == 0
 
     def test_deterministic(self, medium_power_law):
         q = BicliqueQuery(2, 3)
-        a = gbl_count(medium_power_law, q)
-        b = gbl_count(medium_power_law, q)
+        a = gbl_count(medium_power_law, q, backend="sim")
+        b = gbl_count(medium_power_law, q, backend="sim")
         assert a.makespan_cycles == b.makespan_cycles
 
     def test_custom_device(self, medium_power_law):
         res = gbl_count(medium_power_law, BicliqueQuery(2, 2),
-                        spec=small_test_device(), num_blocks=2)
+                        spec=small_test_device(), num_blocks=2,
+                        backend="sim")
         assert res.count > 0
 
     def test_imbalance_reported(self, medium_power_law):
-        res = gbl_count(medium_power_law, BicliqueQuery(3, 2))
+        res = gbl_count(medium_power_law, BicliqueQuery(3, 2), backend="sim")
         assert res.breakdown["imbalance"] >= 1.0
 
     def test_native_reports_the_frontier_peak(self, medium_power_law):

@@ -31,7 +31,7 @@ class TestPipeline:
 
     def test_components_reported(self, graph, query):
         pipe = run_pipeline(graph, query, reorder="border",
-                            border_iterations=8)
+                            border_iterations=8, backend="sim")
         assert pipe.reorder_seconds > 0
         assert pipe.htb_transform_seconds > 0
         assert pipe.counting_seconds > 0

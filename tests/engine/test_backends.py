@@ -17,7 +17,6 @@ from repro.engine import (
     FastBackend,
     KernelBackend,
     SimulatedDeviceBackend,
-    get_backend,
     resolve_backend,
 )
 from repro.errors import QueryError
@@ -37,19 +36,24 @@ class TestRegistry:
     def test_names(self):
         assert BACKEND_NAMES == ("sim", "fast", "native")
 
-    def test_get_backend(self):
+    def test_resolve_by_name(self):
         from repro.engine import NativeBackend
 
-        assert isinstance(get_backend("sim"), SimulatedDeviceBackend)
-        assert isinstance(get_backend("fast"), FastBackend)
-        assert isinstance(get_backend("native"), NativeBackend)
-        assert get_backend("native", workers=2).workers == 2
+        assert isinstance(resolve_backend("sim"), SimulatedDeviceBackend)
+        assert isinstance(resolve_backend("fast"), FastBackend)
+        assert isinstance(resolve_backend("native"), NativeBackend)
+        assert resolve_backend("native", workers=2).workers == 2
         with pytest.raises(QueryError):
-            get_backend("cuda")
+            resolve_backend("cuda")
 
-    def test_resolve_defaults_to_sim(self):
+    def test_resolve_defaults_to_native(self):
+        from repro.engine import DEFAULT_BACKEND, NativeBackend
+
         engine = resolve_backend(None)
-        assert engine.name == "sim" and engine.instrumented
+        assert DEFAULT_BACKEND == "native"
+        assert isinstance(engine, NativeBackend)
+        assert engine.workers is None and not engine.instrumented
+        assert resolve_backend().name == DEFAULT_BACKEND
 
     def test_resolve_passes_instances_through(self):
         engine = FastBackend()
@@ -64,7 +68,7 @@ class TestRegistry:
 
     def test_protocol(self):
         for name in BACKEND_NAMES:
-            assert isinstance(get_backend(name), KernelBackend)
+            assert isinstance(resolve_backend(name), KernelBackend)
 
 
 class TestPrimitiveEquivalence:
@@ -175,7 +179,7 @@ class TestInstrumentationContract:
 
     def test_sim_gbc_still_charges(self):
         graph = random_bipartite(30, 25, 180, seed=1)
-        res = gbc_count(graph, BicliqueQuery(2, 2))
+        res = gbc_count(graph, BicliqueQuery(2, 2), backend="sim")
         assert res.backend == "sim"
         assert res.metrics.global_transactions > 0
         assert res.metrics.intersection_calls > 0
@@ -183,8 +187,8 @@ class TestInstrumentationContract:
     def test_bcl_instrument_opt_out(self):
         graph = random_bipartite(30, 25, 180, seed=2)
         query = BicliqueQuery(2, 2)
-        on = bcl_count(graph, query)
-        off = bcl_count(graph, query, instrument=False)
+        on = bcl_count(graph, query, backend="sim")
+        off = bcl_count(graph, query, backend="sim", instrument=False)
         fast = bcl_count(graph, query, backend="fast")
         assert on.count == off.count == fast.count
         assert "comp_s_seconds" in on.breakdown
@@ -195,7 +199,7 @@ class TestInstrumentationContract:
         graph = random_bipartite(20, 20, 100, seed=4)
         query = BicliqueQuery(2, 2)
         for fn in ALGORITHMS:
-            sim = fn(graph, query)
+            sim = fn(graph, query, backend="sim")
             fast = fn(graph, query, backend="fast")
             assert sim.backend == "sim" and sim.backend_instrumented
             assert fast.backend == "fast" and not fast.backend_instrumented
@@ -205,7 +209,7 @@ class TestInstrumentationContract:
 
         graph = random_bipartite(20, 20, 100, seed=4)
         query = BicliqueQuery(2, 2)
-        sim = gbc_count(graph, query)
+        sim = gbc_count(graph, query, backend="sim")
         fast = gbc_count(graph, query, backend="fast")
         assert headline_seconds(sim) == sim.device_seconds
         assert headline_seconds(fast) == fast.wall_seconds

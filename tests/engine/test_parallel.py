@@ -22,7 +22,6 @@ from repro.engine import (
     FastBackend,
     KernelBackend,
     NativeBackend,
-    get_backend,
     resolve_backend,
 )
 from repro.errors import QueryError
@@ -37,7 +36,7 @@ ALGORITHMS = [basic_count, bcl_count, bclp_count, gbl_count, gbc_count]
 
 class TestRegistry:
     def test_workers_configure_native(self):
-        engine = get_backend("native", workers=3)
+        engine = resolve_backend("native", workers=3)
         assert isinstance(engine, NativeBackend)
         assert isinstance(engine, KernelBackend)
         assert engine.name == "native"
@@ -49,7 +48,8 @@ class TestRegistry:
         """Every engine has ``map_shards``; a serial one runs all items
         as one in-process shard, so the counters need no serial/sharded
         fork (and no ``parallel`` flag to pick one)."""
-        for engine in (get_backend("sim"), FastBackend(), NativeBackend()):
+        for engine in (resolve_backend("sim"), FastBackend(),
+                       NativeBackend()):
             shards = engine.map_shards(lambda idxs: [2 * i for i in idxs],
                                        4, weights=np.ones(4))
             assert [(list(idxs), got) for idxs, got in shards] == \
@@ -92,11 +92,12 @@ class TestRegistry:
         assert resolve_backend(engine, workers=4).workers == 4
 
     def test_without_workers_nothing_changes(self, monkeypatch):
-        """workers=None is one process: native never reaches the fork
-        path, and every default stays as it was."""
+        """workers=None is one process: native, the default engine,
+        never reaches the fork path."""
         from repro.engine import native
 
-        assert resolve_backend(None).name == "sim"
+        assert resolve_backend(None).name == "native"
+        assert resolve_backend(None).workers is None
         assert resolve_backend("fast").name == "fast"
         assert resolve_backend("native").workers is None
 
@@ -106,7 +107,8 @@ class TestRegistry:
         monkeypatch.setattr(native, "run_sharded", refuse)
         graph = power_law_bipartite(40, 30, 200, seed=9)
         for fn in ALGORITHMS:
-            assert fn(graph, BicliqueQuery(2, 2), backend="native").count \
+            assert fn(graph, BicliqueQuery(2, 2)).count \
+                == fn(graph, BicliqueQuery(2, 2), backend="native").count \
                 == fn(graph, BicliqueQuery(2, 2), backend="fast").count
 
     def test_invalid_configuration_rejected(self):

@@ -1,6 +1,7 @@
 """Tests for the HTB structure and its simulated-device intersection."""
 
 import numpy as np
+import pytest
 
 from repro.graph.bipartite import LAYER_U
 from repro.graph.twohop import build_two_hop_index
@@ -10,6 +11,7 @@ from repro.gpu.metrics import KernelMetrics
 from repro.htb.bitmap import encode
 from repro.htb.htb import (
     BitmapSet,
+    build_htb_from_csr,
     build_htb_from_rows,
     htb_from_graph,
     htb_from_two_hop,
@@ -40,6 +42,34 @@ class TestHTBStructure:
         assert htb.off.tolist() == [0, 1, 1, 2]
         assert htb.words_of(0) == 1
         assert htb.words_of(1) == 0
+
+    def test_csr_build_equals_per_row_encode(self):
+        """Empty rows (leading, inner, trailing) and words shared across
+        rows: the one-pass build stores exactly what per-row encode
+        emits, dtypes included."""
+        rng = np.random.default_rng(7)
+        rows = [np.unique(rng.integers(0, 96, int(rng.integers(1, 30))))
+                if i % 5 else np.empty(0, dtype=np.int64)
+                for i in range(41)]
+        rows += [rows[3].copy(), rows[3].copy(), np.empty(0, np.int64)]
+        off = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=off[1:])
+        htb = build_htb_from_csr(off, np.concatenate(rows))
+        assert htb.off.dtype == np.int64 and len(htb.off) == len(rows) + 1
+        for u, row in enumerate(rows):
+            idx, val = encode(row)
+            view = htb.view(u)
+            assert view.idx.dtype == idx.dtype == np.int64
+            assert view.val.dtype == val.dtype == np.uint64
+            np.testing.assert_array_equal(view.idx, idx)
+            np.testing.assert_array_equal(view.val, val)
+
+    def test_descending_row_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            build_htb_from_rows([_arr(1, 2), _arr(40, 3)])
+        # rows are independent: a smaller first value in the next row
+        # is not a descent
+        assert build_htb_from_rows([_arr(50), _arr(3)]).total_words == 2
 
     def test_nbytes_positive(self, medium_power_law):
         htb = htb_from_graph(medium_power_law, LAYER_U)

@@ -13,9 +13,9 @@ QUERY = BicliqueQuery(2, 2)
 
 
 class TestExplicitPlans:
-    def test_default_backend_is_sim(self):
+    def test_default_backend_is_native(self):
         plan = explicit_plan(GRAPH, QUERY, "GBC")
-        assert plan.backend == "sim"
+        assert plan.backend == "native"
         assert plan.source == "explicit"
         assert plan.predicted_seconds == 0.0
 
@@ -57,7 +57,7 @@ class TestExecution:
     def test_backend_instance_override_wins(self):
         from repro.engine.fast import FastBackend
 
-        plan = explicit_plan(GRAPH, QUERY, "GBC")     # plans for "sim"
+        plan = explicit_plan(GRAPH, QUERY, "GBC")     # plans for "native"
         result = execute_plan(plan, GRAPH, backend=FastBackend())
         assert result.backend == "fast"
 

@@ -15,7 +15,7 @@ from repro.core.counts import BicliqueQuery
 from repro.errors import DeadlineExceededError
 from repro.graph.generators import power_law_bipartite, random_bipartite
 from repro.graph.stats import graph_fingerprint
-from repro.obs import CostLedger
+from repro.obs import CostLedger, tracing
 from repro.plan import Planner
 from repro.query import GraphSession
 
@@ -45,6 +45,32 @@ class TestCountsUnchanged:
                                  deadline=1e3)
                 assert auto.count == explicit.count, (graph_name, query,
                                                       method)
+
+
+class TestPlannedRunsExecuteTheirPlan:
+    @pytest.mark.parametrize("accuracy, deadline, method", [
+        ("exact", 1e3, "GBC"),
+        ("approx", None, "approx"),
+        ("auto", 1e-9, "approx"),     # the deadline fallback
+    ])
+    def test_count_executes_the_plan_it_made(self, accuracy, deadline,
+                                             method):
+        """``count`` runs the planner's plan itself, not a rebuilt
+        explicit one, so its ``plan.execute`` span says ``auto``."""
+        session = GraphSession(GRAPHS["power-law"])
+        with tracing() as rec:
+            result = session.count(BicliqueQuery(3, 2), "auto",
+                                   accuracy=accuracy, deadline=deadline)
+        assert result.algorithm == method
+        assert [r["attrs"]["source"] for r in rec.records
+                if r["name"] == "plan.execute"] == ["auto"]
+
+    def test_priced_auto_run_records_its_ratio(self):
+        session = GraphSession(GRAPHS["power-law"], ledger=CostLedger())
+        session.count(BicliqueQuery(3, 2), "auto", deadline=1e3)
+        cell = session.ledger.lookup(session.fingerprint, 3, 2, "GBC",
+                                     "native")
+        assert cell is not None and cell.ratio is not None
 
 
 class TestCalibration:

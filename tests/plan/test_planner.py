@@ -264,7 +264,7 @@ class TestPrice:
         query = BicliqueQuery(3, 3)
         # track's baseline count runs GBC on fast, outside both the
         # frontier and count_root; only its rebuild price is new work
-        dyn = DynamicGraphSession.from_graph(graph)
+        dyn = DynamicGraphSession.from_graph(graph, backend="fast")
         _refuse_searches(monkeypatch)
         session = GraphSession(graph)
         planner = Planner(graph, session=session)
@@ -289,9 +289,9 @@ class TestPrice:
                 rate = get_method(method).rates[backend]
                 assert planner.predict(query, method, backend=backend) \
                     == bound / rate
-            # the default engine is the one GraphSession.count runs: sim
+            # the default engine is the one GraphSession.count runs
             assert planner.predict(query, "GBC") == \
-                planner.predict(query, "GBC", backend="sim")
+                planner.predict(query, "GBC", backend="native")
 
 
 class TestNativeRule:

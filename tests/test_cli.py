@@ -47,7 +47,10 @@ class TestCommands:
                      "-p", "2", "-q", "2"]) == 0
         out = capsys.readouterr().out
         assert "bicliques:" in out
-        assert "memory transactions" in out
+        assert "backend: native" in out
+        assert main(["count", "--dataset", "YT", "--scale", "tiny",
+                     "-p", "2", "-q", "2", "--backend", "sim"]) == 0
+        assert "memory transactions" in capsys.readouterr().out
 
     def test_count_cpu_method(self, capsys):
         assert main(["count", "--dataset", "S1", "--scale", "tiny",

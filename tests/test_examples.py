@@ -1,15 +1,29 @@
 """Smoke tests for the runnable examples shipped under examples/.
 
-The quickstart is exercised by CI as a standalone step; the batch-query
-example is smoke-run here so tier-1 catches a broken example before CI
-does.  Each example asserts its own invariants internally — a clean run
-is the test.
+Every example is smoke-run here, so tier-1 catches a broken example
+before CI does.  Each example asserts its own invariants internally — a
+clean run that prints its closing lines is the test.
 """
 
 import runpy
 from pathlib import Path
 
+import pytest
+
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+
+@pytest.mark.parametrize("example, expected", [
+    # reads the simulated device's metrics, so it must name sim
+    ("quickstart", "memory transactions"),
+    ("densest_subgraph", "density improvement"),
+    ("out_of_core_partitioning", "BCPar / METIS"),
+    ("recommendation_cohesion", "community ranking"),
+    ("search_analysis", "top-5 U vertices"),
+])
+def test_example_runs(example, expected, capsys):
+    runpy.run_path(str(EXAMPLES / f"{example}.py"), run_name="__main__")
+    assert expected in capsys.readouterr().out
 
 
 def test_batch_queries_example_runs(capsys):
