@@ -29,8 +29,8 @@ from repro.bench.runner import headline_seconds, run_method
 from repro.bench.tables import format_seconds, render_table
 from repro.core.counts import BicliqueQuery, DeviceRunResult
 from repro.core.enumerate import enumerate_bicliques
-from repro.engine import BACKEND_NAMES
-from repro.errors import DeadlineExceededError, PlanError
+from repro.engine import BACKEND_NAMES, resolve_backend
+from repro.errors import DeadlineExceededError, PlanError, QueryError
 from repro.graph.io import read_edge_list
 from repro.graph.stats import compute_stats
 from repro.plan import (ACCURACIES, AUTO, Planner, execute_plan,
@@ -204,14 +204,14 @@ def _load(args) -> object:
     return load_dataset(args.dataset, args.scale)
 
 
-def _workers_off_native(args) -> bool:
-    """The one invalid flag combination shared by count/batch/plan:
-    only ``native`` forks its root loop (``sim``'s accounting is
-    defined serially, ``fast`` is the one-process recursion)."""
-    if args.workers is not None and args.backend in ("sim", "fast"):
-        print(f"error: --workers forks the native engine; drop "
-              f"--backend {args.backend} or use --backend native",
-              file=sys.stderr)
+def _bad_engine_flags(args) -> bool:
+    """Whether count/batch/plan's ``--backend``/``--workers`` pick no
+    engine (say, ``--workers`` off ``native``), decided by
+    :func:`~repro.engine.resolve_backend` like every engine choice."""
+    try:
+        resolve_backend(args.backend, workers=args.workers)
+    except QueryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return True
     return False
 
@@ -239,7 +239,7 @@ def _print_approx(result) -> None:
 
 
 def _cmd_count(args) -> int:
-    if _workers_off_native(args):
+    if _bad_engine_flags(args):
         return 2
     method = _resolve_method(args)
     if method is None:
@@ -288,7 +288,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    if _workers_off_native(args):
+    if _bad_engine_flags(args):
         return 2
     method = _resolve_method(args)
     if method is None:
@@ -323,7 +323,7 @@ def _cmd_batch(args) -> int:
 def _cmd_plan(args) -> int:
     if args.plan_command != "explain":   # pragma: no cover - argparse
         return 2
-    if _workers_off_native(args):
+    if _bad_engine_flags(args):
         return 2
     graph = _load(args)
     query = BicliqueQuery(args.p, args.q)

@@ -41,4 +41,6 @@ def butterfly_count(graph: BipartiteGraph) -> CountResult:
         wall_seconds=time.perf_counter() - start,
         anchored_layer=LAYER_U,
         extras={"u_pairs_with_wedges": float(len(pair_counts))},
+        backend="none",
+        backend_instrumented=False,
     )

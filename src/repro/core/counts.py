@@ -49,11 +49,13 @@ class CountResult:
     anchored_layer: str = LAYER_U
     breakdown: dict[str, float] = field(default_factory=dict)
     extras: dict[str, float] = field(default_factory=dict)
-    #: registry name of the kernel backend that executed the run
-    backend: str = "sim"
+    #: registry name of the kernel backend that executed the run, or
+    #: ``"none"`` for a counter that runs no engine (the wedge-formula
+    #: butterfly counter); every producer names it
+    backend: str = field(kw_only=True)
     #: whether that backend collected live device metrics/timers —
     #: False means any simulated-time or metrics fields are all zero
-    backend_instrumented: bool = True
+    backend_instrumented: bool = field(kw_only=True)
 
 
 @dataclass

@@ -73,7 +73,7 @@ def run_pipeline(graph: BipartiteGraph, query: BicliqueQuery,
 
     The count is invariant under reordering (the reordered graph is
     isomorphic); only the simulated execution cost changes — which is the
-    entire point of Table III.
+    entire point of Table III, and which only ``backend="sim"`` reports.
     """
     spec = spec or rtx_3090()
     if reordered is not None:

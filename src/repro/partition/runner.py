@@ -173,10 +173,10 @@ def run_partitioned_count(graph: BipartiteGraph, query: BicliqueQuery,
     """Count over explicit root groups with explicit residency sets.
 
     The report's compute-time model is driven by the backend's comparison
-    counts, so an uninstrumented backend (``"fast"``) leaves
-    ``report.comparisons`` at zero and the derived compute/throughput
-    figures reflect PCIe transfer time only — counts and transfer words
-    stay exact either way.
+    counts, which only ``sim`` collects: on any other engine, the
+    default ``native`` included, ``report.comparisons`` stays at zero and
+    the derived compute/throughput figures reflect PCIe transfer time
+    only — counts and transfer words stay exact either way.
 
     The (partition, root) pairs run through ``engine.map_shards``: one
     shard in one process, one per forked child on ``native`` with
@@ -264,8 +264,8 @@ def run_bcpar(graph: BipartiteGraph, query: BicliqueQuery,
               ) -> tuple[PartitionRunReport, PartitionSet]:
     """Partition with BCPar and count; returns (report, partition set).
 
-    See :func:`run_partitioned_count` for the fast-backend caveat on the
-    report's comparison-driven timing figures.
+    See :func:`run_partitioned_count` for why the report's
+    comparison-driven timing figures need ``backend="sim"``.
     """
     full_index = build_two_hop_index(graph, LAYER_U, query.q)
     pset = bcpar_partition(graph, full_index, budget_words)
@@ -285,7 +285,8 @@ def run_metis_like(graph: BipartiteGraph, query: BicliqueQuery,
                    backend: KernelBackend | str | None = None,
                    workers: int | None = None
                    ) -> tuple[PartitionRunReport, MetisLikeResult]:
-    """Partition with the METIS-like baseline and count."""
+    """Partition with the METIS-like baseline and count (timing figures
+    as in :func:`run_bcpar`)."""
     full_index = build_two_hop_index(graph, LAYER_U, query.q)
     degrees = graph.degrees(LAYER_U).astype(np.int64)
     weights = degrees + np.diff(full_index.offsets)

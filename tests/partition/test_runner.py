@@ -108,24 +108,31 @@ class TestCrossBackendMetamorphic:
 
 
 class TestThroughputComparison:
+    """Fig. 10 models compute time from merge comparisons, which only
+    the simulated engine counts, so these name ``sim``."""
+
     def test_bcpar_beats_metis(self, graph, query):
         """Fig. 10(a): BCPar throughput exceeds the METIS-like baseline."""
         spec = rtx_3090()
-        bc, pset = run_bcpar(graph, query, budget_words=1200)
+        bc, pset = run_bcpar(graph, query, budget_words=1200, backend="sim")
         me, _ = run_metis_like(graph, query,
-                               num_parts=max(pset.num_partitions, 2))
+                               num_parts=max(pset.num_partitions, 2),
+                               backend="sim")
+        assert bc.comparisons > 0 and me.comparisons > 0
         assert bc.throughput(spec) > me.throughput(spec)
 
     def test_metis_inter_slower_than_intra(self, graph, query):
         """Fig. 10(b): inter-partition throughput is the METIS bottleneck."""
         spec = rtx_3090()
-        me, _ = run_metis_like(graph, query, num_parts=4)
+        me, _ = run_metis_like(graph, query, num_parts=4, backend="sim")
+        assert me.comparisons > 0
         intra, inter = me.split_throughputs(spec)
         if me.inter_count > 0:
             assert inter < intra
 
     def test_seconds_decompose(self, graph, query):
         spec = rtx_3090()
-        report, _ = run_bcpar(graph, query, budget_words=1200)
+        report, _ = run_bcpar(graph, query, budget_words=1200, backend="sim")
+        assert report.compute_seconds(spec) > 0
         assert report.total_seconds(spec) == pytest.approx(
             report.compute_seconds(spec) + report.transfer_seconds(spec))

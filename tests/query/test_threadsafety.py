@@ -82,7 +82,8 @@ class TestResultCacheHammer:
     @staticmethod
     def result(i: int) -> CountResult:
         return CountResult(algorithm="GBC", query=BicliqueQuery(2, 2),
-                           count=i, wall_seconds=0.0)
+                           count=i, wall_seconds=0.0, backend="native",
+                           backend_instrumented=False)
 
     def test_contended_eviction_stays_consistent(self):
         cache = ResultCache(maxsize=16)

@@ -155,8 +155,16 @@ class TestCommands:
         assert main(argv + ["--dataset", "YT", "--scale", "tiny",
                             "-p", "2", "-q", "2", "--backend", backend,
                             "--workers", "2"]) == 2
-        assert "--workers forks the native engine" in \
-            capsys.readouterr().err
+        assert "forks the 'native' frontier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["count", "batch", "plan"])
+    def test_workers_below_one_exit_2(self, command, capsys):
+        argv = {"count": ["count", "-p", "2", "-q", "2"],
+                "batch": ["batch", "--queries", "2x2"],
+                "plan": ["plan", "explain", "-p", "2", "-q", "2"]}[command]
+        assert main(argv + ["--dataset", "YT", "--scale", "tiny",
+                            "--workers", "0"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_workers_shard_native(self, capsys):
         """--workers forks native's root loop; auto plans GBC there."""
