@@ -12,6 +12,9 @@ the degree skew (power-law head).  Three scales are provided:
   full paper matrix runs in minutes.
 * ``full``  — tens of thousands of edges; closest to the DESIGN.md table,
   for users who want longer runs.
+* ``large`` — Table II's own |U|, |V| and |E| (0.3-0.4M edges), for YT,
+  BC and GH only: the ``full`` recipe (same gamma and seed) at the
+  paper's size, generated in seconds.
 
 Scaling note: graphs are ~10^2-10^4x smaller than the paper's, so the
 default biclique scale shrinks accordingly — the harness default is
@@ -30,7 +33,7 @@ from repro.graph.generators import paper_synthetic, power_law_bipartite
 __all__ = ["DatasetSpec", "REGISTRY", "load_dataset", "list_datasets",
            "SCALES", "PAPER_STATS"]
 
-SCALES = ("tiny", "bench", "full")
+SCALES = ("tiny", "bench", "full", "large")
 
 # the paper's Table II: |U|, |V|, |E|, mean dU, mean dV
 PAPER_STATS: dict[str, tuple[int, int, int, float, float]] = {
@@ -56,10 +59,15 @@ class DatasetSpec:
     description: str
     builders: dict[str, Callable[[], BipartiteGraph]]
 
+    @property
+    def scales(self) -> tuple[str, ...]:
+        """The scales this stand-in is built at, in :data:`SCALES` order."""
+        return tuple(s for s in SCALES if s in self.builders)
+
     def build(self, scale: str) -> BipartiteGraph:
         if scale not in self.builders:
             raise KeyError(f"dataset {self.key} has no scale {scale!r}; "
-                           f"available: {sorted(self.builders)}")
+                           f"available: {list(self.scales)}")
         graph = self.builders[scale]()
         return BipartiteGraph(graph.num_u, graph.num_v, graph.u_offsets,
                               graph.u_neighbors, graph.v_offsets,
@@ -69,6 +77,11 @@ class DatasetSpec:
 
 def _pl(nu: int, nv: int, ne: int, gamma: float, seed: int):
     return lambda: power_law_bipartite(nu, nv, ne, gamma=gamma, seed=seed)
+
+
+def _pl_paper(key: str, gamma: float, seed: int):
+    """The ``full`` recipe of ``key`` at Table II's |U|, |V| and |E|."""
+    return _pl(*PAPER_STATS[key][:3], gamma, seed)
 
 
 def _syn(nu: int, nv: int, mean: float, loc: int, seed: int):
@@ -81,17 +94,20 @@ REGISTRY: dict[str, DatasetSpec] = {
         "YT", "Youtube: sparse U, moderate V skew (dU~3.1, dV~9.8)",
         {"tiny": _pl(90, 30, 260, 2.0, 11),
          "bench": _pl(460, 155, 1500, 2.0, 11),
-         "full": _pl(3100, 1000, 10000, 2.0, 11)}),
+         "full": _pl(3100, 1000, 10000, 2.0, 11),
+         "large": _pl_paper("YT", 2.0, 11)}),
     "BC": DatasetSpec(
         "BC", "Bookcrossing: wide V layer (dU~5.6, dV~2.3)",
         {"tiny": _pl(70, 170, 380, 2.1, 12),
          "bench": _pl(390, 930, 2150, 2.1, 12),
-         "full": _pl(2600, 6200, 14500, 2.1, 12)}),
+         "full": _pl(2600, 6200, 14500, 2.1, 12),
+         "large": _pl_paper("BC", 2.1, 12)}),
     "GH": DatasetSpec(
         "GH", "Github: mid-degree U (dU~7.8)",
         {"tiny": _pl(56, 120, 420, 2.0, 13),
          "bench": _pl(380, 810, 2960, 2.0, 13),
-         "full": _pl(1900, 4000, 14800, 2.0, 13)}),
+         "full": _pl(1900, 4000, 14800, 2.0, 13),
+         "large": _pl_paper("GH", 2.0, 13)}),
     "SO": DatasetSpec(
         "SO", "StackOverflow: very sparse U, skewed V (dU~2.4)",
         {"tiny": _pl(160, 28, 380, 2.2, 14),

@@ -24,7 +24,8 @@ import sys
 import time
 
 from repro.bench import experiments as exp_mod
-from repro.bench.datasets import PAPER_STATS, list_datasets, load_dataset
+from repro.bench.datasets import (PAPER_STATS, REGISTRY, SCALES,
+                                 list_datasets, load_dataset)
 from repro.bench.runner import headline_seconds, run_method
 from repro.bench.tables import format_seconds, render_table
 from repro.core.counts import BicliqueQuery, DeviceRunResult
@@ -97,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--graph", help="edge-list file (plain or KONECT)")
         src.add_argument("--dataset", choices=list_datasets(),
                          help="a Table II stand-in")
-        p.add_argument("--scale", default="tiny",
-                       choices=("tiny", "bench", "full"),
-                       help="stand-in scale (default tiny)")
+        p.add_argument("--scale", default="tiny", choices=SCALES,
+                       help="stand-in scale (default tiny; 'large' is "
+                            "Table II's size, YT, BC and GH only)")
 
     c = sub.add_parser("count", help="count (p,q)-bicliques")
     add_graph_args(c)
@@ -194,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="regenerate one paper table/figure")
     x.add_argument("name", choices=sorted(EXPERIMENTS))
     x.add_argument("--scale", default="bench",
-                   choices=("tiny", "bench", "full"))
+                   choices=[scale for scale in SCALES
+                            if all(scale in spec.scales
+                                   for spec in REGISTRY.values())])
     return parser
 
 
@@ -202,6 +205,17 @@ def _load(args) -> object:
     if args.graph:
         return read_edge_list(args.graph)
     return load_dataset(args.dataset, args.scale)
+
+
+def _missing_scale(args) -> bool:
+    """Whether ``--dataset`` names a stand-in not built at ``--scale``
+    (``large`` exists for YT, BC and GH only); says which it has."""
+    key = getattr(args, "dataset", None)
+    if key is None or args.scale in REGISTRY[key].scales:
+        return False
+    print(f"error: stand-in {key} has no scale {args.scale!r}; its scales "
+          f"are {', '.join(REGISTRY[key].scales)}", file=sys.stderr)
+    return True
 
 
 def _bad_engine_flags(args) -> bool:
@@ -473,6 +487,8 @@ def main(argv: list[str] | None = None) -> int:
         "datasets": _cmd_datasets,
         "experiment": _cmd_experiment,
     }
+    if _missing_scale(args):
+        return 2
     if args.verbose:
         from repro.obs import configure_logging
         configure_logging(args.verbose)

@@ -66,8 +66,8 @@ from repro.core.counts import BicliqueQuery, CountResult
 from repro.core.delta import bicliques_containing_edge, delta_work_estimate
 from repro.engine.base import resolve_backend
 from repro.errors import GraphValidationError, QueryError
-from repro.graph.bipartite import (BipartiteGraph, LAYER_U, LAYER_V,
-                                   _csr_from_adjacency, _transpose_csr)
+from repro.graph.bipartite import BipartiteGraph, LAYER_U, LAYER_V
+from repro.graph.builders import from_adjacency
 from repro.plan import AUTO
 from repro.query import GraphSession
 
@@ -197,12 +197,8 @@ class SnapshotSession:
         """The CSR graph at this epoch, materialised on first use."""
         with self._lock:
             if self._graph is None:
-                u_off, u_nbr = _csr_from_adjacency(self._rows_u, self.num_v)
-                v_off, v_nbr = _transpose_csr(u_off, u_nbr, self.num_v)
-                self._graph = BipartiteGraph(
-                    num_u=self.num_u, num_v=self.num_v,
-                    u_offsets=u_off, u_neighbors=u_nbr,
-                    v_offsets=v_off, v_neighbors=v_nbr,
+                self._graph = from_adjacency(
+                    self._rows_u, num_u=self.num_u, num_v=self.num_v,
                     name=f"{self.name}@{self.epoch}")
             return self._graph
 

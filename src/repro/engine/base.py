@@ -66,6 +66,9 @@ __all__ = ["KernelBackend", "BACKEND_NAMES", "DEFAULT_BACKEND",
 BACKEND_NAMES = ("sim", "fast", "native")
 #: the engine every entry point runs when no ``backend=`` is named
 DEFAULT_BACKEND = "native"
+#: engine name -> class; each engine module (they import this one) adds
+#: its own as it is imported, so choosing an engine imports nothing
+ENGINES: dict[str, type["KernelBackend"]] = {}
 
 
 class KernelBackend(ABC):
@@ -352,13 +355,8 @@ def resolve_backend(backend: "KernelBackend | str | None" = None,
     if instance and (workers is None
                      or getattr(backend, "workers", None) == int(workers)):
         return backend
-    # deferred: the engine modules import this one
-    from repro.engine.fast import FastBackend
-    from repro.engine.native import NativeBackend
-    from repro.engine.simulated import SimulatedDeviceBackend
-
     if name == "sim":
-        return SimulatedDeviceBackend(spec)
+        return ENGINES["sim"](spec)
     if name == "fast":
-        return FastBackend()
-    return NativeBackend(workers)
+        return ENGINES["fast"]()
+    return ENGINES["native"](workers)

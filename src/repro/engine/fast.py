@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.base import KernelBackend
+from repro.engine.base import ENGINES, KernelBackend
 from repro.gpu.metrics import KernelMetrics
 from repro.htb.htb import BitmapSet
 
@@ -92,3 +92,6 @@ class FastBackend(KernelBackend):
         masks = a_val[ok] & b_val[pos[ok]]
         keep = masks != 0
         return BitmapSet(a_idx[ok][keep], masks[keep])
+
+
+ENGINES[FastBackend.name] = FastBackend

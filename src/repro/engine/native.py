@@ -44,6 +44,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.engine.base import ENGINES
 from repro.engine.fast import FastBackend
 from repro.errors import QueryError
 from repro.graph.csr import row_positions
@@ -253,3 +254,6 @@ class NativeBackend(FastBackend):
         weights = np.zeros(len(hit), dtype=np.int64)
         weights[hit] = popcount(masks).astype(np.int64, copy=False)
         return _per_row_sums(weights, b_lens)
+
+
+ENGINES[NativeBackend.name] = NativeBackend

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.base import KernelBackend
+from repro.engine.base import ENGINES, KernelBackend
 from repro.gpu.device import DeviceSpec, rtx_3090
 from repro.gpu.intersect import (
     binary_search_intersect,
@@ -76,3 +76,6 @@ class SimulatedDeviceBackend(KernelBackend):
 
     def note_shared_peak(self, metrics: KernelMetrics, nbytes: int) -> None:
         metrics.note_shared_peak(nbytes)
+
+
+ENGINES[SimulatedDeviceBackend.name] = SimulatedDeviceBackend

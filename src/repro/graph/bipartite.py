@@ -16,13 +16,15 @@ paper, where reordering must also act on each layer independently).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.errors import GraphValidationError
+from repro.graph.csr import gather_rows
 
-__all__ = ["BipartiteGraph", "LAYER_U", "LAYER_V", "other_layer"]
+__all__ = ["BipartiteGraph", "LAYER_U", "LAYER_V", "other_layer",
+           "graph_from_pairs"]
 
 LAYER_U = "U"
 LAYER_V = "V"
@@ -35,19 +37,6 @@ def other_layer(layer: str) -> str:
     if layer == LAYER_V:
         return LAYER_U
     raise ValueError(f"unknown layer {layer!r}; expected 'U' or 'V'")
-
-
-def _csr_from_adjacency(adj: Sequence[np.ndarray], num_cols: int):
-    """Build (offsets, neighbors) CSR arrays from per-vertex sorted lists."""
-    offsets = np.zeros(len(adj) + 1, dtype=np.int64)
-    for i, row in enumerate(adj):
-        offsets[i + 1] = offsets[i] + len(row)
-    neighbors = np.empty(int(offsets[-1]), dtype=np.int64)
-    for i, row in enumerate(adj):
-        neighbors[offsets[i]:offsets[i + 1]] = row
-    if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= num_cols):
-        raise GraphValidationError("neighbor id out of range")
-    return offsets, neighbors
 
 
 @dataclass(frozen=True)
@@ -140,17 +129,10 @@ class BipartiteGraph:
         _check_permutation(perm_u, self.num_u, "U")
         _check_permutation(perm_v, self.num_v, "V")
 
-        inv_u = np.empty_like(perm_u)
-        inv_u[perm_u] = np.arange(self.num_u, dtype=np.int64)
-        new_adj: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * self.num_u
-        for old_u in range(self.num_u):
-            row = perm_v[self.neighbors(LAYER_U, old_u)]
-            row.sort()
-            new_adj[int(perm_u[old_u])] = row
-        u_off, u_nbr = _csr_from_adjacency(new_adj, self.num_v)
-        v_off, v_nbr = _transpose_csr(u_off, u_nbr, self.num_v)
-        return BipartiteGraph(self.num_u, self.num_v, u_off, u_nbr,
-                              v_off, v_nbr, name=self.name + "/relabeled")
+        us = np.repeat(perm_u, np.diff(self.u_offsets))
+        return graph_from_pairs(self.num_u, self.num_v, us,
+                                perm_v[self.u_neighbors],
+                                name=self.name + "/relabeled")
 
     def induced_subgraph(self, keep_u: np.ndarray, keep_v: np.ndarray,
                          name: str | None = None) -> "BipartiteGraph":
@@ -162,18 +144,18 @@ class BipartiteGraph:
         """
         keep_u = np.asarray(keep_u, dtype=np.int64)
         keep_v = np.asarray(keep_v, dtype=np.int64)
-        map_v = {int(v): i for i, v in enumerate(keep_v)}
-        adj: list[np.ndarray] = []
-        for u in keep_u:
-            row = [map_v[int(v)] for v in self.neighbors(LAYER_U, int(u))
-                   if int(v) in map_v]
-            arr = np.asarray(sorted(row), dtype=np.int64)
-            adj.append(arr)
-        u_off, u_nbr = _csr_from_adjacency(adj, len(keep_v))
-        v_off, v_nbr = _transpose_csr(u_off, u_nbr, len(keep_v))
-        return BipartiteGraph(len(keep_u), len(keep_v), u_off, u_nbr,
-                              v_off, v_nbr,
-                              name=name or (self.name + "/sub"))
+        for side, keep, n in (("U", keep_u, self.num_u),
+                              ("V", keep_v, self.num_v)):
+            if len(keep) and (keep.min() < 0 or keep.max() >= n):
+                raise GraphValidationError(f"{side}: kept id out of range")
+        new_v = np.full(self.num_v, -1, dtype=np.int64)
+        new_v[keep_v] = np.arange(len(keep_v), dtype=np.int64)
+        nbrs, lens = gather_rows(self.u_neighbors, self.u_offsets, keep_u)
+        us = np.repeat(np.arange(len(keep_u), dtype=np.int64), lens)
+        vs = new_v[nbrs]
+        kept = vs >= 0
+        return graph_from_pairs(len(keep_u), len(keep_v), us[kept], vs[kept],
+                                name=name or (self.name + "/sub"))
 
     # ------------------------------------------------------------------
     # invariants
@@ -221,18 +203,41 @@ def _check_permutation(perm: np.ndarray, n: int, side: str) -> None:
         raise ReorderError(f"invalid permutation for layer {side}")
 
 
-def _transpose_csr(offsets: np.ndarray, neighbors: np.ndarray, num_cols: int):
-    """Transpose a CSR adjacency (rows -> cols) with sorted output rows."""
-    counts = np.bincount(neighbors, minlength=num_cols) if len(neighbors) \
-        else np.zeros(num_cols, dtype=np.int64)
-    t_offsets = np.zeros(num_cols + 1, dtype=np.int64)
-    np.cumsum(counts, out=t_offsets[1:])
-    t_neighbors = np.empty(len(neighbors), dtype=np.int64)
-    cursor = t_offsets[:-1].copy()
-    num_rows = len(offsets) - 1
-    for row in range(num_rows):
-        for col in neighbors[offsets[row]:offsets[row + 1]]:
-            t_neighbors[cursor[col]] = row
-            cursor[col] += 1
-    # rows were visited in ascending order, so each output row is sorted
-    return t_offsets, t_neighbors
+def _offsets(ids: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets of ``n`` rows from the row id of every (sorted) entry."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=n), out=offsets[1:])
+    return offsets
+
+
+def graph_from_pairs(num_u: int, num_v: int, us: np.ndarray, vs: np.ndarray,
+                     name: str = "bipartite",
+                     dedup: bool = True) -> BipartiteGraph:
+    """The one CSR builder: both directions of a graph from its edge pairs.
+
+    ``us[i]``/``vs[i]`` is the i-th edge; an id outside ``[0, num_u)``
+    or ``[0, num_v)`` raises :class:`GraphValidationError`.  The pairs
+    are sorted once, by the key ``u * num_v + v`` (which cannot
+    overflow: a graph whose offsets fit in memory has ``num_u * num_v``
+    far below 2**63), so each U row comes out ascending.  Repeated pairs
+    collapse, or raise :class:`GraphValidationError` when ``dedup`` is
+    False.  The V -> U direction is a stable argsort of the sorted pairs
+    by v, which keeps each V row's u ids ascending.
+    """
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    for side, ids, n in (("u", us, num_u), ("v", vs, num_v)):
+        if len(ids) and (ids.min() < 0 or ids.max() >= n):
+            raise GraphValidationError(f"{side} id out of range")
+    key = us * num_v + vs
+    key.sort()
+    if len(key) > 1:
+        repeat = key[1:] == key[:-1]
+        if repeat.any():
+            if not dedup:
+                raise GraphValidationError("duplicate edge in input")
+            key = key[np.concatenate(([True], ~repeat))]
+    us, vs = np.divmod(key, max(num_v, 1))
+    order = np.argsort(vs, kind="stable")
+    return BipartiteGraph(num_u, num_v, _offsets(us, num_u), vs,
+                          _offsets(vs, num_v), us[order], name=name)

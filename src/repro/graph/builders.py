@@ -6,77 +6,68 @@ deduplicate edges, sort neighbour lists and build both CSR directions.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import GraphValidationError
-from repro.graph.bipartite import BipartiteGraph, _csr_from_adjacency, _transpose_csr
+from repro.graph.bipartite import BipartiteGraph, graph_from_pairs
 
 __all__ = ["from_edges", "from_adjacency", "empty_graph", "complete_bipartite"]
 
 
 def from_edges(num_u: int, num_v: int,
-               edges: Iterable[tuple[int, int]],
+               edges: Iterable[tuple[int, int]] | np.ndarray,
                name: str = "bipartite",
                dedup: bool = True) -> BipartiteGraph:
     """Build a graph from (u, v) pairs with u in [0, num_u), v in [0, num_v).
 
+    ``edges`` is an iterable of pairs or an ``(E, 2)`` integer array.
     Duplicate edges are collapsed when ``dedup`` is True (the default);
     with ``dedup=False`` a duplicate raises :class:`GraphValidationError`.
     """
-    edge_list = list(edges)
-    if edge_list:
-        arr = np.asarray(edge_list, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise GraphValidationError("edges must be (u, v) pairs")
-        if arr[:, 0].min() < 0 or arr[:, 0].max() >= num_u:
-            raise GraphValidationError("u id out of range")
-        if arr[:, 1].min() < 0 or arr[:, 1].max() >= num_v:
-            raise GraphValidationError("v id out of range")
-        order = np.lexsort((arr[:, 1], arr[:, 0]))
-        arr = arr[order]
-        if len(arr) > 1:
-            same = np.all(arr[1:] == arr[:-1], axis=1)
-            if same.any():
-                if not dedup:
-                    raise GraphValidationError("duplicate edge in input")
-                arr = np.concatenate([arr[:1], arr[1:][~same]])
-    else:
-        arr = np.empty((0, 2), dtype=np.int64)
-
-    u_offsets = np.zeros(num_u + 1, dtype=np.int64)
-    np.cumsum(np.bincount(arr[:, 0], minlength=num_u), out=u_offsets[1:])
-    u_neighbors = arr[:, 1].copy()
-    v_offsets, v_neighbors = _transpose_csr(u_offsets, u_neighbors, num_v)
-    g = BipartiteGraph(num_u, num_v, u_offsets, u_neighbors,
-                       v_offsets, v_neighbors, name=name)
-    return g
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    arr = np.asarray(edges, dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise GraphValidationError("edges must be (u, v) pairs")
+    return graph_from_pairs(num_u, num_v, arr[:, 0], arr[:, 1], name=name,
+                            dedup=dedup)
 
 
 def from_adjacency(adjacency: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
                    num_u: int | None = None,
                    num_v: int | None = None,
                    name: str = "bipartite") -> BipartiteGraph:
-    """Build a graph from a U -> neighbours-in-V mapping (or list of lists)."""
+    """Build a graph from a U -> neighbours-in-V mapping (or list of lists).
+
+    A mapping key, or a list position, is a vertex of U and must lie in
+    ``[0, num_u)``; ``num_u`` defaults to one past the largest, and
+    ``num_v`` to one past the largest neighbour.  Repeated neighbours
+    collapse.
+    """
     if isinstance(adjacency, Mapping):
-        max_u = max(adjacency.keys(), default=-1)
-        num_u = num_u if num_u is not None else max_u + 1
-        rows = [np.asarray(sorted(set(adjacency.get(u, ()))), dtype=np.int64)
-                for u in range(num_u)]
+        us = np.fromiter(adjacency.keys(), dtype=np.int64,
+                         count=len(adjacency))
+        rows = adjacency.values()
+        num_u = num_u if num_u is not None else int(us.max(initial=-1)) + 1
+        if len(us) and (us.min() < 0 or us.max() >= num_u):
+            raise GraphValidationError(
+                f"adjacency key outside [0, {num_u})")
     else:
         num_u = num_u if num_u is not None else len(adjacency)
         if len(adjacency) > num_u:
             raise GraphValidationError("more rows than num_u")
-        rows = [np.asarray(sorted(set(adjacency[u])), dtype=np.int64)
-                if u < len(adjacency) else np.empty(0, dtype=np.int64)
-                for u in range(num_u)]
-    max_v = max((int(r[-1]) for r in rows if len(r)), default=-1)
-    num_v = num_v if num_v is not None else max_v + 1
-    u_offsets, u_neighbors = _csr_from_adjacency(rows, num_v)
-    v_offsets, v_neighbors = _transpose_csr(u_offsets, u_neighbors, num_v)
-    return BipartiteGraph(num_u, num_v, u_offsets, u_neighbors,
-                          v_offsets, v_neighbors, name=name)
+        us = np.arange(len(adjacency), dtype=np.int64)
+        rows = adjacency
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(us))
+    vs = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                     count=int(lens.sum()))
+    num_v = num_v if num_v is not None else int(vs.max(initial=-1)) + 1
+    return graph_from_pairs(num_u, num_v, np.repeat(us, lens), vs, name=name)
 
 
 def empty_graph(num_u: int, num_v: int, name: str = "empty") -> BipartiteGraph:
@@ -91,6 +82,7 @@ def complete_bipartite(num_u: int, num_v: int,
     Closed-form ground truth for tests: the number of (p, q)-bicliques is
     C(num_u, p) * C(num_v, q).
     """
-    edges = ((u, v) for u in range(num_u) for v in range(num_v))
-    return from_edges(num_u, num_v, edges,
-                      name=name or f"K_{num_u}_{num_v}")
+    us = np.repeat(np.arange(num_u, dtype=np.int64), num_v)
+    vs = np.tile(np.arange(num_v, dtype=np.int64), num_u)
+    return graph_from_pairs(num_u, num_v, us, vs,
+                            name=name or f"K_{num_u}_{num_v}")

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphValidationError
-from repro.graph.bipartite import BipartiteGraph
-from repro.graph.builders import from_edges
+from repro.graph.bipartite import BipartiteGraph, graph_from_pairs
 
 __all__ = [
     "random_bipartite",
@@ -34,18 +33,27 @@ def random_bipartite(num_u: int, num_v: int, num_edges: int,
     if num_edges > num_u * num_v:
         raise GraphValidationError("more edges requested than pairs exist")
     rng = _rng(seed)
-    # oversample then dedup; cheap for the sparse regimes we use
-    want = num_edges
-    seen: set[tuple[int, int]] = set()
-    while len(seen) < want:
-        k = int((want - len(seen)) * 1.3) + 8
+    # oversample then dedup; cheap for the sparse regimes we use.  The
+    # kept pairs are each batch's first occurrences not seen before, in
+    # draw order, up to the target
+    keys = np.empty(0, dtype=np.int64)  # u * num_v + v of the kept pairs
+    while len(keys) < num_edges:
+        k = int((num_edges - len(keys)) * 1.3) + 8
         us = rng.integers(0, num_u, size=k)
         vs = rng.integers(0, num_v, size=k)
-        for u, v in zip(us, vs):
-            if len(seen) >= want:
-                break
-            seen.add((int(u), int(v)))
-    return from_edges(num_u, num_v, seen, name=name)
+        keys = np.concatenate([keys, _first_new(us * num_v + vs, keys,
+                                                num_edges - len(keys))])
+    return graph_from_pairs(num_u, num_v, *np.divmod(keys, max(num_v, 1)),
+                            name=name)
+
+
+def _first_new(drawn: np.ndarray, taken: np.ndarray, limit: int) -> np.ndarray:
+    """The first ``limit`` distinct keys of ``drawn`` absent from
+    ``taken``, in order of first occurrence."""
+    _, first = np.unique(drawn, return_index=True)
+    first.sort()
+    new = drawn[first]
+    return new[~np.isin(new, taken)][:limit]
 
 
 def _power_law_degrees(n: int, mean_degree: float, gamma: float,
@@ -76,13 +84,123 @@ def power_law_bipartite(num_u: int, num_v: int, num_edges: int,
     weights = 1.0 / np.arange(1, num_v + 1, dtype=np.float64)
     weights /= weights.sum()
     v_ids = rng.permutation(num_v)  # decouple weight rank from vertex id
-    edges: list[tuple[int, int]] = []
-    for u in range(num_u):
-        d = int(degrees[u])
-        picks = rng.choice(num_v, size=min(d, num_v), replace=False, p=weights)
-        for v in picks:
-            edges.append((u, int(v_ids[v])))
-    return from_edges(num_u, num_v, edges, name=name)
+    picks = _choice_rows(rng, degrees, weights)  # degrees are at most num_v
+    us = np.repeat(np.arange(num_u, dtype=np.int64), degrees)
+    return graph_from_pairs(num_u, num_v, us, v_ids[picks], name=name)
+
+
+#: most doubles drawn ahead per refill of :class:`_DoubleStream`
+_STREAM_CHUNK = 1 << 16
+#: first-round doubles checked for repeats per vectorised pass
+_CHOICE_WINDOW = 256
+
+
+class _DoubleStream:
+    """``rng.random`` doubles read in order, drawn ahead ``chunk`` at a
+    time.
+
+    Reading ``k`` doubles here yields exactly what ``rng.random(k)``
+    would at that point of the stream; the chunks only leave the
+    generator further ahead once reading stops, so a caller may use it
+    only when nothing draws from ``rng`` afterwards.
+    """
+
+    def __init__(self, rng: np.random.Generator, chunk: int) -> None:
+        self._rng = rng
+        self._chunk = chunk
+        self._buf = np.empty(0, dtype=np.float64)
+        self._pos = 0
+
+    def peek(self, k: int) -> np.ndarray:
+        """The next ``k`` doubles, not consumed."""
+        if self._pos + k > len(self._buf):
+            self._buf = np.concatenate([self._buf[self._pos:],
+                                        self._rng.random(max(k, self._chunk))])
+            self._pos = 0
+        return self._buf[self._pos:self._pos + k]
+
+    def take(self, k: int) -> np.ndarray:
+        """The next ``k`` doubles, consumed."""
+        out = self.peek(k)
+        self._pos += k
+        return out
+
+
+def _choice_rows(rng: np.random.Generator, sizes: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """``rng.choice(len(weights), s, replace=False, p=weights)`` for each
+    ``s`` in ``sizes``, concatenated, from the same random stream.
+
+    numpy's weighted draw without replacement takes ``s`` doubles, maps
+    them through the CDF ``cumsum(w) / cumsum(w)[-1]`` with
+    ``searchsorted(side="right")`` and keeps first occurrences; only a
+    row that drew a repeat zeroes the found weights, recomputes the CDF
+    and redraws the shortfall, round after round.  Here the first round
+    of every row maps through one precomputed CDF, a window of rows at a
+    time, and only a row with a repeat runs the later rounds.  The
+    doubles come from one :class:`_DoubleStream`, so ``rng`` ends up
+    ahead of where per-row calls would leave it: draw nothing after.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    out = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+    if len(out) == 0:
+        return out
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    stream = _DoubleStream(rng, min(len(out), _STREAM_CHUNK))
+    # later rounds reuse two |V|-sized buffers instead of allocating them
+    # per row: the weights with found entries zeroed, and their CDF
+    p, later_cdf = weights.copy(), np.empty_like(weights)
+    row = 0
+    while row < len(sizes):
+        base = int(ends[row] - sizes[row])
+        stop = max(int(np.searchsorted(ends, base + _CHOICE_WINDOW,
+                                       side="right")), row + 1)
+        width = int(ends[stop - 1]) - base
+        picks = cdf.searchsorted(stream.peek(width), side="right")
+        # a repeat within a row shows as two equal (row, pick) keys
+        seg = np.repeat(np.arange(stop - row, dtype=np.int64),
+                        sizes[row:stop])
+        key = np.sort(seg * len(weights) + picks)
+        repeats = key[1:][key[1:] == key[:-1]]
+        if len(repeats) == 0:
+            out[base:base + width] = picks
+            stream.take(width)
+            row = stop
+            continue
+        row += int(repeats[0] // len(weights))
+        clean = int(ends[row] - sizes[row]) - base
+        out[base:base + clean] = picks[:clean]
+        stream.take(clean)
+        out[base + clean:int(ends[row])] = _choice_one(
+            stream, int(sizes[row]), weights, cdf, p, later_cdf)
+        row += 1
+    return out
+
+
+def _choice_one(stream: _DoubleStream, size: int, weights: np.ndarray,
+                cdf: np.ndarray, p: np.ndarray,
+                later_cdf: np.ndarray) -> np.ndarray:
+    """One row of numpy's weighted draw without replacement, round by
+    round (``cdf`` is the first round's).  ``p`` equals ``weights`` on
+    entry and on return; ``later_cdf`` is scratch."""
+    found = np.zeros(size, dtype=np.int64)
+    n_uniq = 0
+    while n_uniq < size:
+        x = stream.take(size - n_uniq)
+        if n_uniq > 0:
+            p[found[:n_uniq]] = 0
+            cdf = np.cumsum(p, out=later_cdf)
+            cdf /= cdf[-1]
+        new = cdf.searchsorted(x, side="right")
+        _, first = np.unique(new, return_index=True)
+        first.sort()
+        new = new.take(first)
+        found[n_uniq:n_uniq + new.size] = new
+        n_uniq += new.size
+    p[found] = weights[found]
+    return found
 
 
 def paper_synthetic(num_u: int, num_v: int,
@@ -105,17 +223,18 @@ def paper_synthetic(num_u: int, num_v: int,
     rng = _rng(seed)
     degrees = _power_law_degrees(num_u, mean_degree, gamma,
                                  max_degree=num_v, rng=rng)
-    edges: list[tuple[int, int]] = []
+    picks = []
     for u in range(num_u):
         d = int(degrees[u])
         center = int(rng.integers(0, num_v))
         width = max(locality, d + 1)
         lo = max(0, min(center - width // 2, num_v - width))
-        window = np.arange(lo, min(lo + width, num_v))
-        picks = rng.choice(window, size=min(d, len(window)), replace=False)
-        for v in picks:
-            edges.append((u, int(v)))
-    return from_edges(num_u, num_v, edges, name=name)
+        span = min(lo + width, num_v) - lo
+        picks.append(lo + rng.choice(span, size=min(d, span), replace=False))
+    sizes = np.fromiter(map(len, picks), dtype=np.int64, count=num_u)
+    us = np.repeat(np.arange(num_u, dtype=np.int64), sizes)
+    vs = np.concatenate(picks) if picks else np.empty(0, dtype=np.int64)
+    return graph_from_pairs(num_u, num_v, us, vs, name=name)
 
 
 def planted_bicliques(num_u: int, num_v: int,
@@ -130,26 +249,37 @@ def planted_bicliques(num_u: int, num_v: int,
     for correctness tests.
     """
     rng = _rng(seed)
-    edges: set[tuple[int, int]] = set()
+    plants = [np.empty(0, dtype=np.int64)]  # u * num_v + v of plant edges
     next_u, next_v = 0, 0
     for a, b in plant_sizes:
         if next_u + a > num_u or next_v + b > num_v:
             raise GraphValidationError("plants do not fit in the layer sizes")
-        for u in range(next_u, next_u + a):
-            for v in range(next_v, next_v + b):
-                edges.add((u, v))
+        us = next_u + np.repeat(np.arange(a, dtype=np.int64), b)
+        vs = next_v + np.tile(np.arange(b, dtype=np.int64), a)
+        plants.append(us * num_v + vs)
         next_u += a
         next_v += b
-    while len(edges) < len(edges) + noise_edges:  # pragma: no cover - guard
-        break
+    keys = np.concatenate(plants)
+    pairs = num_u * num_v
+    if noise_edges > pairs - len(keys):
+        raise GraphValidationError(
+            f"{noise_edges} noise edges requested but only "
+            f"{pairs - len(keys)} pairs are free")
+    # one integers() call with alternating bounds draws u, v, u, v, ...
+    # exactly as alternating one-value calls would; a batch may draw past
+    # the pair that completes the noise, which is safe because nothing
+    # draws from rng afterwards
+    bounds = np.array([num_u, num_v], dtype=np.int64)
     added = 0
     while added < noise_edges:
-        u = int(rng.integers(0, num_u))
-        v = int(rng.integers(0, num_v))
-        if (u, v) not in edges:
-            edges.add((u, v))
-            added += 1
-    return from_edges(num_u, num_v, edges, name=name)
+        need = noise_edges - added
+        m = need * pairs // (pairs - len(keys)) + 8  # expect `need` new
+        uv = rng.integers(0, np.tile(bounds, m)).reshape(m, 2)
+        new = _first_new(uv[:, 0] * num_v + uv[:, 1], keys, need)
+        keys = np.concatenate([keys, new])
+        added += len(new)
+    return graph_from_pairs(num_u, num_v, *np.divmod(keys, max(num_v, 1)),
+                            name=name)
 
 
 def star_bipartite(num_leaves: int, center_on_u: bool = True,
@@ -158,8 +288,8 @@ def star_bipartite(num_leaves: int, center_on_u: bool = True,
 
     Ground truth: only (1, q) (or (p, 1)) bicliques exist.
     """
+    hub = np.zeros(num_leaves, dtype=np.int64)
+    leaves = np.arange(num_leaves, dtype=np.int64)
     if center_on_u:
-        return from_edges(1, num_leaves, ((0, v) for v in range(num_leaves)),
-                          name=name)
-    return from_edges(num_leaves, 1, ((u, 0) for u in range(num_leaves)),
-                      name=name)
+        return graph_from_pairs(1, num_leaves, hub, leaves, name=name)
+    return graph_from_pairs(num_leaves, 1, leaves, hub, name=name)

@@ -117,6 +117,20 @@ class TestInducedSubgraph:
         sub = paper_graph.induced_subgraph([4], [3, 4])
         assert sub.neighbors(LAYER_U, 0).tolist() == [0, 1]
 
+    def test_kept_order_renumbers(self, paper_graph):
+        """Kept V ids are renumbered in the order given, so each new row
+        is re-sorted under the new ids."""
+        sub = paper_graph.induced_subgraph([4], [4, 3])
+        assert sub.neighbors(LAYER_U, 0).tolist() == [0, 1]
+        assert sub.neighbors(LAYER_V, 0).tolist() == [0]
+
+    def test_out_of_range_ids_raise(self, paper_graph):
+        """A negative id would wrap around under numpy indexing."""
+        with pytest.raises(GraphValidationError):
+            paper_graph.induced_subgraph([0], [-1])
+        with pytest.raises(GraphValidationError):
+            paper_graph.induced_subgraph([5], [0])
+
 
 class TestValidate:
     def test_good_graph_passes(self, paper_graph, small_random):

@@ -89,6 +89,18 @@ class TestPlanted:
         noisy = planted_bicliques(15, 15, [(3, 3)], noise_edges=20, seed=2)
         assert noisy.num_edges == base.num_edges + 20
 
+    def test_noise_beyond_free_pairs_rejected(self):
+        """Asking for more noise than free pairs raises up front instead
+        of drawing forever."""
+        with pytest.raises(GraphValidationError):
+            planted_bicliques(2, 2, [(2, 2)], noise_edges=1)
+        with pytest.raises(GraphValidationError):
+            planted_bicliques(3, 3, [(2, 2)], noise_edges=6)
+
+    def test_noise_fills_every_free_pair(self):
+        g = planted_bicliques(3, 3, [(2, 2)], noise_edges=5, seed=4)
+        assert g.num_edges == 9
+
 
 class TestStar:
     def test_center_u(self):

@@ -52,6 +52,18 @@ class TestCommands:
                      "-p", "2", "-q", "2", "--backend", "sim"]) == 0
         assert "memory transactions" in capsys.readouterr().out
 
+    def test_scale_a_stand_in_lacks_exits_2(self, capsys):
+        """``large`` exists for YT, BC and GH only; asking another
+        stand-in for it names the scales that stand-in has."""
+        assert main(["count", "--dataset", "SO", "--scale", "large",
+                     "-p", "2", "-q", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "'large'" in err and "tiny, bench, full" in err
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["experiment", "fig9",
+                                       "--scale", "large"])
+        assert exc.value.code == 2
+
     def test_count_cpu_method(self, capsys):
         assert main(["count", "--dataset", "S1", "--scale", "tiny",
                      "-p", "2", "-q", "2", "--method", "BCL"]) == 0
